@@ -1,12 +1,14 @@
 """Run one workload of the annurates benchmark and print its metrics.
 
-    python3 bench/run.py --workload tables --seed 1 --seconds 20 --trace 0
+    python3 bench/run.py --workload tables --seed 1 --seconds 45 --trace 0
 
 With --trace 0 the run is untraced and reports the end-to-end metrics; with
 --trace 1 it is the traced run (traced.py) and reports the per-layer
-metrics.  Human-readable lines come first; the last line of stdout is one
-JSON object with the keys correct, attempted, failed and metrics.  A result
-file with the machine's details goes to bench/results/.
+metrics.  BENCHMARK.json lists `tables` and `verify`; `audit` runs the same
+way by hand, but is too unsteady on the reference machine to gate a change
+(see the README).  Human-readable lines come first; the last line of stdout
+is one JSON object with the keys correct, attempted, failed and metrics.  A
+result file with the machine's details goes to bench/results/.
 """
 
 from __future__ import annotations
