@@ -17,7 +17,6 @@ from .errors import (
     ShapeMismatchError,
 )
 from .fixed import (
-    Accumulator,
     arithmetic_due,
     decreasing_due,
     geometric_due,
@@ -81,7 +80,6 @@ from .rates import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Accumulator",
     "DecreasingMoments",
     "DomainError",
     "ENUMERATION_MAX_HORIZON",

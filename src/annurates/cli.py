@@ -15,7 +15,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import DomainError, NumericalFailureError
 from .fixed import (
@@ -146,6 +146,28 @@ _COMMON_OUTPUT = (
     _Option("out", str, help="write the report to FILE instead of stdout", metavar="FILE"),
 )
 
+_STRICT = _Option("strict", _parse_bool, default=True, help="require every payment positive")
+
+# the payment plan and random rate, shared by moments and verify
+_PLAN_OPTIONS = (
+    _Option(
+        "family",
+        _choice(_PLAN_FAMILIES),
+        required=True,
+        help="payment plan family",
+    ),
+    _Option("p", _parse_float, help="first payment (arithmetic/geometric families only)"),
+    _Option(
+        "q",
+        _parse_float,
+        help="payment step (arithmetic) or ratio (geometric)",
+    ),
+    _Option("u", _parse_float, help="annual payment growth rate (growth family only)"),
+    _Option("n", _parse_count, required=True, help="number of annual payments"),
+    _Option("j", _parse_float, required=True, help=_RATE_HELP),
+    _Option("s2", _parse_float, default=0.0, help="variance of the annual rate"),
+)
+
 _SCHEMAS = {
     "fixed": (
         _Option("j", _parse_float, required=True, help=_RATE_HELP),
@@ -164,59 +186,29 @@ _SCHEMAS = {
             _parse_float,
             help="payment step (arithmetic, default 0) or ratio (geometric, default 1)",
         ),
-        _Option("strict", _parse_bool, default=True, help="require every payment positive"),
+        _STRICT,
     )
     + _COMMON_OUTPUT,
-    "moments": (
-        _Option(
-            "family",
-            _choice(_PLAN_FAMILIES),
-            required=True,
-            help="payment plan family",
-        ),
-        _Option("p", _parse_float, help="first payment (arithmetic/geometric families only)"),
-        _Option(
-            "q",
-            _parse_float,
-            help="payment step (arithmetic) or ratio (geometric)",
-        ),
-        _Option("u", _parse_float, help="annual payment growth rate (growth family only)"),
-        _Option("n", _parse_count, required=True, help="number of annual payments"),
-        _Option("j", _parse_float, required=True, help=_RATE_HELP),
-        _Option("s2", _parse_float, default=0.0, help="variance of the annual rate"),
+    "moments": _PLAN_OPTIONS
+    + (
         _Option(
             "method",
             _choice(("closed", "recursive", "both")),
             default="closed",
             help="evaluation path; 'both' adds a max-discrepancy column",
         ),
-        _Option("strict", _parse_bool, default=True, help="require every payment positive"),
+        _STRICT,
     )
     + _COMMON_OUTPUT,
-    "verify": (
-        _Option(
-            "family",
-            _choice(_PLAN_FAMILIES),
-            required=True,
-            help="payment plan family",
-        ),
-        _Option("p", _parse_float, help="first payment (arithmetic/geometric families only)"),
-        _Option(
-            "q",
-            _parse_float,
-            help="payment step (arithmetic) or ratio (geometric)",
-        ),
-        _Option("u", _parse_float, help="annual payment growth rate (growth family only)"),
-        _Option("n", _parse_count, required=True, help="number of annual payments"),
-        _Option("j", _parse_float, required=True, help=_RATE_HELP),
-        _Option("s2", _parse_float, default=0.0, help="variance of the annual rate"),
+    "verify": _PLAN_OPTIONS
+    + (
         _Option(
             "method",
             _choice(("closed", "recursive")),
             default="closed",
             help="analytic path placed under test",
         ),
-        _Option("strict", _parse_bool, default=True, help="require every payment positive"),
+        _STRICT,
         _Option(
             "distribution",
             _choice(_DISTRIBUTIONS + ("all",)),
@@ -231,11 +223,9 @@ _SCHEMAS = {
         ),
         _Option("seed", _parse_int, default=0, help="random seed"),
         _Option("workers", _parse_count, default=1, help="worker threads for the Monte Carlo run"),
+        replace(_COMMON_OUTPUT[0], default="json"),
     )
-    + (
-        _Option("output", _choice(("csv", "json")), default="json", help="report format"),
-        _Option("out", str, help="write the report to FILE instead of stdout", metavar="FILE"),
-    ),
+    + _COMMON_OUTPUT[1:],
     "identities": _COMMON_OUTPUT,
 }
 

@@ -3,17 +3,18 @@
 Payments land at the start of each year and the accumulated value is taken
 at the end of year k, so a payment made in year i grows by (1+j)^(k-i+1).
 Each accumulator offers a closed form, a one-step recursion and a direct
-summation; mode "auto" (the default) uses the closed form except inside the
-singular band of its denominator, where it falls back to the recursion.
+summation; the last two are the same _accumulate over the accumulator's
+payment list.  Mode "auto" (the default) uses the closed form except inside
+the singular band of its denominator, where it falls back to the recursion.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-import numbers
-from dataclasses import dataclass
+import operator
 
-from .errors import DomainError, PaymentPositivityError
+from .errors import DomainError, PaymentPositivityError, check_int
 from .rates import SINGULARITY_EPS, FixedRate, fixed_rate
 
 _MODES = ("auto", "closed", "recursive", "sum")
@@ -25,15 +26,6 @@ def _as_rate(rate) -> FixedRate:
     if isinstance(rate, FixedRate):
         return rate
     return fixed_rate(rate)
-
-
-def _check_k(k, name: str = "k") -> int:
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
-        raise DomainError(f"{name} must be an integer, got {k!r}")
-    k = int(k)
-    if k < 0:
-        raise DomainError(f"{name} must be nonnegative, got {k}")
-    return k
 
 
 def _route(mode: str, singular: bool, allowed=_MODES) -> str:
@@ -48,14 +40,27 @@ def _route(mode: str, singular: bool, allowed=_MODES) -> str:
     return mode
 
 
-def _gross_powers(g: float, k: int) -> list[float]:
-    """g^1 .. g^k by iterated multiplication."""
-    out = []
+def _accumulate(g: float, payments, path: str, lead=0.0, tail=0) -> float:
+    """Value at the end of year k of payments c_i = lead + payments[i] + tail.
+
+    Payment i is made at the start of year i.  Path "recursive" runs
+    value = g*(value + lead + payments[i] + tail), adding left to right, so
+    the split of c_i fixes how the recursion rounds; path "sum" adds the
+    terms c_i g^(k-i+1) with a single rounding.
+    """
+    if path == "recursive":
+        value = 0.0
+        for c in payments:
+            value = g * (value + lead + c + tail)
+        return value
+    if lead or tail:
+        payments = [lead + c + tail for c in payments]
+    terms = []
     x = 1.0
-    for _ in range(k):
-        x *= g
-        out.append(x)
-    return out
+    for c in reversed(payments):
+        x *= g  # g^(k-i+1) by iterated multiplication
+        terms.append(c * x)
+    return math.fsum(terms)
 
 
 def _power_diff_quotient(g: float, q: float, k: int) -> float:
@@ -78,22 +83,16 @@ def level_due(k, rate, mode: str = "auto") -> float:
     value_k = (1+j)(1 + value_{k-1}).
     """
     rate = _as_rate(rate)
-    k = _check_k(k)
+    k = check_int(k, "k", 0)
     path = _route(mode, abs(rate.j) < SINGULARITY_EPS)
     if k == 0:
         return 0.0
-    g = 1.0 + rate.j
     if path == "closed":
         # expm1/log1p keeps (1+j)^k - 1 accurate to a couple of ulps even
         # when the numerator nearly cancels, which downstream closed forms
         # divide by d up to three more times
         return math.expm1(k * math.log1p(rate.j)) / rate.d
-    if path == "recursive":
-        value = 0.0
-        for _ in range(k):
-            value = g * (1.0 + value)
-        return value
-    return math.fsum(_gross_powers(g, k))
+    return _accumulate(1.0 + rate.j, [1.0] * k, path)
 
 
 def increasing_due(k, rate, mode: str = "auto") -> float:
@@ -102,20 +101,13 @@ def increasing_due(k, rate, mode: str = "auto") -> float:
     Closed form (level - k)/d; recursion value_k = (1+j)(k + value_{k-1}).
     """
     rate = _as_rate(rate)
-    k = _check_k(k)
+    k = check_int(k, "k", 0)
     path = _route(mode, abs(rate.j) < SINGULARITY_EPS)
     if k == 0:
         return 0.0
-    g = 1.0 + rate.j
     if path == "closed":
         return (level_due(k, rate, mode="closed") - k) / rate.d
-    if path == "recursive":
-        value = 0.0
-        for i in range(1, k + 1):
-            value = g * (i + value)
-        return value
-    powers = _gross_powers(g, k)
-    return math.fsum((k - e + 1) * powers[e - 1] for e in range(1, k + 1))
+    return _accumulate(1.0 + rate.j, range(1, k + 1), path)
 
 
 def increasing_squared_due(k, rate, mode: str = "auto") -> float:
@@ -126,11 +118,10 @@ def increasing_squared_due(k, rate, mode: str = "auto") -> float:
     equivalent ((1+v)(level + k^2) - 2k - 2k^2)/d^2.
     """
     rate = _as_rate(rate)
-    k = _check_k(k)
+    k = check_int(k, "k", 0)
     path = _route(mode, abs(rate.j) < SINGULARITY_EPS, allowed=_SQ_MODES)
     if k == 0:
         return 0.0
-    g = 1.0 + rate.j
     if path == "closed":
         s = level_due(k, rate, mode="closed")
         inc = increasing_due(k, rate, mode="closed")
@@ -138,13 +129,7 @@ def increasing_squared_due(k, rate, mode: str = "auto") -> float:
     if path == "relation":
         s = level_due(k, rate, mode="closed")
         return ((1.0 + rate.v) * (s + k * k) - 2.0 * k - 2.0 * k * k) / (rate.d * rate.d)
-    if path == "recursive":
-        value = 0.0
-        for i in range(1, k + 1):
-            value = g * (i * i + value)
-        return value
-    powers = _gross_powers(g, k)
-    return math.fsum((k - e + 1) ** 2 * powers[e - 1] for e in range(1, k + 1))
+    return _accumulate(1.0 + rate.j, [i * i for i in range(1, k + 1)], path)
 
 
 def decreasing_due(n, k, rate, mode: str = "auto") -> float:
@@ -154,8 +139,8 @@ def decreasing_due(n, k, rate, mode: str = "auto") -> float:
     value_k = (1+j)(value_{k-1} + n - k + 1).
     """
     rate = _as_rate(rate)
-    n = _check_k(n, name="n")
-    k = _check_k(k)
+    n = check_int(n, "n", 0)
+    k = check_int(k, "k", 0)
     if n < 1:
         raise DomainError(f"n must be at least 1, got {n}")
     if k > n:
@@ -163,18 +148,11 @@ def decreasing_due(n, k, rate, mode: str = "auto") -> float:
     path = _route(mode, abs(rate.j) < SINGULARITY_EPS)
     if k == 0:
         return 0.0
-    g = 1.0 + rate.j
     if path == "closed":
         return (n + 1) * level_due(k, rate, mode="closed") - increasing_due(
             k, rate, mode="closed"
         )
-    if path == "recursive":
-        value = 0.0
-        for i in range(1, k + 1):
-            value = g * (value + n - i + 1)
-        return value
-    powers = _gross_powers(g, k)
-    return math.fsum((n - k + e) * powers[e - 1] for e in range(1, k + 1))
+    return _accumulate(1.0 + rate.j, [-i for i in range(1, k + 1)], path, n, 1)
 
 
 def arithmetic_due(p, q, k, rate, mode: str = "auto", strict: bool = True) -> float:
@@ -184,7 +162,7 @@ def arithmetic_due(p, q, k, rate, mode: str = "auto", strict: bool = True) -> fl
     payment positive: p > 0 and p + (k-1)q > 0.
     """
     rate = _as_rate(rate)
-    k = _check_k(k)
+    k = check_int(k, "k", 0)
     p = float(p)
     q = float(q)
     if strict and k >= 1:
@@ -196,18 +174,11 @@ def arithmetic_due(p, q, k, rate, mode: str = "auto", strict: bool = True) -> fl
     path = _route(mode, abs(rate.j) < SINGULARITY_EPS)
     if k == 0:
         return 0.0
-    g = 1.0 + rate.j
     if path == "closed":
         return (p - q) * level_due(k, rate, mode="closed") + q * increasing_due(
             k, rate, mode="closed"
         )
-    if path == "recursive":
-        value = 0.0
-        for i in range(1, k + 1):
-            value = g * (value + p + (i - 1) * q)
-        return value
-    powers = _gross_powers(g, k)
-    return math.fsum((p + (k - e) * q) * powers[e - 1] for e in range(1, k + 1))
+    return _accumulate(1.0 + rate.j, [i * q for i in range(k)], path, p)
 
 
 def geometric_due(p, q, k, rate, mode: str = "auto", strict: bool = True) -> float:
@@ -218,7 +189,7 @@ def geometric_due(p, q, k, rate, mode: str = "auto", strict: bool = True) -> flo
     |1+j-q| < 1e-9*max(1,q).  Strict mode requires p > 0 and q > 0.
     """
     rate = _as_rate(rate)
-    k = _check_k(k)
+    k = check_int(k, "k", 0)
     p = float(p)
     q = float(q)
     if strict and k >= 1:
@@ -239,14 +210,11 @@ def geometric_due(p, q, k, rate, mode: str = "auto", strict: bool = True) -> flo
     if path == "closed":
         return p * g * _power_diff_quotient(g, q, k)
     if path == "recursive":
-        value = 0.0
-        qpow = 1.0
-        for _ in range(k):
-            value = g * (value + p * qpow)
-            qpow *= q
-        return value
-    powers = _gross_powers(g, k)
-    return math.fsum(p * q ** (k - e) * powers[e - 1] for e in range(1, k + 1))
+        # iterated powers of q, which reach inf where q**i would overflow
+        powers = itertools.accumulate(itertools.repeat(q, k - 1), operator.mul, initial=1.0)
+    else:
+        powers = (q**i for i in range(k))
+    return _accumulate(g, [p * x for x in powers], path)
 
 
 def growth_due(u, k, rate, mode: str = "auto") -> float:
@@ -260,45 +228,3 @@ def growth_due(u, k, rate, mode: str = "auto") -> float:
         raise DomainError(f"growth rate must exceed -1, got {u}")
     return geometric_due(1.0, 1.0 + u, k, rate, mode=mode)
 
-
-_KINDS = (
-    "level",
-    "increasing",
-    "increasing-squared",
-    "decreasing",
-    "arithmetic",
-    "geometric",
-    "growth",
-)
-
-
-@dataclass(frozen=True)
-class Accumulator:
-    """A payment pattern bound to a fixed rate, valued at any horizon k >= 0."""
-
-    kind: str
-    rate: FixedRate
-    p: float = 1.0
-    q: float = 0.0
-    n: int = 1
-    u: float = 0.0
-    strict: bool = True
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise DomainError(f"kind must be one of {_KINDS}, got {self.kind!r}")
-
-    def value(self, k, mode: str = "auto") -> float:
-        if self.kind == "level":
-            return level_due(k, self.rate, mode=mode)
-        if self.kind == "increasing":
-            return increasing_due(k, self.rate, mode=mode)
-        if self.kind == "increasing-squared":
-            return increasing_squared_due(k, self.rate, mode=mode)
-        if self.kind == "decreasing":
-            return decreasing_due(self.n, k, self.rate, mode=mode)
-        if self.kind == "arithmetic":
-            return arithmetic_due(self.p, self.q, k, self.rate, mode=mode, strict=self.strict)
-        if self.kind == "geometric":
-            return geometric_due(self.p, self.q, k, self.rate, mode=mode, strict=self.strict)
-        return growth_due(self.u, k, self.rate, mode=mode)

@@ -21,15 +21,12 @@ from .fixed import (
 )
 from .moments import (
     PaymentPlan,
-    _component_series,
     mean_closed,
-    mean_series,
+    moment_series,
     second_moment_closed,
     second_moment_cross,
     second_moment_diagonal,
-    second_moment_series,
     variance_closed,
-    variance_series,
     decreasing_moments,
     growth_moments,
     increasing_moments,
@@ -287,10 +284,9 @@ def stochastic_identity_suite(corrupt: bool = False) -> list[IdentityResult]:
                 for j in STOCHASTIC_J_GRID:
                     for s2 in STOCHASTIC_S2_GRID:
                         spec = stochastic_rate(j, s2)
-                        mean_r = mean_series(plan, spec)
-                        m2_r = second_moment_series(plan, spec)
-                        diag_r, cross_r = _component_series(plan, spec)
-                        var_r = variance_series(plan, spec)
+                        ref = moment_series(plan, spec, "recursive")
+                        mean_r, m2_r, var_r = ref.mean, ref.second_moment, ref.variance
+                        diag_r, cross_r = ref.diagonal, ref.cross
                         raw = [
                             m2_r[i] - mean_r[i] * mean_r[i] for i in range(plan.n)
                         ]
@@ -370,19 +366,16 @@ def specialization_suite(corrupt: bool = False) -> list[IdentityResult]:
         for s2 in STOCHASTIC_S2_GRID:
             spec = stochastic_rate(j, s2)
 
-            plan = PaymentPlan.level(k_max)
-            mean_r = mean_series(plan, spec)
-            var_s = variance_series(plan, spec)
+            ref = moment_series(PaymentPlan.level(k_max), spec, "recursive")
+            mean_r, var_s = ref.mean, ref.variance
             for k in range(1, k_max + 1):
                 lm = level_moments(spec, k)
                 rec.record("level-special-vs-general", 1e-10, _dev(lm.mean, mean_r[k - 1]))
                 rec.record("level-special-vs-general", 1e-10, _dev(lm.variance, var_s[k - 1]))
 
-            plan = PaymentPlan.increasing(k_max)
-            mean_r = mean_series(plan, spec)
-            m2_r = second_moment_series(plan, spec)
-            var_s = variance_series(plan, spec)
-            diag_r, cross_r = _component_series(plan, spec)
+            ref = moment_series(PaymentPlan.increasing(k_max), spec, "recursive")
+            mean_r, m2_r, var_s = ref.mean, ref.second_moment, ref.variance
+            diag_r, cross_r = ref.diagonal, ref.cross
             for k in range(1, k_max + 1):
                 im = increasing_moments(spec, k)
                 i = k - 1
@@ -403,9 +396,8 @@ def specialization_suite(corrupt: bool = False) -> list[IdentityResult]:
                 )
 
             for n in (5, 10, 30):
-                plan = PaymentPlan.decreasing(n)
-                mean_r = mean_series(plan, spec)
-                var_s = variance_series(plan, spec)
+                ref = moment_series(PaymentPlan.decreasing(n), spec, "recursive")
+                mean_r, var_s = ref.mean, ref.variance
                 for k in range(1, n + 1):
                     dm = decreasing_moments(spec, n, k)
                     i = k - 1
@@ -418,9 +410,8 @@ def specialization_suite(corrupt: bool = False) -> list[IdentityResult]:
 
             for u in (-0.02, 0.05, 0.1, 0.2):
                 aux = geometric_aux(spec, u)
-                plan = PaymentPlan.growth(u, k_max)
-                mean_r = mean_series(plan, spec)
-                var_s = variance_series(plan, spec)
+                ref = moment_series(PaymentPlan.growth(u, k_max), spec, "recursive")
+                mean_r, var_s = ref.mean, ref.variance
                 for k in range(1, k_max + 1):
                     gm = growth_moments(spec, aux, k)
                     i = k - 1

@@ -20,7 +20,6 @@ collects c_i mu_{i-1} m^{k-i+1}.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -31,6 +30,7 @@ from .errors import (
     FormulaAuditError,
     NumericalFailureError,
     PaymentPositivityError,
+    check_int,
 )
 from .fixed import (
     arithmetic_due,
@@ -77,13 +77,9 @@ class PaymentPlan:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise DomainError(f"family must be one of {_FAMILIES}, got {self.family!r}")
-        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral):
-            raise DomainError(f"horizon n must be an integer, got {self.n!r}")
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", check_int(self.n, "horizon n", 1))
         object.__setattr__(self, "p", float(self.p))
         object.__setattr__(self, "q", float(self.q))
-        if self.n < 1:
-            raise DomainError(f"horizon n must be at least 1, got {self.n}")
         if not (math.isfinite(self.p) and math.isfinite(self.q)):
             raise DomainError("payment parameters must be finite")
         if self.strict:
@@ -183,72 +179,73 @@ class MomentSeries:
 # ---------------------------------------------------------------------------
 
 
+class _Moments(NamedTuple):
+    """Moments of C_1..C_k from the recursions, indexed by year - 1."""
+
+    mean: tuple
+    second: tuple
+    diagonal: tuple
+    cross: tuple
+
+
+def _recursion(plan: PaymentPlan, spec: StochasticRateSpec, k: int | None = None) -> _Moments:
+    """One pass of the moment recursions over years 1..k (default n), k >= 1.
+
+    mu_k = mu (mu_{k-1} + c_k) and m_k = m (m_{k-1} + 2 c_k mu_{k-1} + c_k^2),
+    whose two parts are diagonal_k = m (diagonal_{k-1} + c_k^2) and
+    cross_k = m (cross_{k-1} + c_k mu_{k-1}).
+    """
+    rows = []
+    mean = second = diag = cross = 0.0
+    for i in range(1, (plan.n if k is None else k) + 1):
+        c = plan.payment(i)
+        second = spec.m * (second + 2.0 * c * mean + c * c)
+        diag = spec.m * (diag + c * c)
+        cross = spec.m * (cross + c * mean)
+        mean = spec.mu * (mean + c)
+        rows.append((mean, second, diag, cross))
+    return _Moments(*zip(*rows))
+
+
+def _recursive_variance(mean: float, second: float, spec: StochasticRateSpec) -> float:
+    """Variance from the recursion's moments, clamped at zero."""
+    if spec.s2 == 0.0:
+        # deterministic rate: C_k has no spread, and computing m_k - mu_k^2
+        # would only return cancellation noise
+        return 0.0
+    var = second - mean * mean
+    if var >= 0.0:
+        return var
+    if var >= -NEGATIVE_VARIANCE_REL * abs(second):
+        return 0.0
+    raise NumericalFailureError(
+        f"variance {var} is negative beyond tolerance (second moment {second})"
+    )
+
+
+def _variances(ref: _Moments, spec: StochasticRateSpec) -> list:
+    return [_recursive_variance(m, s, spec) for m, s in zip(ref.mean, ref.second)]
+
+
+def _general_reference(plan: PaymentPlan, spec: StochasticRateSpec, k: int):
+    """(mean, variance, second moment, diagonal, cross) at year k from the recursion."""
+    mean, second, diag, cross = (a[-1] for a in _recursion(plan, spec, k))
+    return mean, _recursive_variance(mean, second, spec), second, diag, cross
+
+
 def mean_series(plan: PaymentPlan, spec: StochasticRateSpec) -> np.ndarray:
-    """Mean accumulated value for k = 1..n via mu_k = mu (mu_{k-1} + c_k)."""
-    out = np.empty(plan.n)
-    value = 0.0
-    for i in range(1, plan.n + 1):
-        value = spec.mu * (value + plan.payment(i))
-        out[i - 1] = value
-    return out
+    """Mean accumulated value for k = 1..n, from the recursion."""
+    return np.array(_recursion(plan, spec).mean)
 
 
 def second_moment_series(plan: PaymentPlan, spec: StochasticRateSpec) -> np.ndarray:
-    """Second moment for k = 1..n via m_k = m (m_{k-1} + 2 c_k mu_{k-1} + c_k^2)."""
-    out = np.empty(plan.n)
-    mu_prev = 0.0
-    value = 0.0
-    for i in range(1, plan.n + 1):
-        c = plan.payment(i)
-        value = spec.m * (value + 2.0 * c * mu_prev + c * c)
-        out[i - 1] = value
-        mu_prev = spec.mu * (mu_prev + c)
-    return out
-
-
-def _component_series(
-    plan: PaymentPlan, spec: StochasticRateSpec
-) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal and cross parts of the second moment, by recursion."""
-    diag = np.empty(plan.n)
-    cross = np.empty(plan.n)
-    mu_prev = 0.0
-    dv = 0.0
-    cv = 0.0
-    for i in range(1, plan.n + 1):
-        c = plan.payment(i)
-        dv = spec.m * (dv + c * c)
-        cv = spec.m * (cv + c * mu_prev)
-        diag[i - 1] = dv
-        cross[i - 1] = cv
-        mu_prev = spec.mu * (mu_prev + c)
-    return diag, cross
+    """Second moment for k = 1..n, from the recursion."""
+    return np.array(_recursion(plan, spec).second)
 
 
 def variance_series(plan: PaymentPlan, spec: StochasticRateSpec) -> np.ndarray:
     """Variance for k = 1..n from the moment recursions, clamped at zero."""
-    if spec.s2 == 0.0:
-        # deterministic rate: C_k has no spread, and computing m_k - mu_k^2
-        # would only return cancellation noise
-        return np.zeros(plan.n)
-    mean = mean_series(plan, spec)
-    second = second_moment_series(plan, spec)
-    return np.array(
-        [
-            _finalize_recursive_variance(second[i] - mean[i] * mean[i], second[i])
-            for i in range(plan.n)
-        ]
-    )
-
-
-def _finalize_recursive_variance(var: float, scale: float) -> float:
-    if var >= 0.0:
-        return var
-    if var >= -NEGATIVE_VARIANCE_REL * abs(scale):
-        return 0.0
-    raise NumericalFailureError(
-        f"variance {var} is negative beyond tolerance (second moment {scale})"
-    )
+    return np.array(_variances(_recursion(plan, spec), spec))
 
 
 # ---------------------------------------------------------------------------
@@ -257,12 +254,14 @@ def _finalize_recursive_variance(var: float, scale: float) -> float:
 
 
 def _check_plan_k(plan: PaymentPlan, k) -> int:
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
-        raise DomainError(f"k must be an integer, got {k!r}")
-    k = int(k)
-    if k < 0 or k > plan.n:
-        raise DomainError(f"k must be in 0..{plan.n}, got {k}")
-    return k
+    return check_int(k, "k", 0, plan.n)
+
+
+def _singular(plan: PaymentPlan, spec: StochasticRateSpec) -> bool:
+    """Whether the closed forms' denominator (d, or 1+j-q for geometric plans) vanishes."""
+    if plan.family == "arithmetic":
+        return abs(spec.j) < SINGULARITY_EPS
+    return abs(spec.mu - plan.q) < SINGULARITY_EPS * max(1.0, plan.q)
 
 
 def mean_closed(plan: PaymentPlan, spec: StochasticRateSpec, k) -> float:
@@ -273,6 +272,10 @@ def mean_closed(plan: PaymentPlan, spec: StochasticRateSpec, k) -> float:
     rj = fixed_rate(spec.j)
     # strict=False: plan construction already enforced positivity if asked
     if plan.family == "arithmetic":
+        if _singular(plan, spec):
+            # arithmetic_due's recursion rounds (v + p) + (i-1)q; the moment
+            # recursion rounds v + c_i, and the two must give the same mean
+            return _recursion(plan, spec, k).mean[-1]
         return arithmetic_due(plan.p, plan.q, k, rj, strict=False)
     return geometric_due(plan.p, plan.q, k, rj, strict=False)
 
@@ -313,29 +316,16 @@ def second_moment_cross(plan: PaymentPlan, spec: StochasticRateSpec, k) -> float
     k = _check_plan_k(plan, k)
     if k <= 1:
         return 0.0
+    if _singular(plan, spec):
+        return _recursion(plan, spec, k).cross[-1]
     if plan.family == "arithmetic":
-        if abs(spec.j) < SINGULARITY_EPS:
-            return _cross_sum(plan, spec, k)
         return _cross_closed_arithmetic(plan, spec, k)
     g = spec.mu
-    if abs(g - plan.q) < SINGULARITY_EPS * max(1.0, plan.q):
-        return _cross_sum(plan, spec, k)
     rr = fixed_rate(spec.r)
     rf = fixed_rate(spec.f)
     sg_r = geometric_due(plan.p, plan.q, k, rr, strict=False)
     sg_f = geometric_due(plan.p * plan.p, plan.q * plan.q, k, rf, strict=False)
     return (plan.p * g ** (k + 1) * sg_r - g * sg_f) / (g - plan.q)
-
-
-def _cross_sum(plan: PaymentPlan, spec: StochasticRateSpec, k: int) -> float:
-    """Defining sum of the cross part, O(k)."""
-    mu_prev = 0.0
-    value = 0.0
-    for i in range(1, k + 1):
-        c = plan.payment(i)
-        value = spec.m * (value + c * mu_prev)
-        mu_prev = spec.mu * (mu_prev + c)
-    return value
 
 
 def _cross_closed_arithmetic(
@@ -369,13 +359,11 @@ def second_moment_closed(plan: PaymentPlan, spec: StochasticRateSpec, k) -> floa
     k = _check_plan_k(plan, k)
     if k == 0:
         return 0.0
+    if _singular(plan, spec):
+        return _recursion(plan, spec, k).second[-1]
     if plan.family == "arithmetic":
-        if abs(spec.j) < SINGULARITY_EPS:
-            return float(second_moment_series(plan, spec)[k - 1])
         return _second_moment_closed_arithmetic(plan, spec, k)
     g = spec.mu
-    if abs(g - plan.q) < SINGULARITY_EPS * max(1.0, plan.q):
-        return float(second_moment_series(plan, spec)[k - 1])
     rr = fixed_rate(spec.r)
     rf = fixed_rate(spec.f)
     sg_r = geometric_due(plan.p, plan.q, k, rr, strict=False)
@@ -414,10 +402,10 @@ def mean_squared_closed(plan: PaymentPlan, spec: StochasticRateSpec, k) -> float
     k = _check_plan_k(plan, k)
     if k == 0:
         return 0.0
+    if _singular(plan, spec):
+        return mean_closed(plan, spec, k) ** 2
     rj = fixed_rate(spec.j)
     if plan.family == "arithmetic":
-        if abs(spec.j) < SINGULARITY_EPS:
-            return mean_closed(plan, spec, k) ** 2
         p, q = plan.p, plan.q
         d = rj.d
         pq = p - q
@@ -438,8 +426,6 @@ def mean_squared_closed(plan: PaymentPlan, spec: StochasticRateSpec, k) -> float
             ]
         )
     g = spec.mu
-    if abs(g - plan.q) < SINGULARITY_EPS * max(1.0, plan.q):
-        return mean_closed(plan, spec, k) ** 2
     sg_k = geometric_due(plan.p, plan.q, k, rj, strict=False)
     sg_2k = geometric_due(plan.p, plan.q, 2 * k, rj, strict=False)
     return plan.p * g / (g - plan.q) * (sg_2k - 2.0 * plan.q**k * sg_k)
@@ -450,13 +436,22 @@ def variance_closed(plan: PaymentPlan, spec: StochasticRateSpec, k) -> float:
     k = _check_plan_k(plan, k)
     if k == 0 or spec.s2 == 0.0:
         return 0.0
-    candidate = second_moment_closed(plan, spec, k) - mean_squared_closed(
-        plan, spec, k
+    return _closed_variance(
+        plan, spec, k, second_moment_closed(plan, spec, k), _recursion(plan, spec, k)
     )
+
+
+def _closed_variance(
+    plan: PaymentPlan, spec: StochasticRateSpec, k: int, second: float, ref: _Moments
+) -> float:
+    """second - mean_squared_closed at year k, settled against the recursion ref."""
+    if spec.s2 == 0.0:
+        return 0.0
+    candidate = second - mean_squared_closed(plan, spec, k)
     # the subtraction cancels almost completely when the rate variance is
     # tiny next to the mean; keep the closed value only while it still
     # agrees with the recursion, otherwise report the recursion
-    _, var_r, _ = _general_reference(plan, spec, k)
+    var_r = _recursive_variance(ref.mean[k - 1], ref.second[k - 1], spec)
     return _settle_variance(candidate, var_r)
 
 
@@ -466,27 +461,26 @@ def moment_series(
     """Full mean/second-moment/variance series for k = 1..n."""
     if method not in ("recursive", "closed"):
         raise DomainError(f"method must be 'recursive' or 'closed', got {method!r}")
+    ref = _recursion(plan, spec)
     if method == "recursive":
-        mean = mean_series(plan, spec)
-        second = second_moment_series(plan, spec)
-        diag, cross = _component_series(plan, spec)
-        var = variance_series(plan, spec)
+        mean, second, diag, cross = ref
+        var = _variances(ref, spec)
     else:
         ks = range(1, plan.n + 1)
-        mean = np.array([mean_closed(plan, spec, k) for k in ks])
-        second = np.array([second_moment_closed(plan, spec, k) for k in ks])
-        diag = np.array([second_moment_diagonal(plan, spec, k) for k in ks])
-        cross = np.array([second_moment_cross(plan, spec, k) for k in ks])
-        var = np.array([variance_closed(plan, spec, k) for k in ks])
+        mean = [mean_closed(plan, spec, k) for k in ks]
+        second = [second_moment_closed(plan, spec, k) for k in ks]
+        diag = [second_moment_diagonal(plan, spec, k) for k in ks]
+        cross = [second_moment_cross(plan, spec, k) for k in ks]
+        var = [_closed_variance(plan, spec, k, second[k - 1], ref) for k in ks]
     return MomentSeries(
         plan=plan,
         spec=spec,
         method=method,
-        mean=mean,
-        second_moment=second,
-        variance=var,
-        diagonal=diag,
-        cross=cross,
+        mean=np.array(mean),
+        second_moment=np.array(second),
+        variance=np.array(var),
+        diagonal=np.array(diag),
+        cross=np.array(cross),
     )
 
 
@@ -547,27 +541,14 @@ def _settle_variance(candidate: float, reference: float) -> float:
     return reference
 
 
-def _general_reference(plan: PaymentPlan, spec: StochasticRateSpec, k: int):
-    """(mean, variance, second moment) at year k from the recursion path."""
-    mean = float(mean_series(plan, spec)[k - 1])
-    m2 = float(second_moment_series(plan, spec)[k - 1])
-    if spec.s2 == 0.0:
-        return mean, 0.0, m2
-    return mean, _finalize_recursive_variance(m2 - mean * mean, m2), m2
-
-
 def level_moments(spec: StochasticRateSpec, k) -> LevelMoments:
     """Mean and variance of a level annuity-due of 1 per year."""
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
-        raise DomainError(f"k must be an integer, got {k!r}")
-    k = int(k)
-    if k < 0:
-        raise DomainError(f"k must be nonnegative, got {k}")
+    k = check_int(k, "k", 0)
     if k == 0:
         return LevelMoments(0.0, 0.0)
     plan = PaymentPlan.level(k)
     if abs(spec.j) < SINGULARITY_EPS:
-        mean_r, var_r, _ = _general_reference(plan, spec, k)
+        mean_r, var_r, *_ = _general_reference(plan, spec, k)
         return LevelMoments(mean_r, var_r)
     rj = fixed_rate(spec.j)
     rr = fixed_rate(spec.r)
@@ -581,7 +562,7 @@ def level_moments(spec: StochasticRateSpec, k) -> LevelMoments:
         2.0 * g * level_due(k, rj, mode="sum") / spec.j,
     ]
     var = math.fsum(terms)
-    mean_r, var_r, _ = _general_reference(plan, spec, k)
+    _, var_r, *_ = _general_reference(plan, spec, k)
     _audit("level variance", var, var_r, scale=_term_scale(terms))
     var = _settle_variance(var, var_r)
     return LevelMoments(mean, var)
@@ -589,17 +570,12 @@ def level_moments(spec: StochasticRateSpec, k) -> LevelMoments:
 
 def increasing_moments(spec: StochasticRateSpec, k) -> IncreasingMoments:
     """Moments of the increasing annuity-due paying 1, 2, ..., k."""
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
-        raise DomainError(f"k must be an integer, got {k!r}")
-    k = int(k)
-    if k < 0:
-        raise DomainError(f"k must be nonnegative, got {k}")
+    k = check_int(k, "k", 0)
     if k == 0:
         return IncreasingMoments(0.0, 0.0, 0.0, 0.0, 0.0)
     plan = PaymentPlan.increasing(k)
     if abs(spec.j) < SINGULARITY_EPS:
-        mean, var, _ = _general_reference(plan, spec, k)
-        diag, cross = (float(a[k - 1]) for a in _component_series(plan, spec))
+        mean, var, _, diag, cross = _general_reference(plan, spec, k)
         return IncreasingMoments(mean, diag, cross, diag + 2.0 * cross, var)
     j = spec.j
     g = spec.mu
@@ -626,7 +602,7 @@ def increasing_moments(spec: StochasticRateSpec, k) -> IncreasingMoments:
         -float(k * k) / (d * d),
     ]
     var = math.fsum(m2_terms + [-t for t in sq_terms])
-    mean_r, var_r, m2_r = _general_reference(plan, spec, k)
+    _, var_r, m2_r, *_ = _general_reference(plan, spec, k)
     _audit("increasing second moment", m2, m2_r, scale=_term_scale(m2_terms))
     _audit(
         "increasing variance", var, var_r, scale=_term_scale(m2_terms + sq_terms)
@@ -637,21 +613,14 @@ def increasing_moments(spec: StochasticRateSpec, k) -> IncreasingMoments:
 
 def decreasing_moments(spec: StochasticRateSpec, n, k) -> DecreasingMoments:
     """Moments of the decreasing annuity-due paying n, n-1, ..., n-k+1."""
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
-        raise DomainError(f"k must be an integer, got {k!r}")
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-        raise DomainError(f"n must be an integer, got {n!r}")
-    n, k = int(n), int(k)
-    if n < 1:
-        raise DomainError(f"n must be at least 1, got {n}")
-    if k < 0 or k > n:
-        raise DomainError(f"k must be in 0..{n}, got {k}")
+    n = check_int(n, "n", 1)
+    k = check_int(k, "k", 0, n)
     if k == 0:
         return DecreasingMoments(0.0, 0.0)
     plan = PaymentPlan.decreasing(n)
     if abs(spec.j) < SINGULARITY_EPS or spec.ell <= 0.0:
         # the ell-form needs j away from 0 and a genuinely random rate
-        mean_r, var_r, _ = _general_reference(plan, spec, k)
+        mean_r, var_r, *_ = _general_reference(plan, spec, k)
         return DecreasingMoments(mean_r, var_r)
     j = spec.j
     g = spec.mu
@@ -671,7 +640,7 @@ def decreasing_moments(spec: StochasticRateSpec, n, k) -> DecreasingMoments:
         lead * increasing_squared_due(k, rf, mode="sum") / (1.0 + spec.f),
     ]
     var = math.fsum(terms)
-    mean_r, var_r, _ = _general_reference(plan, spec, k)
+    _, var_r, *_ = _general_reference(plan, spec, k)
     _audit("decreasing variance", var, var_r, scale=_term_scale(terms))
     var = _settle_variance(var, var_r)
     return DecreasingMoments(mean, var)
@@ -679,11 +648,7 @@ def decreasing_moments(spec: StochasticRateSpec, n, k) -> DecreasingMoments:
 
 def growth_moments(spec: StochasticRateSpec, aux: GeometricAux, k) -> GrowthMoments:
     """Moments of the annuity-due whose payments grow at rate u per year."""
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
-        raise DomainError(f"k must be an integer, got {k!r}")
-    k = int(k)
-    if k < 0:
-        raise DomainError(f"k must be nonnegative, got {k}")
+    k = check_int(k, "k", 0)
     expected = geometric_aux(spec, aux.u)
     for name in ("t", "h", "w"):
         got = getattr(aux, name)
@@ -697,7 +662,7 @@ def growth_moments(spec: StochasticRateSpec, aux: GeometricAux, k) -> GrowthMome
         return GrowthMoments(0.0, 0.0)
     plan = PaymentPlan.growth(aux.u, k)
     if abs(aux.t) < SINGULARITY_EPS:
-        mean_r, var_r, _ = _general_reference(plan, spec, k)
+        mean_r, var_r, *_ = _general_reference(plan, spec, k)
         return GrowthMoments(mean_r, var_r)
     g = spec.mu
     one_u = 1.0 + aux.u
@@ -713,7 +678,7 @@ def growth_moments(spec: StochasticRateSpec, aux: GeometricAux, k) -> GrowthMome
         2.0 * g ** (2 * k) * level_due(k, rt, mode="sum") / (aux.t * one_t),
     ]
     var = math.fsum(terms)
-    mean_r, var_r, _ = _general_reference(plan, spec, k)
+    _, var_r, *_ = _general_reference(plan, spec, k)
     _audit("growth variance", var, var_r, scale=_term_scale(terms))
     var = _settle_variance(var, var_r)
     return GrowthMoments(mean, var)

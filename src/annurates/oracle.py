@@ -11,15 +11,14 @@ for any worker count.
 from __future__ import annotations
 
 import math
-import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, EnumerationBudgetError, ShapeMismatchError
+from .errors import DomainError, EnumerationBudgetError, ShapeMismatchError, check_int
 from .moments import MomentSeries, PaymentPlan
-from .rates import StochasticRateSpec
+from .rates import StochasticRateSpec, stochastic_rate
 
 ENUMERATION_MAX_HORIZON = 24
 
@@ -48,10 +47,7 @@ class RateDistribution:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise DomainError(f"kind must be one of {_KINDS}, got {self.kind!r}")
-        if not self.j > -1.0:
-            raise DomainError(f"mean annual rate must exceed -1, got {self.j}")
-        if self.s2 < 0.0:
-            raise DomainError(f"rate variance must be nonnegative, got {self.s2}")
+        stochastic_rate(self.j, self.s2)  # j finite and > -1, s2 finite and >= 0
         if self.kind != "lognormal":  # lognormal support is all of 1+i > 0
             lowest = self.lowest_rate()
             if not lowest > -1.0:
@@ -107,23 +103,9 @@ class SimConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if isinstance(self.paths, bool) or not isinstance(self.paths, numbers.Integral):
-            raise DomainError(f"paths must be an integer, got {self.paths!r}")
-        object.__setattr__(self, "paths", int(self.paths))
-        if self.paths < 1:
-            raise DomainError(f"paths must be at least 1, got {self.paths}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
-            raise DomainError(f"seed must be an integer, got {self.seed!r}")
-        object.__setattr__(self, "seed", int(self.seed))
-        if self.seed < 0:
-            raise DomainError(f"seed must be nonnegative, got {self.seed}")
-        if isinstance(self.workers, bool) or not isinstance(
-            self.workers, numbers.Integral
-        ):
-            raise DomainError(f"workers must be an integer, got {self.workers!r}")
-        object.__setattr__(self, "workers", int(self.workers))
-        if self.workers < 1:
-            raise DomainError(f"workers must be at least 1, got {self.workers}")
+        object.__setattr__(self, "paths", check_int(self.paths, "paths", 1))
+        object.__setattr__(self, "seed", check_int(self.seed, "seed", 0))
+        object.__setattr__(self, "workers", check_int(self.workers, "workers", 1))
 
 
 @dataclass(frozen=True)
@@ -177,15 +159,6 @@ class OracleReport:
     passed: bool
 
 
-def _check_horizon(plan: PaymentPlan, k) -> int:
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
-        raise DomainError(f"k must be an integer, got {k!r}")
-    k = int(k)
-    if k < 1 or k > plan.n:
-        raise DomainError(f"k must be in 1..{plan.n}, got {k}")
-    return k
-
-
 def enumerate_series(
     plan: PaymentPlan, spec: StochasticRateSpec, k
 ) -> EnumerationResult:
@@ -194,7 +167,7 @@ def enumerate_series(
     Limited to k <= 24 (the k = 24 case touches a few hundred MB of
     temporaries).  Requires j - s > -1 so every gross rate stays positive.
     """
-    k = _check_horizon(plan, k)
+    k = check_int(k, "k", 1, plan.n)
     if k > ENUMERATION_MAX_HORIZON:
         raise EnumerationBudgetError(
             f"exact enumeration supports k <= {ENUMERATION_MAX_HORIZON}, got {k}"
@@ -284,7 +257,7 @@ def simulate(
     results for any worker count: block substreams are derived from the path
     index and partial sums are reduced in block order.
     """
-    k = _check_horizon(plan, k)
+    k = check_int(k, "k", 1, plan.n)
     n = config.paths
     n_batches = (n + _BATCH_PATHS - 1) // _BATCH_PATHS
 

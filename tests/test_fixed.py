@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 import oracles
 from annurates import (
-    Accumulator,
     DomainError,
     PaymentPositivityError,
     arithmetic_due,
@@ -194,6 +193,11 @@ class TestGeometricSingularity:
                 center, rel=1e-8
             )
 
+    def test_recursion_overflows_to_inf(self):
+        # the recursion builds q^i by repeated multiplication, which runs to
+        # inf where q**i would raise OverflowError
+        assert geometric_due(2.0, 1e10, 40, R10, mode="recursive") == math.inf
+
     @given(st.floats(min_value=0.1, max_value=2.5), st.integers(min_value=1, max_value=30))
     @settings(max_examples=150, deadline=None)
     def test_closed_matches_sum_away_from_band(self, q, k):
@@ -235,16 +239,3 @@ class TestValidation:
     def test_accepts_plain_float_rate(self):
         assert level_due(3, 0.1) == level_due(3, R10)
 
-
-class TestAccumulator:
-    def test_binds_pattern_to_rate(self):
-        acc = Accumulator(kind="geometric", rate=R10, p=1.0, q=1.2)
-        assert acc.value(3) == geometric_due(1.0, 1.2, 3, R10)
-
-    def test_decreasing_uses_bound_n(self):
-        acc = Accumulator(kind="decreasing", rate=R10, n=3)
-        assert acc.value(3) == decreasing_due(3, 3, R10)
-
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(DomainError):
-            Accumulator(kind="sawtooth", rate=R10)

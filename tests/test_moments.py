@@ -183,6 +183,20 @@ class TestMomentSeries:
         with pytest.raises(DomainError):
             moment_series(PaymentPlan.level(3), SPEC, "fastest")
 
+    @pytest.mark.parametrize(
+        "p, q", [(2.0, -0.2), (2.3, 0.07), (1.5, 0.1), (5.0, -0.3), (2.5, -0.007)]
+    )
+    @pytest.mark.parametrize("j", [0.0, 1e-10, -5e-10])
+    def test_singular_band_means_agree_exactly(self, p, q, j):
+        # inside |j| < 1e-9 the closed mean is the moment recursion's, not
+        # arithmetic_due's, whose recursion adds p and (i-1)q separately
+        plan = PaymentPlan.arithmetic(p, q, 30, strict=False)
+        for s2 in (0.0, 0.04):
+            spec = stochastic_rate(j, s2)
+            closed = moment_series(plan, spec, "closed")
+            recursive = moment_series(plan, spec, "recursive")
+            assert np.array_equal(closed.mean, recursive.mean)
+
 
 class TestSpecializedFamilies:
     """Dedicated mean/variance formulas against the general path."""

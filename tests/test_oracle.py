@@ -23,6 +23,7 @@ from annurates import (
 )
 
 PLAN = PaymentPlan.increasing(10)
+nan, inf = float("nan"), float("inf")
 SPEC = stochastic_rate(0.1, 0.04)
 
 
@@ -76,6 +77,15 @@ class TestRateDistribution:
     def test_rejects_unknown_kind(self):
         with pytest.raises(DomainError):
             RateDistribution(kind="triangular", j=0.1, s2=0.01)
+
+    @pytest.mark.parametrize("kind", ["two-point", "uniform", "lognormal"])
+    @pytest.mark.parametrize(
+        "j, s2",
+        [(nan, 0.01), (inf, 0.01), (-inf, 0.01), (0.1, nan), (0.1, inf)],
+    )
+    def test_rejects_non_finite_parameters(self, kind, j, s2):
+        with pytest.raises(DomainError):
+            RateDistribution(kind=kind, j=j, s2=s2)
 
     @pytest.mark.parametrize("kind", ["two-point", "uniform", "lognormal"])
     def test_moment_matching(self, kind):
