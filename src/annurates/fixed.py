@@ -6,15 +6,19 @@ Each accumulator offers a closed form, a one-step recursion and a direct
 summation; the last two are the same _accumulate over the accumulator's
 payment list.  Mode "auto" (the default) uses the closed form except inside
 the singular band of its denominator, where it falls back to the recursion.
+_sum_tables gives the summation values of the level, increasing and
+squared-increasing annuities for every k up to a horizon in one pass;
+_sum_mode_tables gives the same lists from one mode "sum" call per entry.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import operator
 
-from .errors import DomainError, PaymentPositivityError, check_int
+from .errors import DomainError, NumericalFailureError, PaymentPositivityError, check_int
 from .rates import SINGULARITY_EPS, FixedRate, fixed_rate
 
 _MODES = ("auto", "closed", "recursive", "sum")
@@ -63,6 +67,63 @@ def _accumulate(g: float, payments, path: str, lead=0.0, tail=0) -> float:
     return math.fsum(terms)
 
 
+# an exact value rounds to a finite double while it stays below this
+_OVERFLOW_EDGE = 2**1024 - 2**970
+
+
+def _overflow(rate: FixedRate, fits: int) -> NumericalFailureError:
+    return NumericalFailureError(
+        f"annuity values at rate {rate.j!r} overflow double range; "
+        f"the largest horizon that fits is {fits}"
+    )
+
+
+def _sum_tables(rate, kmax: int, squares: bool = True) -> tuple:
+    """Sum-mode level, increasing and squared-increasing values for k = 0..kmax.
+
+    Returns three lists indexed by k, or the first two when squares is false.
+    The powers g^e are built by the same iterated multiplication as
+    _accumulate, and the exact prefix sums L_k = L_{k-1} + g^k,
+    I_k = I_{k-1} + L_k and Q_k = Q_{k-1} + 2 I_k - L_k (the shift identity)
+    are kept exactly, as integers in units of the finest binary digit among
+    the powers.  Each entry is rounded once by int/int true division, which
+    is correctly rounded, so the level entries equal
+    level_due(k, rate, mode="sum") bit for bit and the others are the
+    correctly rounded exact sums.  Raises NumericalFailureError when a
+    returned entry up to kmax leaves double range.
+    """
+    rate = _as_rate(rate)
+    powers = itertools.accumulate(itertools.repeat(1.0 + rate.j, kmax), operator.mul)
+    ratios = [x.as_integer_ratio() for x in itertools.takewhile(math.isfinite, powers)]
+    # the denominators are powers of two: scale by the largest of them
+    top = max((den.bit_length() for _, den in ratios), default=1)
+    scale = 1 << (top - 1)
+    level = list(itertools.accumulate(num << (top - den.bit_length()) for num, den in ratios))
+    sums = [level, list(itertools.accumulate(level))]
+    if squares:
+        steps = (2 * inc - lev for inc, lev in zip(sums[1], level))
+        sums.append(list(itertools.accumulate(steps)))
+    # 0 <= L_k <= I_k <= Q_k, each nondecreasing in k, so the last column
+    # decides how many rows fit
+    fits = bisect.bisect_left(sums[-1], _OVERFLOW_EDGE * scale)
+    if fits < kmax:
+        raise _overflow(rate, fits)
+    return tuple([0.0] + [s / scale for s in column] for column in sums)
+
+
+def _sum_mode_tables(rate, kmax: int, squares: bool = True) -> tuple:
+    """The lists of _sum_tables, each entry from its own mode "sum" evaluation.
+
+    Those are fsums of rounded products, within an ulp of the _sum_tables
+    entries; at O(kmax^2) work this is the independent reference for them.
+    """
+    evaluators = (level_due, increasing_due, increasing_squared_due)
+    return tuple(
+        [f(k, rate, mode="sum") for k in range(kmax + 1)]
+        for f in evaluators[: 3 if squares else 2]
+    )
+
+
 def _power_diff_quotient(g: float, q: float, k: int) -> float:
     """(g^k - q^k) / (g - q), kept accurate when g is close to q."""
     if g == q:
@@ -88,11 +149,26 @@ def level_due(k, rate, mode: str = "auto") -> float:
     if k == 0:
         return 0.0
     if path == "closed":
-        # expm1/log1p keeps (1+j)^k - 1 accurate to a couple of ulps even
-        # when the numerator nearly cancels, which downstream closed forms
-        # divide by d up to three more times
-        return math.expm1(k * math.log1p(rate.j)) / rate.d
+        value = _level_closed(k, rate)
+        if value == math.inf:
+            # the value grows with k: bisect for the first horizon that overflows
+            first = bisect.bisect_left(
+                range(k), True, key=lambda h: _level_closed(h, rate) == math.inf
+            )
+            raise _overflow(rate, first - 1)
+        return value
     return _accumulate(1.0 + rate.j, [1.0] * k, path)
+
+
+def _level_closed(k: int, rate: FixedRate) -> float:
+    """((1+j)^k - 1)/d, or inf where it leaves double range."""
+    # expm1/log1p keeps (1+j)^k - 1 accurate to a couple of ulps even when
+    # the numerator nearly cancels, which downstream closed forms divide by d
+    # up to three more times
+    try:
+        return math.expm1(k * math.log1p(rate.j)) / rate.d
+    except OverflowError:
+        return math.inf
 
 
 def increasing_due(k, rate, mode: str = "auto") -> float:

@@ -12,6 +12,13 @@ values at the derived rates f, r, ell and are cross-checked against the
 recursions; on disagreement beyond tolerance the recursion wins and a
 FormulaAuditError is raised.
 
+Both paths of moment_series run in time linear in n.  The arithmetic closed
+forms read their level, increasing and squared-increasing annuity values at
+f, r and j from fixed._sum_tables, exact prefix sums rounded once and built
+once per series; inside the singular band the closed series reads the rows
+of its one recursion pass.  A moment that leaves double range raises
+NumericalFailureError.
+
 The second moment splits as m_k = diagonal + 2*cross, where the diagonal
 part collects the squared-payment terms c_i^2 m^{k-i+1} and the cross part
 collects c_i mu_{i-1} m^{k-i+1}.
@@ -21,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -33,6 +41,7 @@ from .errors import (
     check_int,
 )
 from .fixed import (
+    _sum_tables,
     arithmetic_due,
     decreasing_due,
     geometric_due,
@@ -207,8 +216,12 @@ def _recursion(plan: PaymentPlan, spec: StochasticRateSpec, k: int | None = None
     return _Moments(*zip(*rows))
 
 
-def _recursive_variance(mean: float, second: float, spec: StochasticRateSpec) -> float:
-    """Variance from the recursion's moments, clamped at zero."""
+def _recursive_variance(
+    mean: float, second: float, spec: StochasticRateSpec, k: int
+) -> float:
+    """Variance from the recursion's moments at year k, clamped at zero."""
+    if not math.isfinite(second):
+        raise NumericalFailureError(f"second moment overflows double range at year {k}")
     if spec.s2 == 0.0:
         # deterministic rate: C_k has no spread, and computing m_k - mu_k^2
         # would only return cancellation noise
@@ -224,13 +237,16 @@ def _recursive_variance(mean: float, second: float, spec: StochasticRateSpec) ->
 
 
 def _variances(ref: _Moments, spec: StochasticRateSpec) -> list:
-    return [_recursive_variance(m, s, spec) for m, s in zip(ref.mean, ref.second)]
+    return [
+        _recursive_variance(m, s, spec, k)
+        for k, (m, s) in enumerate(zip(ref.mean, ref.second), 1)
+    ]
 
 
 def _general_reference(plan: PaymentPlan, spec: StochasticRateSpec, k: int):
     """(mean, variance, second moment, diagonal, cross) at year k from the recursion."""
     mean, second, diag, cross = (a[-1] for a in _recursion(plan, spec, k))
-    return mean, _recursive_variance(mean, second, spec), second, diag, cross
+    return mean, _recursive_variance(mean, second, spec, k), second, diag, cross
 
 
 def mean_series(plan: PaymentPlan, spec: StochasticRateSpec) -> np.ndarray:
@@ -264,20 +280,179 @@ def _singular(plan: PaymentPlan, spec: StochasticRateSpec) -> bool:
     return abs(spec.mu - plan.q) < SINGULARITY_EPS * max(1.0, plan.q)
 
 
+class _ClosedForms:
+    """The closed forms of one plan and rate at every year 1 <= k <= kmax.
+
+    What they read is built once, on first use: the sum-mode annuity tables
+    at f and r up to kmax and at j up to 2 kmax, and inside the singular
+    band one pass of the recursion.  tables builds the annuity tables:
+    fixed._sum_tables, or fixed._sum_mode_tables for the identity audit.
+    moment_series evaluates every year from one instance, and each public
+    per-year function from an instance with kmax = k, so the two run the
+    same formula code and agree bit for bit.
+    """
+
+    def __init__(
+        self, plan: PaymentPlan, spec: StochasticRateSpec, kmax: int, tables=_sum_tables
+    ):
+        self.plan = plan
+        self.spec = spec
+        self.kmax = kmax
+        self.tables = tables
+        self.singular = _singular(plan, spec)
+        self.rj = fixed_rate(spec.j)
+        self.rf = fixed_rate(spec.f)
+        self.rr = fixed_rate(spec.r)
+
+    @cached_property
+    def ref(self) -> _Moments:
+        return _recursion(self.plan, self.spec, self.kmax)
+
+    @cached_property
+    def at_f(self) -> tuple:
+        return self.tables(self.rf, self.kmax)
+
+    # no closed form reads a squared-increasing value at r or j, and those
+    # entries leave double range first
+
+    @cached_property
+    def at_r(self) -> tuple:
+        return self.tables(self.rr, self.kmax, squares=False)
+
+    @cached_property
+    def at_j(self) -> tuple:
+        return self.tables(self.rj, 2 * self.kmax, squares=False)
+
+    def mean(self, k: int) -> float:
+        plan = self.plan
+        # strict=False: plan construction already enforced positivity if asked
+        if plan.family == "geometric":
+            return geometric_due(plan.p, plan.q, k, self.rj, strict=False)
+        if self.singular:
+            # arithmetic_due's recursion rounds (v + p) + (i-1)q; the moment
+            # recursion rounds v + c_i, and the two must give the same mean
+            return self.ref.mean[k - 1]
+        return arithmetic_due(plan.p, plan.q, k, self.rj, strict=False)
+
+    def second(self, k: int) -> float:
+        if self.singular:
+            return self.ref.second[k - 1]
+        p, q = self.plan.p, self.plan.q
+        g = self.spec.mu
+        if self.plan.family == "geometric":
+            sg_r = geometric_due(p, q, k, self.rr, strict=False)
+            sg_f = geometric_due(p * p, q * q, k, self.rf, strict=False)
+            return (2.0 * p * g ** (k + 1) * sg_r - (q + g) * sg_f) / (g - q)
+        d, v = self.rj.d, self.rj.v
+        gk = g**k
+        pq = p - q
+        s_f, is_f, i2_f = (t[k] for t in self.at_f)
+        s_r, is_r = (t[k] for t in self.at_r)
+        return math.fsum(
+            [
+                (q - p) * (d * pq * (1.0 + v) + 2.0 * q * v) * s_f,
+                -2.0 * q * (d * pq * (1.0 + v) + q * v) * is_f,
+                -d * q * q * (1.0 + v) * i2_f,
+                2.0 * pq * (d * pq + q) * gk * s_r,
+                2.0 * q * (d * pq + q) * gk * is_r,
+            ]
+        ) / (d * d)
+
+    def diagonal(self, k: int) -> float:
+        p, q = self.plan.p, self.plan.q
+        if self.plan.family == "geometric":
+            return geometric_due(p * p, q * q, k, self.rf, strict=False)
+        # sum-mode annuity values are accurate to an ulp at any rate, which
+        # the cancellation-prone brackets below need
+        s_f, is_f, i2_f = self.at_f
+        terms = [(p - q) ** 2 * s_f[k], 2.0 * q * (p - q) * is_f[k], q * q * i2_f[k]]
+        full = math.fsum(terms)
+        offset_terms = [p * p * s_f[k], 2.0 * p * q * is_f[k - 1], q * q * i2_f[k - 1]]
+        offset = math.fsum(offset_terms)
+        _audit("diagonal part", full, offset, scale=_term_scale(terms + offset_terms))
+        return full
+
+    def cross(self, k: int) -> float:
+        if k == 1:
+            return 0.0
+        if self.singular:
+            return self.ref.cross[k - 1]
+        p, q = self.plan.p, self.plan.q
+        g = self.spec.mu
+        if self.plan.family == "geometric":
+            sg_r = geometric_due(p, q, k, self.rr, strict=False)
+            sg_f = geometric_due(p * p, q * q, k, self.rf, strict=False)
+            return (p * g ** (k + 1) * sg_r - g * sg_f) / (g - q)
+        d, v = self.rj.d, self.rj.v
+        gk = g**k
+        pq = p - q
+        s_f, is_f, i2_f = (t[k] for t in self.at_f)
+        s_r, is_r = (t[k] for t in self.at_r)
+        return math.fsum(
+            [
+                pq * (d * pq + q) * gk * s_r,
+                q * (d * pq + q) * gk * is_r,
+                -pq * (d * pq + q * v) * s_f,
+                -q * (2.0 * d * pq + q * v) * is_f,
+                -q * q * d * i2_f,
+            ]
+        ) / (d * d)
+
+    def mean_squared(self, k: int) -> float:
+        if self.singular:
+            return self.mean(k) ** 2
+        p, q = self.plan.p, self.plan.q
+        if self.plan.family == "geometric":
+            g = self.spec.mu
+            sg_k = geometric_due(p, q, k, self.rj, strict=False)
+            sg_2k = geometric_due(p, q, 2 * k, self.rj, strict=False)
+            return p * g / (g - q) * (sg_2k - 2.0 * q**k * sg_k)
+        d = self.rj.d
+        pq = p - q
+        s_j, is_j = self.at_j
+        qd = q / d
+        lead = pq / d * (pq + 2.0 * qd)
+        return math.fsum(
+            [
+                lead * s_j[2 * k],
+                -2.0 * lead * s_j[k],
+                -2.0 * q * pq * k / d * s_j[k],
+                qd * qd * is_j[2 * k],
+                -2.0 * qd * qd * (1.0 + k * d) * is_j[k],
+                -qd * qd * k * k,
+            ]
+        )
+
+    def variance(self, k: int, second: float) -> float:
+        """second - mean_squared at year k, settled against the recursion."""
+        if self.spec.s2 == 0.0:
+            return 0.0
+        candidate = second - self.mean_squared(k)
+        # the subtraction cancels almost completely when the rate variance is
+        # tiny next to the mean; keep the closed value only while it still
+        # agrees with the recursion, otherwise report the recursion
+        ref = self.ref
+        var_r = _recursive_variance(ref.mean[k - 1], ref.second[k - 1], self.spec, k)
+        return _settle_variance(candidate, var_r)
+
+    def series(self) -> tuple:
+        """(mean, second moment, diagonal, cross, variance) lists for k = 1..kmax."""
+        ks = range(1, self.kmax + 1)
+        mean = [self.mean(k) for k in ks]
+        second = [self.second(k) for k in ks]
+        return (
+            mean,
+            second,
+            [self.diagonal(k) for k in ks],
+            [self.cross(k) for k in ks],
+            [self.variance(k, m2) for k, m2 in zip(ks, second)],
+        )
+
+
 def mean_closed(plan: PaymentPlan, spec: StochasticRateSpec, k) -> float:
     """Mean accumulated value: the deterministic value at the mean rate j."""
     k = _check_plan_k(plan, k)
-    if k == 0:
-        return 0.0
-    rj = fixed_rate(spec.j)
-    # strict=False: plan construction already enforced positivity if asked
-    if plan.family == "arithmetic":
-        if _singular(plan, spec):
-            # arithmetic_due's recursion rounds (v + p) + (i-1)q; the moment
-            # recursion rounds v + c_i, and the two must give the same mean
-            return _recursion(plan, spec, k).mean[-1]
-        return arithmetic_due(plan.p, plan.q, k, rj, strict=False)
-    return geometric_due(plan.p, plan.q, k, rj, strict=False)
+    return _ClosedForms(plan, spec, k).mean(k) if k else 0.0
 
 
 def second_moment_diagonal(plan: PaymentPlan, spec: StochasticRateSpec, k) -> float:
@@ -288,147 +463,25 @@ def second_moment_diagonal(plan: PaymentPlan, spec: StochasticRateSpec, k) -> fl
     parameters (p^2, q^2) at rate f.
     """
     k = _check_plan_k(plan, k)
-    if k == 0:
-        return 0.0
-    rf = fixed_rate(spec.f)
-    if plan.family == "geometric":
-        return geometric_due(plan.p * plan.p, plan.q * plan.q, k, rf, strict=False)
-    p, q = plan.p, plan.q
-    # sum-mode annuity values are accurate to a few ulps at any rate, which
-    # the cancellation-prone brackets below need
-    s_f = level_due(k, rf, mode="sum")
-    is_f = increasing_due(k, rf, mode="sum")
-    i2_f = increasing_squared_due(k, rf, mode="sum")
-    terms = [(p - q) ** 2 * s_f, 2.0 * q * (p - q) * is_f, q * q * i2_f]
-    full = math.fsum(terms)
-    offset_terms = [
-        p * p * s_f,
-        2.0 * p * q * increasing_due(k - 1, rf, mode="sum"),
-        q * q * increasing_squared_due(k - 1, rf, mode="sum"),
-    ]
-    offset = math.fsum(offset_terms)
-    _audit("diagonal part", full, offset, scale=_term_scale(terms + offset_terms))
-    return full
+    return _ClosedForms(plan, spec, k).diagonal(k) if k else 0.0
 
 
 def second_moment_cross(plan: PaymentPlan, spec: StochasticRateSpec, k) -> float:
     """Cross part of the second moment: sum of c_i mu_{i-1} m^{k-i+1}."""
     k = _check_plan_k(plan, k)
-    if k <= 1:
-        return 0.0
-    if _singular(plan, spec):
-        return _recursion(plan, spec, k).cross[-1]
-    if plan.family == "arithmetic":
-        return _cross_closed_arithmetic(plan, spec, k)
-    g = spec.mu
-    rr = fixed_rate(spec.r)
-    rf = fixed_rate(spec.f)
-    sg_r = geometric_due(plan.p, plan.q, k, rr, strict=False)
-    sg_f = geometric_due(plan.p * plan.p, plan.q * plan.q, k, rf, strict=False)
-    return (plan.p * g ** (k + 1) * sg_r - g * sg_f) / (g - plan.q)
-
-
-def _cross_closed_arithmetic(
-    plan: PaymentPlan, spec: StochasticRateSpec, k: int
-) -> float:
-    p, q = plan.p, plan.q
-    rj = fixed_rate(spec.j)
-    rf = fixed_rate(spec.f)
-    rr = fixed_rate(spec.r)
-    d, v = rj.d, rj.v
-    gk = spec.mu**k
-    pq = p - q
-    s_f = level_due(k, rf, mode="sum")
-    is_f = increasing_due(k, rf, mode="sum")
-    i2_f = increasing_squared_due(k, rf, mode="sum")
-    s_r = level_due(k, rr, mode="sum")
-    is_r = increasing_due(k, rr, mode="sum")
-    return math.fsum(
-        [
-            pq * (d * pq + q) * gk * s_r,
-            q * (d * pq + q) * gk * is_r,
-            -pq * (d * pq + q * v) * s_f,
-            -q * (2.0 * d * pq + q * v) * is_f,
-            -q * q * d * i2_f,
-        ]
-    ) / (d * d)
+    return _ClosedForms(plan, spec, k).cross(k) if k else 0.0
 
 
 def second_moment_closed(plan: PaymentPlan, spec: StochasticRateSpec, k) -> float:
     """Closed-form second moment of the accumulated value at year k."""
     k = _check_plan_k(plan, k)
-    if k == 0:
-        return 0.0
-    if _singular(plan, spec):
-        return _recursion(plan, spec, k).second[-1]
-    if plan.family == "arithmetic":
-        return _second_moment_closed_arithmetic(plan, spec, k)
-    g = spec.mu
-    rr = fixed_rate(spec.r)
-    rf = fixed_rate(spec.f)
-    sg_r = geometric_due(plan.p, plan.q, k, rr, strict=False)
-    sg_f = geometric_due(plan.p * plan.p, plan.q * plan.q, k, rf, strict=False)
-    return (2.0 * plan.p * g ** (k + 1) * sg_r - (plan.q + g) * sg_f) / (g - plan.q)
-
-
-def _second_moment_closed_arithmetic(
-    plan: PaymentPlan, spec: StochasticRateSpec, k: int
-) -> float:
-    p, q = plan.p, plan.q
-    rj = fixed_rate(spec.j)
-    rf = fixed_rate(spec.f)
-    rr = fixed_rate(spec.r)
-    d, v = rj.d, rj.v
-    gk = spec.mu**k
-    pq = p - q
-    s_f = level_due(k, rf, mode="sum")
-    is_f = increasing_due(k, rf, mode="sum")
-    i2_f = increasing_squared_due(k, rf, mode="sum")
-    s_r = level_due(k, rr, mode="sum")
-    is_r = increasing_due(k, rr, mode="sum")
-    return math.fsum(
-        [
-            (q - p) * (d * pq * (1.0 + v) + 2.0 * q * v) * s_f,
-            -2.0 * q * (d * pq * (1.0 + v) + q * v) * is_f,
-            -d * q * q * (1.0 + v) * i2_f,
-            2.0 * pq * (d * pq + q) * gk * s_r,
-            2.0 * q * (d * pq + q) * gk * is_r,
-        ]
-    ) / (d * d)
+    return _ClosedForms(plan, spec, k).second(k) if k else 0.0
 
 
 def mean_squared_closed(plan: PaymentPlan, spec: StochasticRateSpec, k) -> float:
     """Closed form of the squared mean, written in annuity values at rate j."""
     k = _check_plan_k(plan, k)
-    if k == 0:
-        return 0.0
-    if _singular(plan, spec):
-        return mean_closed(plan, spec, k) ** 2
-    rj = fixed_rate(spec.j)
-    if plan.family == "arithmetic":
-        p, q = plan.p, plan.q
-        d = rj.d
-        pq = p - q
-        s_k = level_due(k, rj, mode="sum")
-        s_2k = level_due(2 * k, rj, mode="sum")
-        is_k = increasing_due(k, rj, mode="sum")
-        is_2k = increasing_due(2 * k, rj, mode="sum")
-        qd = q / d
-        lead = pq / d * (pq + 2.0 * qd)
-        return math.fsum(
-            [
-                lead * s_2k,
-                -2.0 * lead * s_k,
-                -2.0 * q * pq * k / d * s_k,
-                qd * qd * is_2k,
-                -2.0 * qd * qd * (1.0 + k * d) * is_k,
-                -qd * qd * k * k,
-            ]
-        )
-    g = spec.mu
-    sg_k = geometric_due(plan.p, plan.q, k, rj, strict=False)
-    sg_2k = geometric_due(plan.p, plan.q, 2 * k, rj, strict=False)
-    return plan.p * g / (g - plan.q) * (sg_2k - 2.0 * plan.q**k * sg_k)
+    return _ClosedForms(plan, spec, k).mean_squared(k) if k else 0.0
 
 
 def variance_closed(plan: PaymentPlan, spec: StochasticRateSpec, k) -> float:
@@ -436,23 +489,8 @@ def variance_closed(plan: PaymentPlan, spec: StochasticRateSpec, k) -> float:
     k = _check_plan_k(plan, k)
     if k == 0 or spec.s2 == 0.0:
         return 0.0
-    return _closed_variance(
-        plan, spec, k, second_moment_closed(plan, spec, k), _recursion(plan, spec, k)
-    )
-
-
-def _closed_variance(
-    plan: PaymentPlan, spec: StochasticRateSpec, k: int, second: float, ref: _Moments
-) -> float:
-    """second - mean_squared_closed at year k, settled against the recursion ref."""
-    if spec.s2 == 0.0:
-        return 0.0
-    candidate = second - mean_squared_closed(plan, spec, k)
-    # the subtraction cancels almost completely when the rate variance is
-    # tiny next to the mean; keep the closed value only while it still
-    # agrees with the recursion, otherwise report the recursion
-    var_r = _recursive_variance(ref.mean[k - 1], ref.second[k - 1], spec)
-    return _settle_variance(candidate, var_r)
+    closed = _ClosedForms(plan, spec, k)
+    return closed.variance(k, closed.second(k))
 
 
 def moment_series(
@@ -461,17 +499,12 @@ def moment_series(
     """Full mean/second-moment/variance series for k = 1..n."""
     if method not in ("recursive", "closed"):
         raise DomainError(f"method must be 'recursive' or 'closed', got {method!r}")
-    ref = _recursion(plan, spec)
     if method == "recursive":
+        ref = _recursion(plan, spec)
         mean, second, diag, cross = ref
         var = _variances(ref, spec)
     else:
-        ks = range(1, plan.n + 1)
-        mean = [mean_closed(plan, spec, k) for k in ks]
-        second = [second_moment_closed(plan, spec, k) for k in ks]
-        diag = [second_moment_diagonal(plan, spec, k) for k in ks]
-        cross = [second_moment_cross(plan, spec, k) for k in ks]
-        var = [_closed_variance(plan, spec, k, second[k - 1], ref) for k in ks]
+        mean, second, diag, cross, var = _ClosedForms(plan, spec, plan.n).series()
     return MomentSeries(
         plan=plan,
         spec=spec,

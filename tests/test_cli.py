@@ -223,6 +223,33 @@ class TestErrorHandling:
         )
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize(
+        "args, cause",
+        [
+            (
+                ("moments", "--family", "level", "--n", "2000", "--j", "0.3", "--s2", "0.04"),
+                "the largest horizon that fits is 1289",
+            ),
+            (
+                (
+                    "moments", "--family", "level", "--n", "2000", "--j", "0.3",
+                    "--s2", "0.04", "--method", "recursive",
+                ),
+                "second moment overflows double range at year 1290",
+            ),
+            (
+                ("fixed", "--n", "2000", "--j", "0.5"),
+                "the largest horizon that fits is 1747",
+            ),
+        ],
+    )
+    def test_overflow_is_numerical_failure(self, args, cause):
+        proc = run_cli(*args)
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("numerical failure: ")
+        assert cause in proc.stderr
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+
 
 class TestConfigFile:
     def test_config_supplies_values(self, tmp_path):

@@ -5,7 +5,10 @@ and frozen here; test_matches_rational_oracle re-derives a whole grid at
 run time.
 """
 
+import itertools
 import math
+import operator
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +17,7 @@ from hypothesis import strategies as st
 import oracles
 from annurates import (
     DomainError,
+    NumericalFailureError,
     PaymentPositivityError,
     arithmetic_due,
     decreasing_due,
@@ -24,6 +28,7 @@ from annurates import (
     increasing_squared_due,
     level_due,
 )
+from annurates.fixed import _sum_mode_tables, _sum_tables
 
 R10 = fixed_rate(0.1)
 
@@ -206,6 +211,69 @@ class TestGeometricSingularity:
         got = geometric_due(1.5, q, k, R10, mode="closed")
         want = geometric_due(1.5, q, k, R10, mode="sum")
         assert got == pytest.approx(want, rel=1e-11)
+
+
+class TestSumTables:
+    @pytest.mark.parametrize("j", [-0.9, -0.3, 0.0, 1e-9, 1e-3, 0.07, 0.25, 3.0])
+    def test_entries_are_correctly_rounded_sums(self, j):
+        kmax = 200
+        rate = fixed_rate(j)
+        level, inc, sq = _sum_tables(rate, kmax)
+        assert len(level) == len(inc) == len(sq) == kmax + 1
+        assert level[0] == inc[0] == sq[0] == 0.0
+        # g^e as the accumulators build it: iterated multiplication
+        powers = itertools.accumulate(itertools.repeat(1.0 + j, kmax), operator.mul)
+        # payment k - e earns g^(e+1); with S_n the sum over e < k of
+        # e^n g^(e+1), the exact sums are k S_0 - S_1 and k^2 S_0 - 2k S_1 + S_2
+        s0 = s1 = s2 = Fraction(0)
+        for k, x in enumerate(map(Fraction, powers), 1):
+            e = k - 1
+            s0, s1, s2 = s0 + x, s1 + e * x, s2 + e * e * x
+            assert level[k] == level_due(k, rate, mode="sum")
+            assert inc[k] == float(k * s0 - s1)
+            assert sq[k] == float(k * k * s0 - 2 * k * s1 + s2)
+
+    @pytest.mark.parametrize("j", [-0.3, 0.0, 0.07, 3.0])
+    def test_within_an_ulp_of_the_per_year_sums(self, j):
+        rate = fixed_rate(j)
+        tables = _sum_tables(rate, 60)
+        reference = _sum_mode_tables(rate, 60)
+        assert tables[0] == reference[0]
+        for column, ref_column in zip(tables[1:], reference[1:]):
+            for got, want in zip(column, ref_column):
+                assert abs(got - want) <= math.ulp(want)
+
+    def test_without_squares_returns_the_first_two_lists(self):
+        level, inc, _ = _sum_tables(R10, 50)
+        assert _sum_tables(R10, 50, squares=False) == (level, inc)
+        assert len(_sum_mode_tables(R10, 5, squares=False)) == 2
+
+    def test_only_the_returned_lists_limit_the_horizon(self):
+        # the squared-increasing values leave double range 76 years before
+        # the increasing ones
+        rate = fixed_rate(0.05)
+        with pytest.raises(NumericalFailureError, match="fits is 14346$"):
+            _sum_tables(rate, 14400)
+        level, inc = _sum_tables(rate, 14400, squares=False)
+        assert math.isfinite(inc[-1])
+        with pytest.raises(NumericalFailureError, match="fits is 14422$"):
+            _sum_tables(rate, 14423, squares=False)
+
+    def test_overflow_names_the_largest_horizon_that_fits(self):
+        with pytest.raises(NumericalFailureError, match="largest horizon that fits is") as err:
+            _sum_tables(R10, 10_000)
+        fits = int(str(err.value).rsplit(" ", 1)[1])
+        _sum_tables(R10, fits)
+        with pytest.raises(NumericalFailureError):
+            _sum_tables(R10, fits + 1)
+
+    def test_level_closed_overflow_names_the_largest_horizon_that_fits(self):
+        rate = fixed_rate(0.5)
+        with pytest.raises(NumericalFailureError, match="fits is 1747$"):
+            level_due(2000, rate, mode="closed")
+        assert math.isfinite(level_due(1747, rate, mode="closed"))
+        with pytest.raises(NumericalFailureError):
+            level_due(1748, rate, mode="closed")
 
 
 class TestValidation:

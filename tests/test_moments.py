@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import oracles
+from annurates import fixed, moments
 from annurates import (
     DomainError,
     PaymentPlan,
@@ -182,6 +183,60 @@ class TestMomentSeries:
     def test_rejects_unknown_method(self):
         with pytest.raises(DomainError):
             moment_series(PaymentPlan.level(3), SPEC, "fastest")
+
+    @pytest.mark.parametrize(
+        "plan, j",
+        [
+            (PaymentPlan.arithmetic(2.0, 0.3, 25), 0.05),
+            (PaymentPlan.arithmetic(2.5, -0.2, 25, strict=False), 0.01),
+            (PaymentPlan.arithmetic(2.0, 0.3, 25), 0.0),
+            (PaymentPlan.geometric(1.0, 1.2, 25), 0.1),
+            (PaymentPlan.geometric(1.0, 1.1, 25), 0.1),
+        ],
+    )
+    @pytest.mark.parametrize("s2", [0.0, 1e-6, 0.04])
+    def test_per_year_functions_equal_series_entries(self, plan, j, s2):
+        spec = stochastic_rate(j, s2)
+        series = moment_series(plan, spec, "closed")
+        forms = moments._ClosedForms(plan, spec, plan.n)
+        for k in range(1, plan.n + 1):
+            i = k - 1
+            assert mean_closed(plan, spec, k) == series.mean[i]
+            assert second_moment_closed(plan, spec, k) == series.second_moment[i]
+            assert second_moment_diagonal(plan, spec, k) == series.diagonal[i]
+            assert second_moment_cross(plan, spec, k) == series.cross[i]
+            assert variance_closed(plan, spec, k) == series.variance[i]
+            assert mean_squared_closed(plan, spec, k) == forms.mean_squared(k)
+
+    @pytest.mark.parametrize("j", [0.05, 0.0, 5e-10])
+    def test_closed_arithmetic_series_is_one_pass(self, monkeypatch, j):
+        # annuity values come from the tables, and one recursion pass settles
+        # the variances and, inside the singular band, gives the moments
+        calls = {"_accumulate": 0, "_recursion": 0}
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(fixed, "_accumulate")
+        counting(moments, "_recursion")
+        moment_series(PaymentPlan.arithmetic(2.0, 0.3, 40), stochastic_rate(j, 0.04), "closed")
+        assert calls == {"_accumulate": 0, "_recursion": 1}
+
+    @pytest.mark.parametrize("q", [0.0, 0.001])
+    def test_mean_squared_closed_near_double_range(self, q):
+        # at k = 7200 the increasing values at j up to 2k still fit, but the
+        # squared-increasing ones, which no closed form reads at j, do not
+        plan = PaymentPlan.arithmetic(1.0, q, 7200)
+        spec = stochastic_rate(0.05, 1e-12)
+        got = mean_squared_closed(plan, spec, 7200)
+        mean = mean_closed(plan, spec, 7200)
+        assert got == pytest.approx(mean * mean, rel=1e-11)
 
     @pytest.mark.parametrize(
         "p, q", [(2.0, -0.2), (2.3, 0.07), (1.5, 0.1), (5.0, -0.3), (2.5, -0.007)]
