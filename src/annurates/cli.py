@@ -15,7 +15,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from .errors import DomainError, NumericalFailureError
 from .fixed import (
@@ -515,26 +515,6 @@ def cmd_moments(cfg: dict) -> int:
     return EXIT_OK
 
 
-def _comparison_record(c) -> dict:
-    return {
-        "k": c.k,
-        "source": c.source,
-        "analytic_mean": c.analytic_mean,
-        "oracle_mean": c.oracle_mean,
-        "mean_abs_dev": c.mean_abs_dev,
-        "mean_rel_dev": c.mean_rel_dev,
-        "analytic_variance": c.analytic_variance,
-        "oracle_variance": c.oracle_variance,
-        "var_abs_dev": c.var_abs_dev,
-        "var_rel_dev": c.var_rel_dev,
-        "mean_se": c.mean_se,
-        "mean_z": c.mean_z,
-        "var_se_rel": c.var_se_rel,
-        "var_ratio": c.var_ratio,
-        "passed": c.passed,
-    }
-
-
 def cmd_verify(cfg: dict) -> int:
     """Analytic moments against exact enumeration and Monte Carlo."""
     plan = _build_plan(cfg)
@@ -552,7 +532,7 @@ def cmd_verify(cfg: dict) -> int:
     for distribution in distributions:
         oracles.append(simulate(plan, distribution, sim_config, plan.n))
     report = compare(analytic, oracles)
-    records = [_comparison_record(c) for c in report.comparisons]
+    records = [asdict(c) for c in report.comparisons]
     if cfg["output"] == "json":
         # worker count and timing are excluded: reports with the same seed
         # must be byte-identical however the work was split

@@ -6,9 +6,10 @@ Each accumulator offers a closed form, a one-step recursion and a direct
 summation; the last two are the same _accumulate over the accumulator's
 payment list.  Mode "auto" (the default) uses the closed form except inside
 the singular band of its denominator, where it falls back to the recursion.
+A result of any mode but an explicit "recursive" or "sum" that leaves double
+range raises NumericalFailureError naming the largest horizon that fits.
 _sum_tables gives the summation values of the level, increasing and
-squared-increasing annuities for every k up to a horizon in one pass;
-_sum_mode_tables gives the same lists from one mode "sum" call per entry.
+squared-increasing annuities for every k up to a horizon in one pass.
 """
 
 from __future__ import annotations
@@ -78,6 +79,36 @@ def _overflow(rate: FixedRate, fits: int) -> NumericalFailureError:
     )
 
 
+def _evaluate(value, k: int) -> float:
+    """value(k), or inf where it raises OverflowError."""
+    try:
+        return value(k)
+    except OverflowError:
+        return math.inf
+
+
+def _checked(value, k: int, rate: FixedRate, mode: str) -> float:
+    """value(k) for an accumulator's value(h) at horizon h >= 1; 0.0 at k = 0.
+
+    Explicit modes "recursive" and "sum" return what value computes.  In the
+    other modes a result that leaves double range (inf, NaN or an
+    OverflowError) raises NumericalFailureError naming the largest horizon
+    that fits.
+    """
+    if k == 0:
+        return 0.0
+    if mode in ("recursive", "sum"):
+        return value(k)
+    result = _evaluate(value, k)
+    if math.isfinite(result):
+        return result
+    # the values grow with the horizon: bisect for the first one that does not fit
+    fits = bisect.bisect_left(
+        range(1, k), True, key=lambda h: not math.isfinite(_evaluate(value, h))
+    )
+    raise _overflow(rate, fits)
+
+
 def _sum_tables(rate, kmax: int, squares: bool = True) -> tuple:
     """Sum-mode level, increasing and squared-increasing values for k = 0..kmax.
 
@@ -111,19 +142,6 @@ def _sum_tables(rate, kmax: int, squares: bool = True) -> tuple:
     return tuple([0.0] + [s / scale for s in column] for column in sums)
 
 
-def _sum_mode_tables(rate, kmax: int, squares: bool = True) -> tuple:
-    """The lists of _sum_tables, each entry from its own mode "sum" evaluation.
-
-    Those are fsums of rounded products, within an ulp of the _sum_tables
-    entries; at O(kmax^2) work this is the independent reference for them.
-    """
-    evaluators = (level_due, increasing_due, increasing_squared_due)
-    return tuple(
-        [f(k, rate, mode="sum") for k in range(kmax + 1)]
-        for f in evaluators[: 3 if squares else 2]
-    )
-
-
 def _power_diff_quotient(g: float, q: float, k: int) -> float:
     """(g^k - q^k) / (g - q), kept accurate when g is close to q."""
     if g == q:
@@ -146,29 +164,25 @@ def level_due(k, rate, mode: str = "auto") -> float:
     rate = _as_rate(rate)
     k = check_int(k, "k", 0)
     path = _route(mode, abs(rate.j) < SINGULARITY_EPS)
-    if k == 0:
-        return 0.0
-    if path == "closed":
-        value = _level_closed(k, rate)
-        if value == math.inf:
-            # the value grows with k: bisect for the first horizon that overflows
-            first = bisect.bisect_left(
-                range(k), True, key=lambda h: _level_closed(h, rate) == math.inf
-            )
-            raise _overflow(rate, first - 1)
-        return value
-    return _accumulate(1.0 + rate.j, [1.0] * k, path)
+
+    def value(h):
+        if path == "closed":
+            return _level_closed(h, rate)
+        return _accumulate(1.0 + rate.j, [1.0] * h, path)
+
+    return _checked(value, k, rate, mode)
 
 
 def _level_closed(k: int, rate: FixedRate) -> float:
-    """((1+j)^k - 1)/d, or inf where it leaves double range."""
+    """((1+j)^k - 1)/d."""
     # expm1/log1p keeps (1+j)^k - 1 accurate to a couple of ulps even when
     # the numerator nearly cancels, which downstream closed forms divide by d
     # up to three more times
-    try:
-        return math.expm1(k * math.log1p(rate.j)) / rate.d
-    except OverflowError:
-        return math.inf
+    return math.expm1(k * math.log1p(rate.j)) / rate.d
+
+
+def _increasing_closed(k: int, rate: FixedRate) -> float:
+    return (_level_closed(k, rate) - k) / rate.d
 
 
 def increasing_due(k, rate, mode: str = "auto") -> float:
@@ -179,11 +193,13 @@ def increasing_due(k, rate, mode: str = "auto") -> float:
     rate = _as_rate(rate)
     k = check_int(k, "k", 0)
     path = _route(mode, abs(rate.j) < SINGULARITY_EPS)
-    if k == 0:
-        return 0.0
-    if path == "closed":
-        return (level_due(k, rate, mode="closed") - k) / rate.d
-    return _accumulate(1.0 + rate.j, range(1, k + 1), path)
+
+    def value(h):
+        if path == "closed":
+            return _increasing_closed(h, rate)
+        return _accumulate(1.0 + rate.j, range(1, h + 1), path)
+
+    return _checked(value, k, rate, mode)
 
 
 def increasing_squared_due(k, rate, mode: str = "auto") -> float:
@@ -196,16 +212,17 @@ def increasing_squared_due(k, rate, mode: str = "auto") -> float:
     rate = _as_rate(rate)
     k = check_int(k, "k", 0)
     path = _route(mode, abs(rate.j) < SINGULARITY_EPS, allowed=_SQ_MODES)
-    if k == 0:
-        return 0.0
-    if path == "closed":
-        s = level_due(k, rate, mode="closed")
-        inc = increasing_due(k, rate, mode="closed")
-        return (2.0 * inc - s - k * k) / rate.d
-    if path == "relation":
-        s = level_due(k, rate, mode="closed")
-        return ((1.0 + rate.v) * (s + k * k) - 2.0 * k - 2.0 * k * k) / (rate.d * rate.d)
-    return _accumulate(1.0 + rate.j, [i * i for i in range(1, k + 1)], path)
+
+    def value(h):
+        if path == "closed":
+            s = _level_closed(h, rate)
+            return (2.0 * _increasing_closed(h, rate) - s - h * h) / rate.d
+        if path == "relation":
+            s = _level_closed(h, rate)
+            return ((1.0 + rate.v) * (s + h * h) - 2.0 * h - 2.0 * h * h) / (rate.d * rate.d)
+        return _accumulate(1.0 + rate.j, [i * i for i in range(1, h + 1)], path)
+
+    return _checked(value, k, rate, mode)
 
 
 def decreasing_due(n, k, rate, mode: str = "auto") -> float:
@@ -222,13 +239,13 @@ def decreasing_due(n, k, rate, mode: str = "auto") -> float:
     if k > n:
         raise DomainError(f"k must not exceed n, got k={k}, n={n}")
     path = _route(mode, abs(rate.j) < SINGULARITY_EPS)
-    if k == 0:
-        return 0.0
-    if path == "closed":
-        return (n + 1) * level_due(k, rate, mode="closed") - increasing_due(
-            k, rate, mode="closed"
-        )
-    return _accumulate(1.0 + rate.j, [-i for i in range(1, k + 1)], path, n, 1)
+
+    def value(h):
+        if path == "closed":
+            return (n + 1) * _level_closed(h, rate) - _increasing_closed(h, rate)
+        return _accumulate(1.0 + rate.j, [-i for i in range(1, h + 1)], path, n, 1)
+
+    return _checked(value, k, rate, mode)
 
 
 def arithmetic_due(p, q, k, rate, mode: str = "auto", strict: bool = True) -> float:
@@ -248,13 +265,13 @@ def arithmetic_due(p, q, k, rate, mode: str = "auto", strict: bool = True) -> fl
                 f"(p={p}, q={q}, k={k}); pass strict=False to override"
             )
     path = _route(mode, abs(rate.j) < SINGULARITY_EPS)
-    if k == 0:
-        return 0.0
-    if path == "closed":
-        return (p - q) * level_due(k, rate, mode="closed") + q * increasing_due(
-            k, rate, mode="closed"
-        )
-    return _accumulate(1.0 + rate.j, [i * q for i in range(k)], path, p)
+
+    def value(h):
+        if path == "closed":
+            return (p - q) * _level_closed(h, rate) + q * _increasing_closed(h, rate)
+        return _accumulate(1.0 + rate.j, [i * q for i in range(h)], path, p)
+
+    return _checked(value, k, rate, mode)
 
 
 def geometric_due(p, q, k, rate, mode: str = "auto", strict: bool = True) -> float:
@@ -281,16 +298,18 @@ def geometric_due(p, q, k, rate, mode: str = "auto", strict: bool = True) -> flo
     path = mode
     if mode == "auto":
         path = "sum" if near_singular else "closed"
-    if k == 0:
-        return 0.0
-    if path == "closed":
-        return p * g * _power_diff_quotient(g, q, k)
-    if path == "recursive":
-        # iterated powers of q, which reach inf where q**i would overflow
-        powers = itertools.accumulate(itertools.repeat(q, k - 1), operator.mul, initial=1.0)
-    else:
-        powers = (q**i for i in range(k))
-    return _accumulate(g, [p * x for x in powers], path)
+
+    def value(h):
+        if path == "closed":
+            return p * g * _power_diff_quotient(g, q, h)
+        if path == "recursive":
+            # iterated powers of q, which reach inf where q**i would overflow
+            powers = itertools.accumulate(itertools.repeat(q, h - 1), operator.mul, initial=1.0)
+        else:
+            powers = (q**i for i in range(h))
+        return _accumulate(g, [p * x for x in powers], path)
+
+    return _checked(value, k, rate, mode)
 
 
 def growth_due(u, k, rate, mode: str = "auto") -> float:

@@ -284,21 +284,17 @@ class _ClosedForms:
     """The closed forms of one plan and rate at every year 1 <= k <= kmax.
 
     What they read is built once, on first use: the sum-mode annuity tables
-    at f and r up to kmax and at j up to 2 kmax, and inside the singular
-    band one pass of the recursion.  tables builds the annuity tables:
-    fixed._sum_tables, or fixed._sum_mode_tables for the identity audit.
-    moment_series evaluates every year from one instance, and each public
-    per-year function from an instance with kmax = k, so the two run the
-    same formula code and agree bit for bit.
+    (fixed._sum_tables) at f and r up to kmax and at j up to 2 kmax, and
+    inside the singular band one pass of the recursion.  moment_series
+    evaluates every year from one instance, and each public per-year
+    function from an instance with kmax = k, so the two run the same
+    formula code and agree bit for bit.
     """
 
-    def __init__(
-        self, plan: PaymentPlan, spec: StochasticRateSpec, kmax: int, tables=_sum_tables
-    ):
+    def __init__(self, plan: PaymentPlan, spec: StochasticRateSpec, kmax: int):
         self.plan = plan
         self.spec = spec
         self.kmax = kmax
-        self.tables = tables
         self.singular = _singular(plan, spec)
         self.rj = fixed_rate(spec.j)
         self.rf = fixed_rate(spec.f)
@@ -310,18 +306,18 @@ class _ClosedForms:
 
     @cached_property
     def at_f(self) -> tuple:
-        return self.tables(self.rf, self.kmax)
+        return _sum_tables(self.rf, self.kmax)
 
     # no closed form reads a squared-increasing value at r or j, and those
     # entries leave double range first
 
     @cached_property
     def at_r(self) -> tuple:
-        return self.tables(self.rr, self.kmax, squares=False)
+        return _sum_tables(self.rr, self.kmax, squares=False)
 
     @cached_property
     def at_j(self) -> tuple:
-        return self.tables(self.rj, 2 * self.kmax, squares=False)
+        return _sum_tables(self.rj, 2 * self.kmax, squares=False)
 
     def mean(self, k: int) -> float:
         plan = self.plan

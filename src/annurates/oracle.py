@@ -179,23 +179,16 @@ def enumerate_series(
         )
     means = np.empty(k)
     seconds = np.empty(k)
-    if s == 0.0:
-        # degenerate rate: a single deterministic path
-        value = 0.0
-        for t in range(1, k + 1):
-            value = spec.mu * (value + plan.payment(t))
-            means[t - 1] = value
-            seconds[t - 1] = value * value
-    else:
-        idx = np.arange(1 << k, dtype=np.uint32)
-        c = np.zeros(1 << k)
-        lo, hi = spec.mu - s, spec.mu + s
-        for t in range(1, k + 1):
-            bits = (idx >> (t - 1)) & 1
-            g = np.where(bits == 1, hi, lo)
-            c = (c + plan.payment(t)) * g
-            means[t - 1] = c.mean()
-            seconds[t - 1] = np.mean(c * c)
+    # a degenerate rate has a single deterministic path
+    idx = np.arange(1 if s == 0.0 else 1 << k, dtype=np.uint32)
+    c = np.zeros(len(idx))
+    lo, hi = spec.mu - s, spec.mu + s
+    for t in range(1, k + 1):
+        bits = (idx >> (t - 1)) & 1
+        g = np.where(bits == 1, hi, lo)
+        c = (c + plan.payment(t)) * g
+        means[t - 1] = c.mean()
+        seconds[t - 1] = np.mean(c * c)
     variance = np.maximum(seconds - means * means, 0.0)
     return EnumerationResult(
         horizon=k,

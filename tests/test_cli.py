@@ -238,8 +238,21 @@ class TestErrorHandling:
                 "second moment overflows double range at year 1290",
             ),
             (
+                # the decreasing column, paying 2000, 1999, ..., leaves
+                # double range first
                 ("fixed", "--n", "2000", "--j", "0.5"),
-                "the largest horizon that fits is 1747",
+                "the largest horizon that fits is 1729",
+            ),
+            (
+                ("fixed", "--n", "1747", "--j", "0.5", "--family", "all"),
+                "the largest horizon that fits is 1729",
+            ),
+            (
+                (
+                    "moments", "--family", "geometric", "--p", "1", "--q", "1.5",
+                    "--n", "2000", "--j", "0.3", "--s2", "0.04",
+                ),
+                "the largest horizon that fits is 1745",
             ),
         ],
     )

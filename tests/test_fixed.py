@@ -5,6 +5,7 @@ and frozen here; test_matches_rational_oracle re-derives a whole grid at
 run time.
 """
 
+import functools
 import itertools
 import math
 import operator
@@ -28,7 +29,7 @@ from annurates import (
     increasing_squared_due,
     level_due,
 )
-from annurates.fixed import _sum_mode_tables, _sum_tables
+from annurates.fixed import _sum_tables
 
 R10 = fixed_rate(0.1)
 
@@ -237,7 +238,10 @@ class TestSumTables:
     def test_within_an_ulp_of_the_per_year_sums(self, j):
         rate = fixed_rate(j)
         tables = _sum_tables(rate, 60)
-        reference = _sum_mode_tables(rate, 60)
+        reference = [
+            [f(k, rate, mode="sum") for k in range(61)]
+            for f in (level_due, increasing_due, increasing_squared_due)
+        ]
         assert tables[0] == reference[0]
         for column, ref_column in zip(tables[1:], reference[1:]):
             for got, want in zip(column, ref_column):
@@ -246,7 +250,6 @@ class TestSumTables:
     def test_without_squares_returns_the_first_two_lists(self):
         level, inc, _ = _sum_tables(R10, 50)
         assert _sum_tables(R10, 50, squares=False) == (level, inc)
-        assert len(_sum_mode_tables(R10, 5, squares=False)) == 2
 
     def test_only_the_returned_lists_limit_the_horizon(self):
         # the squared-increasing values leave double range 76 years before
@@ -274,6 +277,60 @@ class TestSumTables:
         assert math.isfinite(level_due(1747, rate, mode="closed"))
         with pytest.raises(NumericalFailureError):
             level_due(1748, rate, mode="closed")
+
+
+# every accumulator in mode "auto", as a function of (p, q, k, rate)
+AUTO_MODE = {
+    "level": lambda p, q, k, rate: level_due(k, rate),
+    "increasing": lambda p, q, k, rate: increasing_due(k, rate),
+    "increasing_squared": lambda p, q, k, rate: increasing_squared_due(k, rate),
+    "decreasing": lambda p, q, k, rate: decreasing_due(max(k, 1), k, rate),
+    "arithmetic": lambda p, q, k, rate: arithmetic_due(p, q, k, rate, strict=False),
+    "geometric": lambda p, q, k, rate: geometric_due(p, q, k, rate, strict=False),
+    "growth": lambda p, q, k, rate: growth_due(q, k, rate),
+}
+
+
+class TestDoubleRange:
+    @given(
+        st.sampled_from(sorted(AUTO_MODE)),
+        st.floats(min_value=-1.0, max_value=1.0, exclude_min=True),
+        st.integers(min_value=0, max_value=10_000),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_auto_mode_is_finite_or_a_documented_error(self, name, j, k, p, q):
+        try:
+            value = AUTO_MODE[name](p, q, k, fixed_rate(j))
+        except (DomainError, NumericalFailureError):
+            return
+        assert math.isfinite(value)
+
+    @pytest.mark.parametrize(
+        "name, fits",
+        [("level", 1747), ("increasing", 1745), ("increasing_squared", 1741), ("geometric", 1747)],
+    )
+    def test_closed_overflow_names_the_largest_horizon_that_fits(self, name, fits):
+        # geometric with p = q = 1 is the level annuity
+        rate = fixed_rate(0.5)
+        value = functools.partial(AUTO_MODE[name], 1.0, 1.0, rate=rate)
+        with pytest.raises(NumericalFailureError, match=f"fits is {fits}$"):
+            value(2000)
+        assert math.isfinite(value(fits))
+        with pytest.raises(NumericalFailureError, match=f"fits is {fits}$"):
+            value(fits + 1)
+
+    def test_geometric_power_overflow_is_numerical_failure(self):
+        # q**(k-1) raises OverflowError inside the closed form
+        with pytest.raises(NumericalFailureError, match="fits is 1745$"):
+            geometric_due(1.0, 1.5, 2000, fixed_rate(0.3))
+
+    def test_explicit_modes_are_unchecked(self):
+        rate = fixed_rate(0.5)
+        assert increasing_due(1800, rate, mode="recursive") == math.inf
+        with pytest.raises(NumericalFailureError):
+            increasing_due(1800, rate, mode="closed")
 
 
 class TestValidation:

@@ -14,6 +14,7 @@ import oracles
 from annurates import fixed, moments
 from annurates import (
     DomainError,
+    NumericalFailureError,
     PaymentPlan,
     PaymentPositivityError,
     decreasing_moments,
@@ -159,6 +160,24 @@ class TestClosedForms:
         assert (variance_series(plan, spec) == 0.0).all()
         for k in (1, 10, 30):
             assert variance_closed(plan, spec, k) == 0.0
+
+    @pytest.mark.parametrize(
+        "closed_form",
+        [
+            mean_closed,
+            second_moment_closed,
+            second_moment_cross,
+            mean_squared_closed,
+            lambda plan, spec, k: moment_series(plan, spec, "closed"),
+        ],
+        ids=["mean", "second", "cross", "mean_squared", "series"],
+    )
+    def test_geometric_overflow_is_numerical_failure(self, closed_form):
+        # the geometric annuity values raised a raw OverflowError here
+        plan = PaymentPlan.geometric(1.0, 0.5, 600)
+        spec = stochastic_rate(3.0, 0.01)
+        with pytest.raises(NumericalFailureError, match="largest horizon that fits is 511$"):
+            closed_form(plan, spec, 600)
 
 
 class TestMomentSeries:
