@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -19,9 +20,14 @@ from dataclasses import asdict, dataclass, replace
 
 from .errors import DomainError, NumericalFailureError
 from .fixed import (
-    arithmetic_due,
+    _arithmetic_kernel,
+    _decreasing_closed,
+    _geometric_kernel,
+    _increasing_closed,
+    _increasing_squared_closed,
+    _kernel,
+    _level_closed,
     decreasing_due,
-    geometric_due,
     increasing_due,
     increasing_squared_due,
     level_due,
@@ -36,7 +42,7 @@ from .oracle import (
     enumerate_series,
     simulate,
 )
-from .rates import fixed_rate, stochastic_rate
+from .rates import SINGULARITY_EPS, fixed_rate, stochastic_rate
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -281,7 +287,9 @@ def _merge_config(command: str, ns: argparse.Namespace) -> dict:
     return merged
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process: parsing and _merge_config only read it."""
     parser = argparse.ArgumentParser(
         prog="annurates",
         description="Accumulated values of annuities-due under fixed and "
@@ -335,6 +343,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cell(value) -> str:
+    if type(value) is float:
+        return repr(value)
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -355,6 +365,8 @@ def _render_csv(header, rows) -> str:
 
 def _json_fragment(value) -> str:
     """One JSON value; floats carry 17 significant digits (bit-exact reload)."""
+    if type(value) is float and math.isfinite(value):
+        return format(value, ".17g")
     if value is None:
         return "null"
     if isinstance(value, bool):
@@ -370,11 +382,15 @@ def _json_fragment(value) -> str:
     if isinstance(value, str):
         return json.dumps(value)
     if isinstance(value, dict):
-        parts = (f"{json.dumps(k)}: {_json_fragment(v)}" for k, v in value.items())
+        parts = (f"{_json_key(k)}: {_json_fragment(v)}" for k, v in value.items())
         return "{" + ", ".join(parts) + "}"
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_json_fragment(v) for v in value) + "]"
     raise TypeError(f"cannot serialize {type(value)!r}")
+
+
+# the keys of a report come from a fixed set of names
+_json_key = functools.cache(json.dumps)
 
 
 def _render_json(document: dict) -> str:
@@ -437,26 +453,44 @@ def _build_plan(cfg: dict) -> PaymentPlan:
 # ---------------------------------------------------------------------------
 
 
+def _fixed_kernels(rate, n: int, p: float, q_arith: float, q_geom: float, strict: bool) -> dict:
+    """Each column's accumulator in mode "auto" as a kernel of 1 <= k <= n.
+
+    Validation and the route are settled once per table, not once per cell.
+    """
+    singular = abs(rate.j) < SINGULARITY_EPS
+    return {
+        "level": _kernel(
+            lambda k: level_due(k, rate), lambda k: _level_closed(k, rate), singular
+        ),
+        "increasing": _kernel(
+            lambda k: increasing_due(k, rate), lambda k: _increasing_closed(k, rate), singular
+        ),
+        "increasing_sq": _kernel(
+            lambda k: increasing_squared_due(k, rate),
+            lambda k: _increasing_squared_closed(k, rate),
+            singular,
+        ),
+        "decreasing": _kernel(
+            lambda k: decreasing_due(n, k, rate),
+            lambda k: _decreasing_closed(n, k, rate),
+            singular,
+        ),
+        "arithmetic": _arithmetic_kernel(p, q_arith, rate, strict),
+        "geometric": _geometric_kernel(p, q_geom, rate, strict),
+    }
+
+
 def cmd_fixed(cfg: dict) -> int:
     """Per-year table of fixed-rate accumulated values."""
     rate = fixed_rate(cfg["j"])
     n = cfg["n"]
     columns = cfg["family"]
-    p = cfg["p"]
     q_arith = 0.0 if cfg["q"] is None else cfg["q"]
     q_geom = 1.0 if cfg["q"] is None else cfg["q"]
-    strict = cfg["strict"]
-    evaluators = {
-        "level": lambda k: level_due(k, rate),
-        "increasing": lambda k: increasing_due(k, rate),
-        "increasing_sq": lambda k: increasing_squared_due(k, rate),
-        "decreasing": lambda k: decreasing_due(n, k, rate),
-        "arithmetic": lambda k: arithmetic_due(p, q_arith, k, rate, strict=strict),
-        "geometric": lambda k: geometric_due(p, q_geom, k, rate, strict=strict),
-    }
-    rows = [
-        [k] + [evaluators[name](k) for name in columns] for k in range(1, n + 1)
-    ]
+    kernels = _fixed_kernels(rate, n, cfg["p"], q_arith, q_geom, cfg["strict"])
+    chosen = [kernels[name] for name in columns]
+    rows = [[k] + [kernel(k) for kernel in chosen] for k in range(1, n + 1)]
     if cfg["output"] == "json":
         document = {
             "j": cfg["j"],
@@ -472,6 +506,11 @@ def cmd_fixed(cfg: dict) -> int:
     return EXIT_OK
 
 
+def _reported(series) -> tuple:
+    """The mean, second-moment and variance columns as lists of Python floats."""
+    return series.mean.tolist(), series.second_moment.tolist(), series.variance.tolist()
+
+
 def cmd_moments(cfg: dict) -> int:
     """Per-year analytic moment table under a random annual rate."""
     plan = _build_plan(cfg)
@@ -479,23 +518,13 @@ def cmd_moments(cfg: dict) -> int:
     method = cfg["method"]
     primary = moment_series(plan, spec, "closed" if method == "both" else method)
     header = ["k", "mean", "second_moment", "variance"]
-    rows = [
-        [k, primary.mean_at(k), primary.second_moment_at(k), primary.variance_at(k)]
-        for k in range(1, plan.n + 1)
-    ]
+    columns = _reported(primary)
+    rows = [[k, *values] for k, values in enumerate(zip(*columns), 1)]
     if method == "both":
-        other = moment_series(plan, spec, "recursive")
+        other = _reported(moment_series(plan, spec, "recursive"))
         header.append("max_discrepancy")
-        for k in range(1, plan.n + 1):
-            devs = [
-                abs(primary.mean_at(k) - other.mean_at(k))
-                / max(1.0, abs(other.mean_at(k))),
-                abs(primary.second_moment_at(k) - other.second_moment_at(k))
-                / max(1.0, abs(other.second_moment_at(k))),
-                abs(primary.variance_at(k) - other.variance_at(k))
-                / max(1.0, abs(other.variance_at(k))),
-            ]
-            rows[k - 1].append(max(devs))
+        for row, *pairs in zip(rows, *map(zip, columns, other)):
+            row.append(max(abs(a - b) / max(1.0, abs(b)) for a, b in pairs))
     if cfg["output"] == "json":
         document = {
             "family": cfg["family"],

@@ -10,14 +10,24 @@ A result of any mode but an explicit "recursive" or "sum" that leaves double
 range raises NumericalFailureError naming the largest horizon that fits.
 _sum_tables gives the summation values of the level, increasing and
 squared-increasing annuities for every k up to a horizon in one pass.
+
+A caller that needs one accumulator at many horizons (a table, a moment
+series) builds a per-series kernel once: _kernel, _arithmetic_kernel and
+_geometric_kernel settle validation, the route and the k-free factors up
+front, and each call then evaluates the raw closed form the accumulator
+itself evaluates, so the two agree bit for bit.  Where that value is not
+finite or raises OverflowError, the kernel calls the accumulator at that k,
+which raises the NumericalFailureError naming the largest horizon that fits.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 import operator
+import sys
 
 from .errors import DomainError, NumericalFailureError, PaymentPositivityError, check_int
 from .rates import SINGULARITY_EPS, FixedRate, fixed_rate
@@ -151,8 +161,42 @@ def _power_diff_quotient(g: float, q: float, k: int) -> float:
         if abs(delta) < 0.5:
             # g - q is exact for nearby floats; expm1/log1p avoid the
             # catastrophic cancellation of the plain difference.
-            return q ** (k - 1) * math.expm1(k * math.log1p(delta)) / delta
+            x = k * math.log1p(delta)
+            try:
+                power = q ** (k - 1)
+                if power >= sys.float_info.min:
+                    return power * math.expm1(x) / delta
+            except OverflowError:
+                pass
+            # q^(k-1) left the normal range or expm1(x) overflowed, though
+            # the quotient may fit: take the product as one exponent.
+            # expm1(x)/delta > 0, and log|expm1(x)| = x + log(1 - e^-x) for x > 0
+            log_growth = x + math.log(-math.expm1(-x)) if x > 0.0 else math.log(-math.expm1(x))
+            return math.exp((k - 1) * math.log(q) + log_growth - math.log(abs(delta)))
     return (g**k - q**k) / (g - q)
+
+
+def _kernel(public, raw, singular: bool):
+    """public, an accumulator as a function of k >= 1, evaluated as raw(k).
+
+    raw is the closed form that public evaluates outside its singular band,
+    with every argument but k bound, so the two agree bit for bit where
+    raw(k) is finite.  Where it is not, or raises OverflowError, public(k)
+    raises the NumericalFailureError naming the largest horizon that fits.
+    Where singular is true (inside the band, or where public raises at every
+    k) the kernel is public itself.
+    """
+    if singular:
+        return public
+
+    def kernel(k):
+        try:
+            value = raw(k)
+        except OverflowError:
+            return public(k)
+        return value if math.isfinite(value) else public(k)
+
+    return kernel
 
 
 def level_due(k, rate, mode: str = "auto") -> float:
@@ -185,6 +229,27 @@ def _increasing_closed(k: int, rate: FixedRate) -> float:
     return (_level_closed(k, rate) - k) / rate.d
 
 
+def _increasing_squared_closed(k: int, rate: FixedRate) -> float:
+    s = _level_closed(k, rate)
+    return (2.0 * _increasing_closed(k, rate) - s - k * k) / rate.d
+
+
+def _decreasing_closed(n: int, k: int, rate: FixedRate) -> float:
+    return (n + 1) * _level_closed(k, rate) - _increasing_closed(k, rate)
+
+
+def _arithmetic_closed(p: float, q: float, k: int, rate: FixedRate) -> float:
+    """(p-q)*level + q*increasing, with a zero coefficient standing for its term.
+
+    c*x is a zero with c's sign for any finite x > 0, so a term whose
+    coefficient c is zero is c itself; evaluating it would give 0*inf = NaN
+    once its annuity value leaves double range, ending the range early.
+    """
+    level = (p - q) * _level_closed(k, rate) if p != q else p - q
+    increasing = q * _increasing_closed(k, rate) if q else q
+    return level + increasing
+
+
 def increasing_due(k, rate, mode: str = "auto") -> float:
     """Accumulated value of payments 1, 2, ..., k.
 
@@ -215,8 +280,7 @@ def increasing_squared_due(k, rate, mode: str = "auto") -> float:
 
     def value(h):
         if path == "closed":
-            s = _level_closed(h, rate)
-            return (2.0 * _increasing_closed(h, rate) - s - h * h) / rate.d
+            return _increasing_squared_closed(h, rate)
         if path == "relation":
             s = _level_closed(h, rate)
             return ((1.0 + rate.v) * (s + h * h) - 2.0 * h - 2.0 * h * h) / (rate.d * rate.d)
@@ -242,7 +306,7 @@ def decreasing_due(n, k, rate, mode: str = "auto") -> float:
 
     def value(h):
         if path == "closed":
-            return (n + 1) * _level_closed(h, rate) - _increasing_closed(h, rate)
+            return _decreasing_closed(n, h, rate)
         return _accumulate(1.0 + rate.j, [-i for i in range(1, h + 1)], path, n, 1)
 
     return _checked(value, k, rate, mode)
@@ -268,7 +332,7 @@ def arithmetic_due(p, q, k, rate, mode: str = "auto", strict: bool = True) -> fl
 
     def value(h):
         if path == "closed":
-            return (p - q) * _level_closed(h, rate) + q * _increasing_closed(h, rate)
+            return _arithmetic_closed(p, q, h, rate)
         return _accumulate(1.0 + rate.j, [i * q for i in range(h)], path, p)
 
     return _checked(value, k, rate, mode)
@@ -294,10 +358,9 @@ def geometric_due(p, q, k, rate, mode: str = "auto", strict: bool = True) -> flo
     if mode not in _MODES:
         raise DomainError(f"mode must be one of {_MODES}, got {mode!r}")
     g = 1.0 + rate.j
-    near_singular = abs(g - q) < SINGULARITY_EPS * max(1.0, q)
     path = mode
     if mode == "auto":
-        path = "sum" if near_singular else "closed"
+        path = "sum" if _geometric_singular(g, q) else "closed"
 
     def value(h):
         if path == "closed":
@@ -310,6 +373,35 @@ def geometric_due(p, q, k, rate, mode: str = "auto", strict: bool = True) -> flo
         return _accumulate(g, [p * x for x in powers], path)
 
     return _checked(value, k, rate, mode)
+
+
+def _geometric_singular(g: float, q: float) -> bool:
+    """Whether q lies in the band |g-q| < 1e-9*max(1,q) around g = 1+j."""
+    return abs(g - q) < SINGULARITY_EPS * max(1.0, q)
+
+
+def _arithmetic_kernel(p: float, q: float, rate: FixedRate, strict: bool = False):
+    """arithmetic_due(p, q, k, rate, strict=strict) as a kernel of k >= 1."""
+    public = functools.partial(arithmetic_due, p, q, rate=rate, strict=strict)
+    kernel = _kernel(
+        public, lambda k: _arithmetic_closed(p, q, k, rate), abs(rate.j) < SINGULARITY_EPS
+    )
+    if not strict:
+        return kernel
+    # strict positivity depends on k; where it fails public raises
+    return lambda k: kernel(k) if p > 0.0 and p + (k - 1) * q > 0.0 else public(k)
+
+
+def _geometric_kernel(p: float, q: float, rate: FixedRate, strict: bool = False):
+    """geometric_due(p, q, k, rate, strict=strict) as a kernel of k >= 1."""
+    public = functools.partial(geometric_due, p, q, rate=rate, strict=strict)
+    g = 1.0 + rate.j
+    pg = p * g
+    # where strict positivity fails, public raises at every k
+    rejected = strict and not (p > 0.0 and q > 0.0)
+    return _kernel(
+        public, lambda k: pg * _power_diff_quotient(g, q, k), rejected or _geometric_singular(g, q)
+    )
 
 
 def growth_due(u, k, rate, mode: str = "auto") -> float:

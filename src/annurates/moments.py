@@ -16,8 +16,12 @@ Both paths of moment_series run in time linear in n.  The arithmetic closed
 forms read their level, increasing and squared-increasing annuity values at
 f, r and j from fixed._sum_tables, exact prefix sums rounded once and built
 once per series; inside the singular band the closed series reads the rows
-of its one recursion pass.  A moment that leaves double range raises
-NumericalFailureError.
+of its one recursion pass.  Each closed quantity is a per-series kernel
+(_ClosedForms): its route, k-free coefficients and tables are settled once,
+and each year evaluates only the formula, with the geometric sums taken from
+fixed's per-series kernels.  A moment that leaves double range raises
+NumericalFailureError: where a kernel's raw value is not finite, it calls the
+public accumulator at that year, which names the largest horizon that fits.
 
 The second moment splits as m_k = diagonal + 2*cross, where the diagonal
 part collects the squared-payment terms c_i^2 m^{k-i+1} and the cross part
@@ -41,10 +45,11 @@ from .errors import (
     check_int,
 )
 from .fixed import (
+    _arithmetic_kernel,
+    _geometric_kernel,
+    _geometric_singular,
     _sum_tables,
-    arithmetic_due,
     decreasing_due,
-    geometric_due,
     increasing_due,
     increasing_squared_due,
     level_due,
@@ -269,6 +274,11 @@ def variance_series(plan: PaymentPlan, spec: StochasticRateSpec) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _rows(column: tuple):
+    """k -> column[k-1], a kernel that reads a table indexed by year - 1."""
+    return lambda k: column[k - 1]
+
+
 def _check_plan_k(plan: PaymentPlan, k) -> int:
     return check_int(k, "k", 0, plan.n)
 
@@ -277,18 +287,24 @@ def _singular(plan: PaymentPlan, spec: StochasticRateSpec) -> bool:
     """Whether the closed forms' denominator (d, or 1+j-q for geometric plans) vanishes."""
     if plan.family == "arithmetic":
         return abs(spec.j) < SINGULARITY_EPS
-    return abs(spec.mu - plan.q) < SINGULARITY_EPS * max(1.0, plan.q)
+    return _geometric_singular(spec.mu, plan.q)
 
 
 class _ClosedForms:
     """The closed forms of one plan and rate at every year 1 <= k <= kmax.
 
-    What they read is built once, on first use: the sum-mode annuity tables
-    (fixed._sum_tables) at f and r up to kmax and at j up to 2 kmax, and
-    inside the singular band one pass of the recursion.  moment_series
-    evaluates every year from one instance, and each public per-year
-    function from an instance with kmax = k, so the two run the same
-    formula code and agree bit for bit.
+    Each of mean, second, diagonal, cross and mean_squared is a per-series
+    kernel, a function of k built on first use.  Building it settles what
+    does not depend on k: the route (singular band or not), the geometric
+    accumulators' kernels at j, r and f (fixed._geometric_kernel), the
+    arithmetic coefficients, and the tables it reads, the sum-mode annuity
+    tables (fixed._sum_tables) at f and r up to kmax and at j up to 2 kmax
+    or, inside the singular band, one pass of the recursion.  A coefficient
+    is a left-associated prefix of the product the formula writes, so every
+    term rounds exactly as the written expression does; powers such as g**k
+    are taken per k.  moment_series evaluates every year from one instance,
+    and each public per-year function from an instance with kmax = k, so
+    the two run the same kernels and agree bit for bit.
     """
 
     def __init__(self, plan: PaymentPlan, spec: StochasticRateSpec, kmax: int):
@@ -319,105 +335,175 @@ class _ClosedForms:
     def at_j(self) -> tuple:
         return _sum_tables(self.rj, 2 * self.kmax, squares=False)
 
-    def mean(self, k: int) -> float:
-        plan = self.plan
-        # strict=False: plan construction already enforced positivity if asked
-        if plan.family == "geometric":
-            return geometric_due(plan.p, plan.q, k, self.rj, strict=False)
+    # the geometric sums with parameters (p, q) at r and (p^2, q^2) at f;
+    # strict=False because plan construction already enforced positivity
+
+    @cached_property
+    def geometric_r(self):
+        return _geometric_kernel(self.plan.p, self.plan.q, self.rr)
+
+    @cached_property
+    def geometric_f(self):
+        p, q = self.plan.p, self.plan.q
+        return _geometric_kernel(p * p, q * q, self.rf)
+
+    @cached_property
+    def mean(self):
+        p, q = self.plan.p, self.plan.q
+        if self.plan.family == "geometric":
+            return _geometric_kernel(p, q, self.rj)
         if self.singular:
             # arithmetic_due's recursion rounds (v + p) + (i-1)q; the moment
             # recursion rounds v + c_i, and the two must give the same mean
-            return self.ref.mean[k - 1]
-        return arithmetic_due(plan.p, plan.q, k, self.rj, strict=False)
+            return _rows(self.ref.mean)
+        return _arithmetic_kernel(p, q, self.rj)
 
-    def second(self, k: int) -> float:
+    @cached_property
+    def second(self):
         if self.singular:
-            return self.ref.second[k - 1]
+            return _rows(self.ref.second)
         p, q = self.plan.p, self.plan.q
         g = self.spec.mu
         if self.plan.family == "geometric":
-            sg_r = geometric_due(p, q, k, self.rr, strict=False)
-            sg_f = geometric_due(p * p, q * q, k, self.rf, strict=False)
-            return (2.0 * p * g ** (k + 1) * sg_r - (q + g) * sg_f) / (g - q)
-        d, v = self.rj.d, self.rj.v
-        gk = g**k
-        pq = p - q
-        s_f, is_f, i2_f = (t[k] for t in self.at_f)
-        s_r, is_r = (t[k] for t in self.at_r)
-        return math.fsum(
-            [
-                (q - p) * (d * pq * (1.0 + v) + 2.0 * q * v) * s_f,
-                -2.0 * q * (d * pq * (1.0 + v) + q * v) * is_f,
-                -d * q * q * (1.0 + v) * i2_f,
-                2.0 * pq * (d * pq + q) * gk * s_r,
-                2.0 * q * (d * pq + q) * gk * is_r,
-            ]
-        ) / (d * d)
+            at_r, at_f = self.geometric_r, self.geometric_f
+            two_p, q_g, g_q = 2.0 * p, q + g, g - q
 
-    def diagonal(self, k: int) -> float:
-        p, q = self.plan.p, self.plan.q
+            def second(k):
+                sg_r = at_r(k)
+                sg_f = at_f(k)
+                return (two_p * g ** (k + 1) * sg_r - q_g * sg_f) / g_q
+
+            return second
+        d, v = self.rj.d, self.rj.v
+        pq = p - q
+        c_s_f = (q - p) * (d * pq * (1.0 + v) + 2.0 * q * v)
+        c_is_f = -2.0 * q * (d * pq * (1.0 + v) + q * v)
+        c_i2_f = -d * q * q * (1.0 + v)
+        c_s_r = 2.0 * pq * (d * pq + q)
+        c_is_r = 2.0 * q * (d * pq + q)
+        dd = d * d
+        s_f, is_f, i2_f = self.at_f
+        s_r, is_r = self.at_r
+
+        def second(k):
+            gk = g**k
+            return math.fsum(
+                [
+                    c_s_f * s_f[k],
+                    c_is_f * is_f[k],
+                    c_i2_f * i2_f[k],
+                    c_s_r * gk * s_r[k],
+                    c_is_r * gk * is_r[k],
+                ]
+            ) / dd
+
+        return second
+
+    @cached_property
+    def diagonal(self):
         if self.plan.family == "geometric":
-            return geometric_due(p * p, q * q, k, self.rf, strict=False)
+            return self.geometric_f
+        p, q = self.plan.p, self.plan.q
         # sum-mode annuity values are accurate to an ulp at any rate, which
         # the cancellation-prone brackets below need
         s_f, is_f, i2_f = self.at_f
-        terms = [(p - q) ** 2 * s_f[k], 2.0 * q * (p - q) * is_f[k], q * q * i2_f[k]]
-        full = math.fsum(terms)
-        offset_terms = [p * p * s_f[k], 2.0 * p * q * is_f[k - 1], q * q * i2_f[k - 1]]
-        offset = math.fsum(offset_terms)
-        _audit("diagonal part", full, offset, scale=_term_scale(terms + offset_terms))
-        return full
+        c_s, c_is, c_i2 = (p - q) ** 2, 2.0 * q * (p - q), q * q
+        o_s, o_is = p * p, 2.0 * p * q
 
-    def cross(self, k: int) -> float:
-        if k == 1:
-            return 0.0
+        def diagonal(k):
+            terms = [c_s * s_f[k], c_is * is_f[k], c_i2 * i2_f[k]]
+            full = math.fsum(terms)
+            offset_terms = [o_s * s_f[k], o_is * is_f[k - 1], c_i2 * i2_f[k - 1]]
+            offset = math.fsum(offset_terms)
+            _audit("diagonal part", full, offset, scale=_term_scale(terms + offset_terms))
+            return full
+
+        return diagonal
+
+    @cached_property
+    def cross(self):
         if self.singular:
-            return self.ref.cross[k - 1]
+            cross = self.ref.cross
+            return lambda k: 0.0 if k == 1 else cross[k - 1]
         p, q = self.plan.p, self.plan.q
         g = self.spec.mu
         if self.plan.family == "geometric":
-            sg_r = geometric_due(p, q, k, self.rr, strict=False)
-            sg_f = geometric_due(p * p, q * q, k, self.rf, strict=False)
-            return (p * g ** (k + 1) * sg_r - g * sg_f) / (g - q)
-        d, v = self.rj.d, self.rj.v
-        gk = g**k
-        pq = p - q
-        s_f, is_f, i2_f = (t[k] for t in self.at_f)
-        s_r, is_r = (t[k] for t in self.at_r)
-        return math.fsum(
-            [
-                pq * (d * pq + q) * gk * s_r,
-                q * (d * pq + q) * gk * is_r,
-                -pq * (d * pq + q * v) * s_f,
-                -q * (2.0 * d * pq + q * v) * is_f,
-                -q * q * d * i2_f,
-            ]
-        ) / (d * d)
+            at_r, at_f = self.geometric_r, self.geometric_f
+            g_q = g - q
 
-    def mean_squared(self, k: int) -> float:
+            def cross(k):
+                if k == 1:
+                    return 0.0
+                sg_r = at_r(k)
+                sg_f = at_f(k)
+                return (p * g ** (k + 1) * sg_r - g * sg_f) / g_q
+
+            return cross
+        d, v = self.rj.d, self.rj.v
+        pq = p - q
+        c_s_r = pq * (d * pq + q)
+        c_is_r = q * (d * pq + q)
+        c_s_f = -pq * (d * pq + q * v)
+        c_is_f = -q * (2.0 * d * pq + q * v)
+        c_i2_f = -q * q * d
+        dd = d * d
+        s_f, is_f, i2_f = self.at_f
+        s_r, is_r = self.at_r
+
+        def cross(k):
+            if k == 1:
+                return 0.0
+            gk = g**k
+            return math.fsum(
+                [
+                    c_s_r * gk * s_r[k],
+                    c_is_r * gk * is_r[k],
+                    c_s_f * s_f[k],
+                    c_is_f * is_f[k],
+                    c_i2_f * i2_f[k],
+                ]
+            ) / dd
+
+        return cross
+
+    @cached_property
+    def mean_squared(self):
         if self.singular:
-            return self.mean(k) ** 2
+            mean = self.mean
+            return lambda k: mean(k) ** 2
         p, q = self.plan.p, self.plan.q
         if self.plan.family == "geometric":
             g = self.spec.mu
-            sg_k = geometric_due(p, q, k, self.rj, strict=False)
-            sg_2k = geometric_due(p, q, 2 * k, self.rj, strict=False)
-            return p * g / (g - q) * (sg_2k - 2.0 * q**k * sg_k)
+            at_j = self.mean
+            lead = p * g / (g - q)
+
+            def mean_squared(k):
+                sg_k = at_j(k)
+                sg_2k = at_j(2 * k)
+                return lead * (sg_2k - 2.0 * q**k * sg_k)
+
+            return mean_squared
         d = self.rj.d
         pq = p - q
         s_j, is_j = self.at_j
         qd = q / d
         lead = pq / d * (pq + 2.0 * qd)
-        return math.fsum(
-            [
-                lead * s_j[2 * k],
-                -2.0 * lead * s_j[k],
-                -2.0 * q * pq * k / d * s_j[k],
-                qd * qd * is_j[2 * k],
-                -2.0 * qd * qd * (1.0 + k * d) * is_j[k],
-                -qd * qd * k * k,
-            ]
-        )
+        c_s_k, c_k_s_k = -2.0 * lead, -2.0 * q * pq
+        c_is_2k, c_is_k, c_kk = qd * qd, -2.0 * qd * qd, -qd * qd
+
+        def mean_squared(k):
+            return math.fsum(
+                [
+                    lead * s_j[2 * k],
+                    c_s_k * s_j[k],
+                    c_k_s_k * k / d * s_j[k],
+                    c_is_2k * is_j[2 * k],
+                    c_is_k * (1.0 + k * d) * is_j[k],
+                    c_kk * k * k,
+                ]
+            )
+
+        return mean_squared
 
     def variance(self, k: int, second: float) -> float:
         """second - mean_squared at year k, settled against the recursion."""
@@ -434,14 +520,14 @@ class _ClosedForms:
     def series(self) -> tuple:
         """(mean, second moment, diagonal, cross, variance) lists for k = 1..kmax."""
         ks = range(1, self.kmax + 1)
-        mean = [self.mean(k) for k in ks]
-        second = [self.second(k) for k in ks]
+        mean = list(map(self.mean, ks))
+        second = list(map(self.second, ks))
         return (
             mean,
             second,
-            [self.diagonal(k) for k in ks],
-            [self.cross(k) for k in ks],
-            [self.variance(k, m2) for k, m2 in zip(ks, second)],
+            list(map(self.diagonal, ks)),
+            list(map(self.cross, ks)),
+            list(map(self.variance, ks, second)),
         )
 
 
@@ -543,7 +629,7 @@ class GrowthMoments(NamedTuple):
 
 def _term_scale(terms) -> float:
     """Largest intermediate magnitude, for sizing roundoff allowances."""
-    return max(abs(t) for t in terms)
+    return max(map(abs, terms))
 
 
 def _audit(label: str, specialized: float, reference: float, scale: float) -> None:

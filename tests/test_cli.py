@@ -1,10 +1,13 @@
 """End-to-end command-line checks run through real subprocesses."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
+
+from annurates import cli
 
 
 def run_cli(*args, **kwargs):
@@ -254,6 +257,11 @@ class TestErrorHandling:
                 ),
                 "the largest horizon that fits is 1745",
             ),
+            (
+                # q defaults to 0, so the column is the level annuity
+                ("fixed", "--family", "arithmetic", "--j", "0.5", "--n", "1748"),
+                "the largest horizon that fits is 1747",
+            ),
         ],
     )
     def test_overflow_is_numerical_failure(self, args, cause):
@@ -299,3 +307,39 @@ class TestOutputFile:
 
 if __name__ == "__main__":
     raise SystemExit(pytest.main([__file__, "-v"]))
+
+
+class TestRepeatedCallsInProcess:
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_interleaved_calls_match_a_fresh_process(self, tmp_path, capsys, monkeypatch):
+        # help text wraps at the terminal width, which COLUMNS fixes
+        monkeypatch.setenv("COLUMNS", "80")
+        config = tmp_path / "moments.cfg"
+        config.write_text("family = increasing\nn = 5\nj = 0.1\ns2 = 0.04\noutput = json\n")
+        table = ["fixed", "--j", "0.05", "--n", "6", "--family", "all", "--q", "1.1"]
+        calls = [
+            table,
+            ["moments", "--family", "geometric", "--p", "1", "--q", "1.05", "--n", "6",
+             "--j", "0.05", "--s2", "0.01", "--method", "both"],
+            ["verify", "--family", "level", "--n", "4", "--j", "0.05", "--s2", "0.01",
+             "--paths", "2000", "--seed", "3"],
+            ["moments", "--config", str(config)],
+            ["fixed", "--j", "0.05", "--n", "6", "--bogus", "1"],
+            ["--help"],
+            ["moments", "--help"],
+            ["moments", "--config", str(config), "--s2", "0.01", "--output", "csv"],
+            ["verify", "--family", "level", "--n", "4", "--j", "0.05", "--s2", "0.01",
+             "--paths", "2000", "--seed", "3", "--output", "csv"],
+            table,
+        ]
+        for argv in calls:
+            try:
+                code = cli.main(list(argv))
+            except SystemExit as exc:  # --help and argparse errors exit
+                code = exc.code
+            out, err = capsys.readouterr()
+            fresh = run_cli(*argv, env={**os.environ, "COLUMNS": "80"})
+            assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        assert code == 0 and out.startswith("k,level,")

@@ -326,6 +326,31 @@ class TestDoubleRange:
         with pytest.raises(NumericalFailureError, match="fits is 1745$"):
             geometric_due(1.0, 1.5, 2000, fixed_rate(0.3))
 
+    @pytest.mark.parametrize("k, value", [(1800, 1.56e-82), (3000, 1.9e-137)])
+    def test_geometric_value_survives_an_underflowing_power(self, k, value):
+        # q^(k-1) underflows and, at k = 3000, expm1(k log1p(delta)) overflows,
+        # while the value itself is a normal double
+        rate = fixed_rate(-0.1)
+        got = geometric_due(1.0, 0.65, k, rate)
+        assert got == pytest.approx(geometric_due(1.0, 0.65, k, rate, mode="sum"), rel=1e-12)
+        assert got == pytest.approx(value, rel=0.01)
+
+    @pytest.mark.parametrize("q", [0.65, 0.9])
+    def test_geometric_closed_tracks_sum_where_powers_are_subnormal(self, q):
+        rate = fixed_rate(-0.1)
+        for k in range(1500, 4001, 50):
+            want = geometric_due(1.0, q * 0.95, k, rate, mode="sum")
+            assert geometric_due(1.0, q * 0.95, k, rate) == pytest.approx(want, rel=1e-12)
+
+    def test_arithmetic_zero_step_fits_as_long_as_the_level_annuity(self):
+        rate = fixed_rate(0.5)
+        assert arithmetic_due(1.0, 0.0, 1746, rate) == level_due(1746, rate)
+        assert arithmetic_due(1.0, 0.0, 1747, rate) == level_due(1747, rate)
+        with pytest.raises(NumericalFailureError, match="fits is 1747$"):
+            arithmetic_due(1.0, 0.0, 1748, rate)
+        # p = q leaves only the increasing term
+        assert arithmetic_due(1.0, 1.0, 1745, rate) == increasing_due(1745, rate)
+
     def test_explicit_modes_are_unchecked(self):
         rate = fixed_rate(0.5)
         assert increasing_due(1800, rate, mode="recursive") == math.inf

@@ -30,12 +30,20 @@ to 2.4864504912045573e-11 (tol 1e-9) and arithmetic-decomposition from
 1.9898444003629834e-11 to 2.2605077456667796e-11 (tol 1e-10).  Their worst
 cases read a table entry that is correctly rounded and 1 ulp away from the
 per-year sum.  Every name, case count, tolerance and row position is unchanged.
+
+LIBRARY_GRID_DIGEST pins the library itself the same way: the bits of every
+public value function, or the exception it raises, over a seeded grid of
+1,200 cases (_library_grid).  It was recorded before the per-series kernels
+replaced the per-k calls of the public accumulators, and they left it
+unchanged.
 """
 
 import hashlib
+import random
 
 import pytest
 
+import annurates as a
 from annurates.cli import main
 
 GOLDEN = [
@@ -93,8 +101,94 @@ GOLDEN = [
 ]
 
 
+LIBRARY_GRID_DIGEST = "40fa82700bcf9cd75ea1d9464f18b254bac82ef00c2bf2f3beca4f035855b979"
+
+
 @pytest.mark.parametrize("command, digest, code", GOLDEN, ids=[g[0] for g in GOLDEN])
 def test_golden_output(command, digest, code, capsys):
     assert main(command.split()) == code
     stdout = capsys.readouterr().out
     assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == digest
+
+
+def _library_grid():
+    """Every public value function over a seeded grid of 1,200 cases.
+
+    Yields one line per call: its arguments and the float bits of its
+    result, or the type and message of what it raised.  The grid covers both
+    plan families, the singular bands (j = 0, q = 1+j), tiny and large rate
+    variances, negative payments outside strict mode, every fixed-rate mode
+    and horizons up to 400; it stays inside double range.
+    """
+    def line(name, fn, *args):
+        try:
+            value = fn(*args)
+        except Exception as exc:
+            return f"{name}{args!r} raises {type(exc).__name__}: {exc}"
+        if isinstance(value, tuple):
+            return f"{name}{args!r} = {[float(x).hex() for x in value]}"
+        if hasattr(value, "tobytes"):
+            return f"{name}{args!r} = {value.tobytes().hex()}"
+        return f"{name}{args!r} = {float(value).hex()}"
+
+    def series_columns(plan, spec, method):
+        series = a.moment_series(plan, spec, method)
+        columns = (series.mean, series.second_moment, series.variance)
+        columns += (series.diagonal, series.cross)
+        return tuple(x for column in columns for x in column.tolist())
+
+    rng = random.Random(20011)
+    rates = [0.05, 0.1, 0.0, 1e-10, 1e-5, 0.3, -0.1, -0.5, 0.9]
+    for _ in range(400):
+        family = rng.choice(["arithmetic", "geometric"])
+        j = rng.choice(rates + [rng.uniform(-0.5, 1.0)])
+        s2 = rng.choice([0.0, 1e-12, 1e-6, 0.0025, 0.04, rng.uniform(0.0, 0.1)])
+        p = rng.choice([1.0, 2.0, rng.uniform(0.1, 5.0)])
+        if family == "arithmetic":
+            q = rng.choice([0.0, 1.0, -0.07, p, rng.uniform(-1.0, 2.0)])
+        else:
+            q = rng.choice([1.05, 0.9, 1.0 + j, (1.0 + j) * (1.0 + 1e-8), rng.uniform(0.5, 2.0)])
+        n = rng.choice([1, 2, 3, 7, 20, 60, rng.randint(1, 400)])
+        plan = a.PaymentPlan(family=family, p=p, q=q, n=n, strict=False)
+        spec = a.stochastic_rate(j, s2)
+        for method in ("closed", "recursive"):
+            yield line("moment_series", series_columns, plan, spec, method)
+        for k in sorted({1, (n + 1) // 2, n}):
+            for name in (
+                "mean_closed",
+                "second_moment_closed",
+                "mean_squared_closed",
+                "variance_closed",
+                "second_moment_diagonal",
+                "second_moment_cross",
+            ):
+                yield line(name, getattr(a, name), plan, spec, k)
+    for _ in range(200):
+        j = rng.choice(rates + [rng.uniform(-0.3, 0.5)])
+        spec = a.stochastic_rate(j, rng.choice([0.0, 1e-8, 0.01, 0.04]))
+        k = rng.choice([0, 1, 2, 5, 30, 100])
+        u = rng.choice([0.03, 0.1, j, -0.02])
+        yield line("level_moments", a.level_moments, spec, k)
+        yield line("increasing_moments", a.increasing_moments, spec, k)
+        yield line("decreasing_moments", a.decreasing_moments, spec, k + 3, k)
+        yield line("growth_moments", a.growth_moments, spec, a.geometric_aux(spec, u), k)
+    for _ in range(600):
+        j = rng.choice(rates + [rng.uniform(-0.9, 1.0)])
+        rate = a.fixed_rate(j)
+        k = rng.choice([0, 1, 2, 10, 100, 400, rng.randint(0, 400)])
+        p = rng.choice([1.0, 2.5, -1.0])
+        q = rng.choice([0.0, 1.0, 1.05, 1.5, 1.0 + j, -0.5])
+        for mode in ("auto", "closed", "recursive", "sum"):
+            yield line("level_due", a.level_due, k, rate, mode)
+            yield line("increasing_due", a.increasing_due, k, rate, mode)
+            yield line("increasing_squared_due", a.increasing_squared_due, k, rate, mode)
+            yield line("decreasing_due", a.decreasing_due, k + 2, k, rate, mode)
+            yield line("arithmetic_due", a.arithmetic_due, p, q, k, rate, mode, False)
+            yield line("geometric_due", a.geometric_due, p, q, k, rate, mode, False)
+            yield line("growth_due", a.growth_due, q - 0.9, k, rate, mode)
+        yield line("increasing_squared_due", a.increasing_squared_due, k, rate, "relation")
+
+
+def test_library_grid_digest():
+    text = "\n".join(_library_grid())
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == LIBRARY_GRID_DIGEST
