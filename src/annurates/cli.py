@@ -20,17 +20,12 @@ from dataclasses import asdict, dataclass, replace
 
 from .errors import DomainError, NumericalFailureError
 from .fixed import (
-    _arithmetic_kernel,
-    _decreasing_closed,
-    _geometric_kernel,
-    _increasing_closed,
-    _increasing_squared_closed,
-    _kernel,
-    _level_closed,
-    decreasing_due,
-    increasing_due,
-    increasing_squared_due,
-    level_due,
+    _arithmetic,
+    _decreasing,
+    _geometric,
+    _increasing,
+    _increasing_squared,
+    _level,
 )
 from .identities import run_identity_suites
 from .moments import PaymentPlan, moment_series
@@ -42,7 +37,7 @@ from .oracle import (
     enumerate_series,
     simulate,
 )
-from .rates import SINGULARITY_EPS, fixed_rate, stochastic_rate
+from .rates import fixed_rate, stochastic_rate
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -343,14 +338,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cell(value) -> str:
-    if type(value) is float:
+    if isinstance(value, float):
         return repr(value)
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
     return str(value)
 
 
@@ -365,20 +358,18 @@ def _render_csv(header, rows) -> str:
 
 def _json_fragment(value) -> str:
     """One JSON value; floats carry 17 significant digits (bit-exact reload)."""
-    if type(value) is float and math.isfinite(value):
-        return format(value, ".17g")
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return format(value, ".17g")
+        if math.isnan(value):
+            return "NaN"
+        return "Infinity" if value > 0 else "-Infinity"
     if value is None:
         return "null"
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):
         return str(value)
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "NaN"
-        if math.isinf(value):
-            return "Infinity" if value > 0 else "-Infinity"
-        return format(value, ".17g")
     if isinstance(value, str):
         return json.dumps(value)
     if isinstance(value, dict):
@@ -454,30 +445,14 @@ def _build_plan(cfg: dict) -> PaymentPlan:
 
 
 def _fixed_kernels(rate, n: int, p: float, q_arith: float, q_geom: float, strict: bool) -> dict:
-    """Each column's accumulator in mode "auto" as a kernel of 1 <= k <= n.
-
-    Validation and the route are settled once per table, not once per cell.
-    """
-    singular = abs(rate.j) < SINGULARITY_EPS
+    """Each column's accumulator in mode "auto", built once per table, as a function of k."""
     return {
-        "level": _kernel(
-            lambda k: level_due(k, rate), lambda k: _level_closed(k, rate), singular
-        ),
-        "increasing": _kernel(
-            lambda k: increasing_due(k, rate), lambda k: _increasing_closed(k, rate), singular
-        ),
-        "increasing_sq": _kernel(
-            lambda k: increasing_squared_due(k, rate),
-            lambda k: _increasing_squared_closed(k, rate),
-            singular,
-        ),
-        "decreasing": _kernel(
-            lambda k: decreasing_due(n, k, rate),
-            lambda k: _decreasing_closed(n, k, rate),
-            singular,
-        ),
-        "arithmetic": _arithmetic_kernel(p, q_arith, rate, strict),
-        "geometric": _geometric_kernel(p, q_geom, rate, strict),
+        "level": _level(rate, "auto"),
+        "increasing": _increasing(rate, "auto"),
+        "increasing_sq": _increasing_squared(rate, "auto"),
+        "decreasing": _decreasing(n, rate, "auto"),
+        "arithmetic": _arithmetic(p, q_arith, rate, "auto", strict),
+        "geometric": _geometric(p, q_geom, rate, "auto", strict),
     }
 
 

@@ -11,13 +11,11 @@ range raises NumericalFailureError naming the largest horizon that fits.
 _sum_tables gives the summation values of the level, increasing and
 squared-increasing annuities for every k up to a horizon in one pass.
 
-A caller that needs one accumulator at many horizons (a table, a moment
-series) builds a per-series kernel once: _kernel, _arithmetic_kernel and
-_geometric_kernel settle validation, the route and the k-free factors up
-front, and each call then evaluates the raw closed form the accumulator
-itself evaluates, so the two agree bit for bit.  Where that value is not
-finite or raises OverflowError, the kernel calls the accumulator at that k,
-which raises the NumericalFailureError naming the largest horizon that fits.
+Each accumulator is written once, as a builder (_level, _increasing,
+_increasing_squared, _decreasing, _arithmetic, _geometric): it settles the
+mode, the route, the strict-payment rule and the k-free factors once and
+returns the accumulator as a function of k.  The public function calls it
+at one k; a table or a moment series builds it once and calls it at each k.
 """
 
 from __future__ import annotations
@@ -43,13 +41,18 @@ def _as_rate(rate) -> FixedRate:
     return fixed_rate(rate)
 
 
-def _route(mode: str, singular: bool, allowed=_MODES) -> str:
+def _route(mode: str, singular: bool, allowed=_MODES):
+    """The path mode takes, or the DomainError why it has none.
+
+    The error is returned for the accumulator to raise at each k, after it
+    has checked k and the payments.
+    """
     if mode not in allowed:
-        raise DomainError(f"mode must be one of {allowed}, got {mode!r}")
+        return DomainError(f"mode must be one of {allowed}, got {mode!r}")
     if mode == "auto":
         return "recursive" if singular else "closed"
     if mode in ("closed", "relation") and singular:
-        raise DomainError(
+        return DomainError(
             "closed form is singular for |j| < 1e-9; use mode 'auto' or 'recursive'"
         )
     return mode
@@ -97,26 +100,63 @@ def _evaluate(value, k: int) -> float:
         return math.inf
 
 
-def _checked(value, k: int, rate: FixedRate, mode: str) -> float:
-    """value(k) for an accumulator's value(h) at horizon h >= 1; 0.0 at k = 0.
+def _guarded(path, value, rate: FixedRate, mode: str, check=None):
+    """value, an accumulator of the horizon h >= 1, as a function of k >= 0.
 
-    Explicit modes "recursive" and "sum" return what value computes.  In the
-    other modes a result that leaves double range (inf, NaN or an
-    OverflowError) raises NumericalFailureError naming the largest horizon
-    that fits.
+    In order, the function runs check (the strict-payment rule) at k >= 1,
+    raises path if it is _route's DomainError, and is 0.0 at k = 0.  Outside
+    explicit modes "recursive" and "sum", a value that leaves double range
+    (inf, NaN or OverflowError) raises NumericalFailureError naming the
+    largest horizon that fits.
     """
-    if k == 0:
-        return 0.0
-    if mode in ("recursive", "sum"):
-        return value(k)
-    result = _evaluate(value, k)
-    if math.isfinite(result):
-        return result
-    # the values grow with the horizon: bisect for the first one that does not fit
-    fits = bisect.bisect_left(
-        range(1, k), True, key=lambda h: not math.isfinite(_evaluate(value, h))
-    )
-    raise _overflow(rate, fits)
+    rejected = isinstance(path, DomainError)
+    explicit = mode in ("recursive", "sum")
+
+    def guarded(k):
+        if check and k:
+            check(k)
+        if rejected:
+            raise path.with_traceback(None)
+        if k == 0:
+            return 0.0
+        if explicit:
+            return value(k)
+        result = _evaluate(value, k)
+        if math.isfinite(result):
+            return result
+        # the values grow with the horizon: bisect for the first one that does not fit
+        fits = bisect.bisect_left(
+            range(1, k), True, key=lambda h: not math.isfinite(_evaluate(value, h))
+        )
+        raise _overflow(rate, fits)
+
+    return guarded
+
+
+def _check_arithmetic(p: float, q: float, n: int, name: str = "k") -> None:
+    """Strict mode's rule for the payments p, p+q, ..., p+(n-1)q, called name=n."""
+    if not p > 0.0 or not p + (n - 1) * q > 0.0:
+        raise PaymentPositivityError(
+            f"arithmetic payments must stay positive in strict mode "
+            f"(p={p}, q={q}, {name}={n}); pass strict=False to override"
+        )
+
+
+def _check_geometric(p: float, q: float) -> None:
+    """Strict mode's rule for the payments p, pq, pq^2, ..."""
+    if not p > 0.0 or not q > 0.0:
+        raise PaymentPositivityError(
+            f"geometric payments require p > 0 and q > 0 in strict mode "
+            f"(p={p}, q={q}); pass strict=False to override"
+        )
+
+
+def _growth_ratio(u) -> float:
+    """The payment ratio 1+u of the growth rate u, which must exceed -1."""
+    u = float(u)
+    if not u > -1.0:
+        raise DomainError(f"growth rate must exceed -1, got {u}")
+    return 1.0 + u
 
 
 def _sum_tables(rate, kmax: int, squares: bool = True) -> tuple:
@@ -176,47 +216,6 @@ def _power_diff_quotient(g: float, q: float, k: int) -> float:
     return (g**k - q**k) / (g - q)
 
 
-def _kernel(public, raw, singular: bool):
-    """public, an accumulator as a function of k >= 1, evaluated as raw(k).
-
-    raw is the closed form that public evaluates outside its singular band,
-    with every argument but k bound, so the two agree bit for bit where
-    raw(k) is finite.  Where it is not, or raises OverflowError, public(k)
-    raises the NumericalFailureError naming the largest horizon that fits.
-    Where singular is true (inside the band, or where public raises at every
-    k) the kernel is public itself.
-    """
-    if singular:
-        return public
-
-    def kernel(k):
-        try:
-            value = raw(k)
-        except OverflowError:
-            return public(k)
-        return value if math.isfinite(value) else public(k)
-
-    return kernel
-
-
-def level_due(k, rate, mode: str = "auto") -> float:
-    """Accumulated value of k unit payments.
-
-    Closed form ((1+j)^k - 1)/d with d = j/(1+j); recursion
-    value_k = (1+j)(1 + value_{k-1}).
-    """
-    rate = _as_rate(rate)
-    k = check_int(k, "k", 0)
-    path = _route(mode, abs(rate.j) < SINGULARITY_EPS)
-
-    def value(h):
-        if path == "closed":
-            return _level_closed(h, rate)
-        return _accumulate(1.0 + rate.j, [1.0] * h, path)
-
-    return _checked(value, k, rate, mode)
-
-
 def _level_closed(k: int, rate: FixedRate) -> float:
     """((1+j)^k - 1)/d."""
     # expm1/log1p keeps (1+j)^k - 1 accurate to a couple of ulps even when
@@ -229,25 +228,39 @@ def _increasing_closed(k: int, rate: FixedRate) -> float:
     return (_level_closed(k, rate) - k) / rate.d
 
 
-def _increasing_squared_closed(k: int, rate: FixedRate) -> float:
-    s = _level_closed(k, rate)
-    return (2.0 * _increasing_closed(k, rate) - s - k * k) / rate.d
+def _annuity(rate, mode: str, closed, payments, lead=0.0, tail=0, allowed=_MODES, check=None):
+    """An annuity-due at rate in mode, as a function of k.
 
-
-def _decreasing_closed(n: int, k: int, rate: FixedRate) -> float:
-    return (n + 1) * _level_closed(k, rate) - _increasing_closed(k, rate)
-
-
-def _arithmetic_closed(p: float, q: float, k: int, rate: FixedRate) -> float:
-    """(p-q)*level + q*increasing, with a zero coefficient standing for its term.
-
-    c*x is a zero with c's sign for any finite x > 0, so a term whose
-    coefficient c is zero is c itself; evaluating it would give 0*inf = NaN
-    once its annuity value leaves double range, ending the range early.
+    closed(h) is its closed form at horizon h >= 1; the recursion and the sum
+    accumulate its payments(h) with lead and tail, as _accumulate does.
     """
-    level = (p - q) * _level_closed(k, rate) if p != q else p - q
-    increasing = q * _increasing_closed(k, rate) if q else q
-    return level + increasing
+    path = _route(mode, abs(rate.j) < SINGULARITY_EPS, allowed)
+    if path in ("closed", "relation"):
+        return _guarded(path, closed, rate, mode, check)
+    g = 1.0 + rate.j
+    return _guarded(
+        path, lambda h: _accumulate(g, payments(h), path, lead, tail), rate, mode, check
+    )
+
+
+def _level(rate: FixedRate, mode: str):
+    """level_due at rate in mode, as a function of k."""
+    return _annuity(rate, mode, lambda h: _level_closed(h, rate), lambda h: [1.0] * h)
+
+
+def level_due(k, rate, mode: str = "auto") -> float:
+    """Accumulated value of k unit payments.
+
+    Closed form ((1+j)^k - 1)/d with d = j/(1+j); recursion
+    value_k = (1+j)(1 + value_{k-1}).
+    """
+    rate = _as_rate(rate)
+    return _level(rate, mode)(check_int(k, "k", 0))
+
+
+def _increasing(rate: FixedRate, mode: str):
+    """increasing_due at rate in mode, as a function of k."""
+    return _annuity(rate, mode, lambda h: _increasing_closed(h, rate), lambda h: range(1, h + 1))
 
 
 def increasing_due(k, rate, mode: str = "auto") -> float:
@@ -256,15 +269,21 @@ def increasing_due(k, rate, mode: str = "auto") -> float:
     Closed form (level - k)/d; recursion value_k = (1+j)(k + value_{k-1}).
     """
     rate = _as_rate(rate)
-    k = check_int(k, "k", 0)
-    path = _route(mode, abs(rate.j) < SINGULARITY_EPS)
+    return _increasing(rate, mode)(check_int(k, "k", 0))
 
-    def value(h):
-        if path == "closed":
-            return _increasing_closed(h, rate)
-        return _accumulate(1.0 + rate.j, range(1, h + 1), path)
 
-    return _checked(value, k, rate, mode)
+def _increasing_squared(rate: FixedRate, mode: str):
+    """increasing_squared_due at rate in mode, as a function of k."""
+
+    def closed(h):
+        s = _level_closed(h, rate)
+        if mode == "relation":
+            return ((1.0 + rate.v) * (s + h * h) - 2.0 * h - 2.0 * h * h) / (rate.d * rate.d)
+        return (2.0 * _increasing_closed(h, rate) - s - h * h) / rate.d
+
+    return _annuity(
+        rate, mode, closed, lambda h: [i * i for i in range(1, h + 1)], allowed=_SQ_MODES
+    )
 
 
 def increasing_squared_due(k, rate, mode: str = "auto") -> float:
@@ -275,18 +294,16 @@ def increasing_squared_due(k, rate, mode: str = "auto") -> float:
     equivalent ((1+v)(level + k^2) - 2k - 2k^2)/d^2.
     """
     rate = _as_rate(rate)
-    k = check_int(k, "k", 0)
-    path = _route(mode, abs(rate.j) < SINGULARITY_EPS, allowed=_SQ_MODES)
+    return _increasing_squared(rate, mode)(check_int(k, "k", 0))
 
-    def value(h):
-        if path == "closed":
-            return _increasing_squared_closed(h, rate)
-        if path == "relation":
-            s = _level_closed(h, rate)
-            return ((1.0 + rate.v) * (s + h * h) - 2.0 * h - 2.0 * h * h) / (rate.d * rate.d)
-        return _accumulate(1.0 + rate.j, [i * i for i in range(1, h + 1)], path)
 
-    return _checked(value, k, rate, mode)
+def _decreasing(n: int, rate: FixedRate, mode: str):
+    """decreasing_due with n payments at rate in mode, as a function of k <= n."""
+
+    def closed(h):
+        return (n + 1) * _level_closed(h, rate) - _increasing_closed(h, rate)
+
+    return _annuity(rate, mode, closed, lambda h: [-i for i in range(1, h + 1)], n, 1)
 
 
 def decreasing_due(n, k, rate, mode: str = "auto") -> float:
@@ -302,14 +319,24 @@ def decreasing_due(n, k, rate, mode: str = "auto") -> float:
         raise DomainError(f"n must be at least 1, got {n}")
     if k > n:
         raise DomainError(f"k must not exceed n, got k={k}, n={n}")
-    path = _route(mode, abs(rate.j) < SINGULARITY_EPS)
+    return _decreasing(n, rate, mode)(k)
 
-    def value(h):
-        if path == "closed":
-            return _decreasing_closed(n, h, rate)
-        return _accumulate(1.0 + rate.j, [-i for i in range(1, h + 1)], path, n, 1)
 
-    return _checked(value, k, rate, mode)
+def _arithmetic(p, q, rate: FixedRate, mode: str, strict: bool):
+    """arithmetic_due at rate in mode, as a function of k."""
+    p = float(p)
+    q = float(q)
+
+    def closed(h):
+        # (p-q)*level + q*increasing.  c*x is a zero with c's sign for any
+        # finite x > 0, so a term whose coefficient c is zero is c itself;
+        # evaluating it would give 0*inf = NaN once its annuity value leaves
+        # double range, ending the range early
+        level = (p - q) * _level_closed(h, rate) if p != q else p - q
+        return level + (q * _increasing_closed(h, rate) if q else q)
+
+    check = functools.partial(_check_arithmetic, p, q) if strict else None
+    return _annuity(rate, mode, closed, lambda h: [i * q for i in range(h)], p, check=check)
 
 
 def arithmetic_due(p, q, k, rate, mode: str = "auto", strict: bool = True) -> float:
@@ -320,22 +347,32 @@ def arithmetic_due(p, q, k, rate, mode: str = "auto", strict: bool = True) -> fl
     """
     rate = _as_rate(rate)
     k = check_int(k, "k", 0)
+    return _arithmetic(p, q, rate, mode, strict)(k)
+
+
+def _geometric(p, q, rate: FixedRate, mode: str, strict: bool):
+    """geometric_due at rate in mode, as a function of k."""
     p = float(p)
     q = float(q)
-    if strict and k >= 1:
-        if not p > 0.0 or not p + (k - 1) * q > 0.0:
-            raise PaymentPositivityError(
-                f"arithmetic payments must stay positive in strict mode "
-                f"(p={p}, q={q}, k={k}); pass strict=False to override"
-            )
-    path = _route(mode, abs(rate.j) < SINGULARITY_EPS)
+    g = 1.0 + rate.j
+    # an explicit "closed" is evaluated inside the band too: it stays finite
+    path = _route(mode, False)
+    if mode == "auto" and _geometric_singular(g, q):
+        path = "sum"
+    pg = p * g
 
     def value(h):
         if path == "closed":
-            return _arithmetic_closed(p, q, h, rate)
-        return _accumulate(1.0 + rate.j, [i * q for i in range(h)], path, p)
+            return pg * _power_diff_quotient(g, q, h)
+        if path == "recursive":
+            # iterated powers of q, which reach inf where q**i would overflow
+            powers = itertools.accumulate(itertools.repeat(q, h - 1), operator.mul, initial=1.0)
+        else:
+            powers = (q**i for i in range(h))
+        return _accumulate(g, [p * x for x in powers], path)
 
-    return _checked(value, k, rate, mode)
+    check = (lambda k: _check_geometric(p, q)) if strict else None
+    return _guarded(path, value, rate, mode, check)
 
 
 def geometric_due(p, q, k, rate, mode: str = "auto", strict: bool = True) -> float:
@@ -347,61 +384,12 @@ def geometric_due(p, q, k, rate, mode: str = "auto", strict: bool = True) -> flo
     """
     rate = _as_rate(rate)
     k = check_int(k, "k", 0)
-    p = float(p)
-    q = float(q)
-    if strict and k >= 1:
-        if not p > 0.0 or not q > 0.0:
-            raise PaymentPositivityError(
-                f"geometric payments require p > 0 and q > 0 in strict mode "
-                f"(p={p}, q={q}); pass strict=False to override"
-            )
-    if mode not in _MODES:
-        raise DomainError(f"mode must be one of {_MODES}, got {mode!r}")
-    g = 1.0 + rate.j
-    path = mode
-    if mode == "auto":
-        path = "sum" if _geometric_singular(g, q) else "closed"
-
-    def value(h):
-        if path == "closed":
-            return p * g * _power_diff_quotient(g, q, h)
-        if path == "recursive":
-            # iterated powers of q, which reach inf where q**i would overflow
-            powers = itertools.accumulate(itertools.repeat(q, h - 1), operator.mul, initial=1.0)
-        else:
-            powers = (q**i for i in range(h))
-        return _accumulate(g, [p * x for x in powers], path)
-
-    return _checked(value, k, rate, mode)
+    return _geometric(p, q, rate, mode, strict)(k)
 
 
 def _geometric_singular(g: float, q: float) -> bool:
     """Whether q lies in the band |g-q| < 1e-9*max(1,q) around g = 1+j."""
     return abs(g - q) < SINGULARITY_EPS * max(1.0, q)
-
-
-def _arithmetic_kernel(p: float, q: float, rate: FixedRate, strict: bool = False):
-    """arithmetic_due(p, q, k, rate, strict=strict) as a kernel of k >= 1."""
-    public = functools.partial(arithmetic_due, p, q, rate=rate, strict=strict)
-    kernel = _kernel(
-        public, lambda k: _arithmetic_closed(p, q, k, rate), abs(rate.j) < SINGULARITY_EPS
-    )
-    if not strict:
-        return kernel
-    # strict positivity depends on k; where it fails public raises
-    return lambda k: kernel(k) if p > 0.0 and p + (k - 1) * q > 0.0 else public(k)
-
-
-def _geometric_kernel(p: float, q: float, rate: FixedRate, strict: bool = False):
-    """geometric_due(p, q, k, rate, strict=strict) as a kernel of k >= 1."""
-    public = functools.partial(geometric_due, p, q, rate=rate, strict=strict)
-    g = 1.0 + rate.j
-    pg = p * g
-    # where strict positivity fails, public raises at every k
-    rejected = strict and not (p > 0.0 and q > 0.0)
-    return _kernel(
-        public, lambda k: pg * _power_diff_quotient(g, q, k), rejected or _geometric_singular(g, q)
-    )
 
 
 def growth_due(u, k, rate, mode: str = "auto") -> float:
@@ -410,8 +398,4 @@ def growth_due(u, k, rate, mode: str = "auto") -> float:
     Equals geometric_due(1, 1+u, ...); also equals
     (1+j)^k * level(k at rate t)/(1+t) where (1+u) = (1+j)(1+t).
     """
-    u = float(u)
-    if not u > -1.0:
-        raise DomainError(f"growth rate must exceed -1, got {u}")
-    return geometric_due(1.0, 1.0 + u, k, rate, mode=mode)
-
+    return geometric_due(1.0, _growth_ratio(u), k, rate, mode=mode)

@@ -9,19 +9,21 @@ so its first and second moments satisfy exact one-step recursions driven by
 mu = 1+j and m = (1+j)^2 + s2.  Those recursions are the reference path.
 The closed forms evaluate the same quantities through deterministic annuity
 values at the derived rates f, r, ell and are cross-checked against the
-recursions; on disagreement beyond tolerance the recursion wins and a
-FormulaAuditError is raised.
+recursions.  A closed variance that drifts from the recursion's (the
+subtraction m_k - mu_k^2 can cancel) is silently replaced by it; _audit
+raises FormulaAuditError where a specialized family or the arithmetic
+diagonal part drifts from its reference.
 
 Both paths of moment_series run in time linear in n.  The arithmetic closed
 forms read their level, increasing and squared-increasing annuity values at
 f, r and j from fixed._sum_tables, exact prefix sums rounded once and built
 once per series; inside the singular band the closed series reads the rows
 of its one recursion pass.  Each closed quantity is a per-series kernel
-(_ClosedForms): its route, k-free coefficients and tables are settled once,
-and each year evaluates only the formula, with the geometric sums taken from
-fixed's per-series kernels.  A moment that leaves double range raises
-NumericalFailureError: where a kernel's raw value is not finite, it calls the
-public accumulator at that year, which names the largest horizon that fits.
+(_ClosedForms): its route, k-free coefficients, tables and the accumulators
+it calls (fixed._geometric, fixed._arithmetic) are built once, and each year
+evaluates only the formula.  A moment that leaves double range raises
+NumericalFailureError naming the largest horizon that fits, from those
+accumulators or from fixed._sum_tables.
 
 The second moment splits as m_k = diagonal + 2*cross, where the diagonal
 part collects the squared-payment terms c_i^2 m^{k-i+1} and the cross part
@@ -41,13 +43,15 @@ from .errors import (
     DomainError,
     FormulaAuditError,
     NumericalFailureError,
-    PaymentPositivityError,
     check_int,
 )
 from .fixed import (
-    _arithmetic_kernel,
-    _geometric_kernel,
+    _arithmetic,
+    _check_arithmetic,
+    _check_geometric,
+    _geometric,
     _geometric_singular,
+    _growth_ratio,
     _sum_tables,
     decreasing_due,
     increasing_due,
@@ -98,18 +102,9 @@ class PaymentPlan:
             raise DomainError("payment parameters must be finite")
         if self.strict:
             if self.family == "arithmetic":
-                if not self.p > 0.0 or not self.p + (self.n - 1) * self.q > 0.0:
-                    raise PaymentPositivityError(
-                        f"arithmetic payments must stay positive in strict mode "
-                        f"(p={self.p}, q={self.q}, n={self.n}); "
-                        "pass strict=False to override"
-                    )
+                _check_arithmetic(self.p, self.q, self.n, "n")
             else:
-                if not self.p > 0.0 or not self.q > 0.0:
-                    raise PaymentPositivityError(
-                        f"geometric payments require p > 0 and q > 0 in strict "
-                        f"mode (p={self.p}, q={self.q}); pass strict=False to override"
-                    )
+                _check_geometric(self.p, self.q)
 
     def payment(self, i: int) -> float:
         """Payment made at the start of year i, 1 <= i <= n."""
@@ -146,18 +141,17 @@ class PaymentPlan:
     @classmethod
     def growth(cls, u, n) -> "PaymentPlan":
         """Unit payment growing at rate u > -1 per year."""
-        u = float(u)
-        if not u > -1.0:
-            raise DomainError(f"growth rate must exceed -1, got {u}")
-        return cls(family="geometric", p=1.0, q=1.0 + u, n=n)
+        return cls(family="geometric", p=1.0, q=_growth_ratio(u), n=n)
 
 
 @dataclass(frozen=True)
 class MomentSeries:
     """Moments of the accumulated value for every horizon 1..n.
 
-    Arrays are indexed by k-1.  variance[k-1] equals
-    second_moment[k-1] - mean[k-1]^2 after the negative-variance clamp.
+    Arrays are indexed by k-1.  variance is 0.0 where s2 = 0; otherwise it is
+    second_moment - mean**2 clamped at zero (recursive) or the closed second
+    moment minus the closed squared mean, settled to the recursion (closed),
+    so it need not equal second_moment - mean**2 of these arrays.
     """
 
     plan: PaymentPlan
@@ -295,8 +289,8 @@ class _ClosedForms:
 
     Each of mean, second, diagonal, cross and mean_squared is a per-series
     kernel, a function of k built on first use.  Building it settles what
-    does not depend on k: the route (singular band or not), the geometric
-    accumulators' kernels at j, r and f (fixed._geometric_kernel), the
+    does not depend on k: the route (singular band or not), the accumulators
+    it calls (fixed._geometric at j, r and f, fixed._arithmetic at j), the
     arithmetic coefficients, and the tables it reads, the sum-mode annuity
     tables (fixed._sum_tables) at f and r up to kmax and at j up to 2 kmax
     or, inside the singular band, one pass of the recursion.  A coefficient
@@ -340,23 +334,23 @@ class _ClosedForms:
 
     @cached_property
     def geometric_r(self):
-        return _geometric_kernel(self.plan.p, self.plan.q, self.rr)
+        return _geometric(self.plan.p, self.plan.q, self.rr, "auto", False)
 
     @cached_property
     def geometric_f(self):
         p, q = self.plan.p, self.plan.q
-        return _geometric_kernel(p * p, q * q, self.rf)
+        return _geometric(p * p, q * q, self.rf, "auto", False)
 
     @cached_property
     def mean(self):
         p, q = self.plan.p, self.plan.q
         if self.plan.family == "geometric":
-            return _geometric_kernel(p, q, self.rj)
+            return _geometric(p, q, self.rj, "auto", False)
         if self.singular:
             # arithmetic_due's recursion rounds (v + p) + (i-1)q; the moment
             # recursion rounds v + c_i, and the two must give the same mean
             return _rows(self.ref.mean)
-        return _arithmetic_kernel(p, q, self.rj)
+        return _arithmetic(p, q, self.rj, "auto", False)
 
     @cached_property
     def second(self):

@@ -34,11 +34,18 @@ per-year sum.  Every name, case count, tolerance and row position is unchanged.
 LIBRARY_GRID_DIGEST pins the library itself the same way: the bits of every
 public value function, or the exception it raises, over a seeded grid of
 1,200 cases (_library_grid).  It was recorded before the per-series kernels
-replaced the per-k calls of the public accumulators, and they left it
-unchanged.
+replaced the per-k calls of the public accumulators, and neither they nor
+the accumulator builders that later replaced them moved it.
+
+EDGE_GRID_DIGEST pins the order of the fixed-rate accumulators' checks:
+LIBRARY_GRID_DIGEST calls them only in valid modes and with strict=False,
+so it never sees which of an invalid rate, horizon, payment or mode raises
+first.  It was recorded before the accumulators became builders of
+functions of k, and the builders left it unchanged.
 """
 
 import hashlib
+import math
 import random
 
 import pytest
@@ -103,12 +110,28 @@ GOLDEN = [
 
 LIBRARY_GRID_DIGEST = "40fa82700bcf9cd75ea1d9464f18b254bac82ef00c2bf2f3beca4f035855b979"
 
+EDGE_GRID_DIGEST = "ccc54949606ea373b942c30fed89fe520489984c78c22e491dbd76239831d322"
+
 
 @pytest.mark.parametrize("command, digest, code", GOLDEN, ids=[g[0] for g in GOLDEN])
 def test_golden_output(command, digest, code, capsys):
     assert main(command.split()) == code
     stdout = capsys.readouterr().out
     assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == digest
+
+
+def _line(name, fn, *args):
+    """fn(*args) as one line: its arguments and the float bits of its result,
+    or the type and message of what it raised."""
+    try:
+        value = fn(*args)
+    except Exception as exc:
+        return f"{name}{args!r} raises {type(exc).__name__}: {exc}"
+    if isinstance(value, tuple):
+        return f"{name}{args!r} = {[float(x).hex() for x in value]}"
+    if hasattr(value, "tobytes"):
+        return f"{name}{args!r} = {value.tobytes().hex()}"
+    return f"{name}{args!r} = {float(value).hex()}"
 
 
 def _library_grid():
@@ -120,17 +143,6 @@ def _library_grid():
     variances, negative payments outside strict mode, every fixed-rate mode
     and horizons up to 400; it stays inside double range.
     """
-    def line(name, fn, *args):
-        try:
-            value = fn(*args)
-        except Exception as exc:
-            return f"{name}{args!r} raises {type(exc).__name__}: {exc}"
-        if isinstance(value, tuple):
-            return f"{name}{args!r} = {[float(x).hex() for x in value]}"
-        if hasattr(value, "tobytes"):
-            return f"{name}{args!r} = {value.tobytes().hex()}"
-        return f"{name}{args!r} = {float(value).hex()}"
-
     def series_columns(plan, spec, method):
         series = a.moment_series(plan, spec, method)
         columns = (series.mean, series.second_moment, series.variance)
@@ -152,7 +164,7 @@ def _library_grid():
         plan = a.PaymentPlan(family=family, p=p, q=q, n=n, strict=False)
         spec = a.stochastic_rate(j, s2)
         for method in ("closed", "recursive"):
-            yield line("moment_series", series_columns, plan, spec, method)
+            yield _line("moment_series", series_columns, plan, spec, method)
         for k in sorted({1, (n + 1) // 2, n}):
             for name in (
                 "mean_closed",
@@ -162,16 +174,16 @@ def _library_grid():
                 "second_moment_diagonal",
                 "second_moment_cross",
             ):
-                yield line(name, getattr(a, name), plan, spec, k)
+                yield _line(name, getattr(a, name), plan, spec, k)
     for _ in range(200):
         j = rng.choice(rates + [rng.uniform(-0.3, 0.5)])
         spec = a.stochastic_rate(j, rng.choice([0.0, 1e-8, 0.01, 0.04]))
         k = rng.choice([0, 1, 2, 5, 30, 100])
         u = rng.choice([0.03, 0.1, j, -0.02])
-        yield line("level_moments", a.level_moments, spec, k)
-        yield line("increasing_moments", a.increasing_moments, spec, k)
-        yield line("decreasing_moments", a.decreasing_moments, spec, k + 3, k)
-        yield line("growth_moments", a.growth_moments, spec, a.geometric_aux(spec, u), k)
+        yield _line("level_moments", a.level_moments, spec, k)
+        yield _line("increasing_moments", a.increasing_moments, spec, k)
+        yield _line("decreasing_moments", a.decreasing_moments, spec, k + 3, k)
+        yield _line("growth_moments", a.growth_moments, spec, a.geometric_aux(spec, u), k)
     for _ in range(600):
         j = rng.choice(rates + [rng.uniform(-0.9, 1.0)])
         rate = a.fixed_rate(j)
@@ -179,16 +191,67 @@ def _library_grid():
         p = rng.choice([1.0, 2.5, -1.0])
         q = rng.choice([0.0, 1.0, 1.05, 1.5, 1.0 + j, -0.5])
         for mode in ("auto", "closed", "recursive", "sum"):
-            yield line("level_due", a.level_due, k, rate, mode)
-            yield line("increasing_due", a.increasing_due, k, rate, mode)
-            yield line("increasing_squared_due", a.increasing_squared_due, k, rate, mode)
-            yield line("decreasing_due", a.decreasing_due, k + 2, k, rate, mode)
-            yield line("arithmetic_due", a.arithmetic_due, p, q, k, rate, mode, False)
-            yield line("geometric_due", a.geometric_due, p, q, k, rate, mode, False)
-            yield line("growth_due", a.growth_due, q - 0.9, k, rate, mode)
-        yield line("increasing_squared_due", a.increasing_squared_due, k, rate, "relation")
+            yield _line("level_due", a.level_due, k, rate, mode)
+            yield _line("increasing_due", a.increasing_due, k, rate, mode)
+            yield _line("increasing_squared_due", a.increasing_squared_due, k, rate, mode)
+            yield _line("decreasing_due", a.decreasing_due, k + 2, k, rate, mode)
+            yield _line("arithmetic_due", a.arithmetic_due, p, q, k, rate, mode, False)
+            yield _line("geometric_due", a.geometric_due, p, q, k, rate, mode, False)
+            yield _line("growth_due", a.growth_due, q - 0.9, k, rate, mode)
+        yield _line("increasing_squared_due", a.increasing_squared_due, k, rate, "relation")
 
 
 def test_library_grid_digest():
     text = "\n".join(_library_grid())
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == LIBRARY_GRID_DIGEST
+
+
+def _plan_ratio(*args):
+    return a.PaymentPlan(*args).q
+
+
+def _edge_grid():
+    """Every fixed-rate accumulator where its argument checks meet.
+
+    Yields one line per call, as _library_grid does.  The grid crosses every
+    mode, with "relation" and an invalid one; strict and non-strict payments,
+    some of which turn nonpositive only after the first year; an invalid
+    rate and horizon; horizons 0, 1 and 5, and 1746 and 1800, which leave
+    double range at j = 0.5; the singular bands j = 0 and q = 1+j; and growth
+    rates u = -1 and nan.  So it pins which check raises first, and with what
+    message, as well as every value.  Payment plans built from the same
+    payments and growth rates follow.
+    """
+    modes = ("auto", "closed", "recursive", "sum", "relation", "bogus")
+    for j in (0.0, 1e-10, 0.05, 0.5, -0.1, -1.0):
+        for k in (0, 1, 5, 1746, 1800, -1):
+            for mode in modes:
+                yield _line("level_due", a.level_due, k, j, mode)
+                yield _line("increasing_due", a.increasing_due, k, j, mode)
+                yield _line("increasing_squared_due", a.increasing_squared_due, k, j, mode)
+                for n in (k + 2, 3):
+                    yield _line("decreasing_due", a.decreasing_due, n, k, j, mode)
+                for strict in (True, False):
+                    for p in (1.0, 0.0, -1.0):
+                        for q in (0.0, 0.5, -0.5):
+                            args = (p, q, k, j, mode, strict)
+                            yield _line("arithmetic_due", a.arithmetic_due, *args)
+                        for q in (1.5, 0.0, -0.5, 1.0 + j):
+                            args = (p, q, k, j, mode, strict)
+                            yield _line("geometric_due", a.geometric_due, *args)
+                for u in (-1.0, math.nan, 0.05, j, 0.5):
+                    yield _line("growth_due", a.growth_due, u, k, j, mode)
+    # a payment plan applies the same strict and growth-rate checks to its n
+    for n in (0, 1, 5):
+        for strict in (True, False):
+            for family in ("arithmetic", "geometric"):
+                for p in (1.0, 0.0, -1.0):
+                    for q in (0.0, 0.5, -0.5, 1.5):
+                        yield _line("PaymentPlan", _plan_ratio, family, p, q, n, strict)
+        for u in (-1.0, math.nan, 0.05):
+            yield _line("PaymentPlan.growth", lambda *args: a.PaymentPlan.growth(*args).q, u, n)
+
+
+def test_edge_grid_digest():
+    text = "\n".join(_edge_grid())
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == EDGE_GRID_DIGEST

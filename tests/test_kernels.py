@@ -1,10 +1,13 @@
-"""Per-series kernels against the public functions they stand for.
+"""Accumulators built once and called at many k, against the public functions.
 
-A kernel settles validation, the route and every k-free factor once, then
-evaluates the raw closed form at each k.  These properties draw parameters
-over the whole domain, the edges of the singular bands and horizons past
-double range, and require each kernel value to carry the public function's
-bits, or the kernel to raise exactly what the public function raises.
+A builder in fixed (_level, ..., _arithmetic, _geometric) settles the mode,
+the route, the strict rule and every k-free factor once and returns the
+accumulator as a function of k; the CLI's tables and the closed moment
+series call one such function at every k, where a public function builds
+its own at one k.  These properties draw parameters over the whole domain,
+the edges of the singular bands and horizons past double range, and require
+each value to carry the public function's bits, or the call to raise exactly
+what the public function raises.
 """
 
 import numpy as np
@@ -29,7 +32,7 @@ from annurates import (
     variance_closed,
 )
 from annurates import cli, fixed, moments
-from annurates.fixed import _arithmetic_kernel, _geometric_kernel
+from annurates.fixed import _arithmetic, _geometric
 from annurates.rates import SINGULARITY_EPS
 
 
@@ -82,8 +85,10 @@ class TestFixedKernels:
         }
         kernels = cli._fixed_kernels(rate, n, p, q_arith, q_geom, strict)
         assert kernels.keys() == public.keys()
+        # each function is called at two horizons, as a table calls it at many
         for name, kernel in kernels.items():
-            assert outcome(kernel, k) == outcome(public[name], k), name
+            for h in (k, 1):
+                assert outcome(kernel, h) == outcome(public[name], h), name
 
     @given(st.data(), rates, st.floats(min_value=0.0, max_value=1.0), payments, horizons)
     @settings(max_examples=300, deadline=None)
@@ -101,11 +106,11 @@ class TestFixedKernels:
             geometric_due, p * p, q * q, k, rf, "auto", False
         )
         q = data.draw(payments)
-        kernel = _arithmetic_kernel(p, q, rj)
+        kernel = _arithmetic(p, q, rj, "auto", False)
         assert outcome(kernel, k) == outcome(arithmetic_due, p, q, k, rj, "auto", False)
-        strict = _arithmetic_kernel(p, q, rj, strict=True)
+        strict = _arithmetic(p, q, rj, "auto", True)
         assert outcome(strict, k) == outcome(arithmetic_due, p, q, k, rj)
-        strict = _geometric_kernel(p, q, rj, strict=True)
+        strict = _geometric(p, q, rj, "auto", True)
         assert outcome(strict, k) == outcome(geometric_due, p, q, k, rj)
 
     @given(
@@ -154,7 +159,7 @@ def test_closed_geometric_series_calls_no_public_accumulator(monkeypatch):
 
 def test_kernel_past_double_range_raises_what_the_accumulator_raises():
     rate = fixed_rate(0.3)
-    kernel = _geometric_kernel(1.0, 1.5, rate)
+    kernel = _geometric(1.0, 1.5, rate, "auto", False)
     assert kernel(1745) == geometric_due(1.0, 1.5, 1745, rate)
     failure = outcome(kernel, 1746)
     assert failure == outcome(geometric_due, 1.0, 1.5, 1746, rate)
