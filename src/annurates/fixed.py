@@ -6,8 +6,8 @@ Each accumulator offers a closed form, a one-step recursion and a direct
 summation; the last two are the same _accumulate over the accumulator's
 payment list.  Mode "auto" (the default) uses the closed form except inside
 the singular band of its denominator, where it falls back to the recursion.
-A result of any mode but an explicit "recursive" or "sum" that leaves double
-range raises NumericalFailureError naming the largest horizon that fits.
+A result of any mode but an explicit "recursive" that leaves double range
+raises NumericalFailureError naming the largest horizon that fits.
 _sum_tables gives the summation values of the level, increasing and
 squared-increasing annuities for every k up to a horizon in one pass.
 
@@ -78,7 +78,10 @@ def _accumulate(g: float, payments, path: str, lead=0.0, tail=0) -> float:
     for c in reversed(payments):
         x *= g  # g^(k-i+1) by iterated multiplication
         terms.append(c * x)
-    return math.fsum(terms)
+    try:
+        return math.fsum(terms)
+    except ValueError:  # terms of both infinite signs
+        return math.nan
 
 
 # an exact value rounds to a finite double while it stays below this
@@ -105,12 +108,12 @@ def _guarded(path, value, rate: FixedRate, mode: str, check=None):
 
     In order, the function runs check (the strict-payment rule) at k >= 1,
     raises path if it is _route's DomainError, and is 0.0 at k = 0.  Outside
-    explicit modes "recursive" and "sum", a value that leaves double range
-    (inf, NaN or OverflowError) raises NumericalFailureError naming the
-    largest horizon that fits.
+    an explicit mode "recursive", a value that leaves double range (inf, NaN
+    or OverflowError) raises NumericalFailureError naming the largest
+    horizon that fits.
     """
     rejected = isinstance(path, DomainError)
-    explicit = mode in ("recursive", "sum")
+    explicit = mode == "recursive"
 
     def guarded(k):
         if check and k:

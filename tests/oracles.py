@@ -6,10 +6,17 @@ values frozen into the test suite trace back to an arithmetic the
 implementation does not share.  Payments arrive at the start of each year
 and every balance earns that year's rate, so along a rate path g_1..g_k
 the balance obeys C_t = (C_{t-1} + c_t) * g_t.
+
+The one floating-point function, two_point_lanes, is a copy of an earlier
+enumeration loop, kept as a bit-level reference for the current one; it
+reads only the plan's payment(t) and the rate's mu and s2.
 """
 
+import math
 from fractions import Fraction
 from itertools import product
+
+import numpy as np
 
 
 def arithmetic_payments(p, q, n):
@@ -94,3 +101,33 @@ def moment_recursion(payments, j, s2):
         means.append(mu)
         seconds.append(m)
     return means, seconds
+
+
+def two_point_lanes(plan, spec, k):
+    """Per-year (mean, second moment, variance) tuples, in floating point.
+
+    The all-lanes enumeration that annurates.enumerate_series ran before it
+    built the distinct balances one year at a time: every one of the 2^k
+    paths is carried from year 1.  Its loop is copied verbatim, so it is a
+    bit-level reference for the faster loop, not an exact one; the argument
+    checks are left to the function under test.
+    """
+    s = math.sqrt(spec.s2)
+    means = np.empty(k)
+    seconds = np.empty(k)
+    # a degenerate rate has a single deterministic path
+    idx = np.arange(1 if s == 0.0 else 1 << k, dtype=np.uint32)
+    c = np.zeros(len(idx))
+    lo, hi = spec.mu - s, spec.mu + s
+    for t in range(1, k + 1):
+        bits = (idx >> (t - 1)) & 1
+        g = np.where(bits == 1, hi, lo)
+        c = (c + plan.payment(t)) * g
+        means[t - 1] = c.mean()
+        seconds[t - 1] = np.mean(c * c)
+    variance = np.maximum(seconds - means * means, 0.0)
+    return (
+        tuple(float(x) for x in means),
+        tuple(float(x) for x in seconds),
+        tuple(float(x) for x in variance),
+    )

@@ -351,6 +351,20 @@ class TestDoubleRange:
         # p = q leaves only the increasing term
         assert arithmetic_due(1.0, 1.0, 1745, rate) == increasing_due(1745, rate)
 
+    @pytest.mark.parametrize(
+        "value, fits",
+        [
+            # fsum's partial sums overflow
+            (functools.partial(level_due, 1800, 0.5, "sum"), 1747),
+            # the terms reach inf of both signs, which fsum rejects
+            (functools.partial(geometric_due, 1.0, -0.5, 1800, 0.5, "sum", False), 1750),
+        ],
+        ids=["level", "geometric-alternating"],
+    )
+    def test_sum_mode_overflow_is_numerical_failure(self, value, fits):
+        with pytest.raises(NumericalFailureError, match=f"fits is {fits}$"):
+            value()
+
     def test_explicit_modes_are_unchecked(self):
         rate = fixed_rate(0.5)
         assert increasing_due(1800, rate, mode="recursive") == math.inf
