@@ -28,7 +28,7 @@ from .fixed import (
     _level,
 )
 from .identities import run_identity_suites
-from .moments import PaymentPlan, moment_series
+from .moments import PaymentPlan, _series_columns, moment_series
 from .oracle import (
     ENUMERATION_MAX_HORIZON,
     RateDistribution,
@@ -481,22 +481,17 @@ def cmd_fixed(cfg: dict) -> int:
     return EXIT_OK
 
 
-def _reported(series) -> tuple:
-    """The mean, second-moment and variance columns as lists of Python floats."""
-    return series.mean.tolist(), series.second_moment.tolist(), series.variance.tolist()
-
-
 def cmd_moments(cfg: dict) -> int:
     """Per-year analytic moment table under a random annual rate."""
     plan = _build_plan(cfg)
     spec = stochastic_rate(cfg["j"], cfg["s2"])
     method = cfg["method"]
-    primary = moment_series(plan, spec, "closed" if method == "both" else method)
     header = ["k", "mean", "second_moment", "variance"]
-    columns = _reported(primary)
+    # the mean, second-moment and variance columns, as Python floats
+    columns = _series_columns(plan, spec, "closed" if method == "both" else method)[:3]
     rows = [[k, *values] for k, values in enumerate(zip(*columns), 1)]
     if method == "both":
-        other = _reported(moment_series(plan, spec, "recursive"))
+        other = _series_columns(plan, spec, "recursive")[:3]
         header.append("max_discrepancy")
         for row, *pairs in zip(rows, *map(zip, columns, other)):
             row.append(max(abs(a - b) / max(1.0, abs(b)) for a, b in pairs))

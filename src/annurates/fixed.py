@@ -64,7 +64,8 @@ def _accumulate(g: float, payments, path: str, lead=0.0, tail=0) -> float:
     Payment i is made at the start of year i.  Path "recursive" runs
     value = g*(value + lead + payments[i] + tail), adding left to right, so
     the split of c_i fixes how the recursion rounds; path "sum" adds the
-    terms c_i g^(k-i+1) with a single rounding.
+    terms c_i g^(k-i+1) with a single rounding, leaving out each zero
+    payment, which adds nothing even where its g^(k-i+1) is inf.
     """
     if path == "recursive":
         value = 0.0
@@ -77,7 +78,8 @@ def _accumulate(g: float, payments, path: str, lead=0.0, tail=0) -> float:
     x = 1.0
     for c in reversed(payments):
         x *= g  # g^(k-i+1) by iterated multiplication
-        terms.append(c * x)
+        if c:
+            terms.append(c * x)
     try:
         return math.fsum(terms)
     except ValueError:  # terms of both infinite signs
@@ -365,8 +367,12 @@ def _geometric(p, q, rate: FixedRate, mode: str, strict: bool):
     pg = p * g
 
     def value(h):
+        # p = 0 pays nothing: its value is zero even where q^i or the
+        # quotient leaves double range, which 0*inf would turn into NaN
         if path == "closed":
-            return pg * _power_diff_quotient(g, q, h)
+            return pg * _power_diff_quotient(g, q, h) if p else pg
+        if not p:
+            return _accumulate(g, [p] * h, path)
         if path == "recursive":
             # iterated powers of q, which reach inf where q**i would overflow
             powers = itertools.accumulate(itertools.repeat(q, h - 1), operator.mul, initial=1.0)

@@ -28,6 +28,10 @@ accumulators or from fixed._sum_tables.
 The second moment splits as m_k = diagonal + 2*cross, where the diagonal
 part collects the squared-payment terms c_i^2 m^{k-i+1} and the cross part
 collects c_i mu_{i-1} m^{k-i+1}.
+
+Every value is a Python float.  Only the functions that return arrays
+(moment_series, the *_series functions and PaymentPlan.payments) import
+numpy, when they are called; the CLI's tables read _series_columns.
 """
 
 from __future__ import annotations
@@ -35,9 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (
     DomainError,
@@ -65,6 +67,9 @@ from .rates import (
     fixed_rate,
     geometric_aux,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Negative closed-form variances within this fraction of the second moment
 # are treated as cancellation noise and clamped to zero.
@@ -115,6 +120,7 @@ class PaymentPlan:
         return self.p * self.q ** (i - 1)
 
     def payments(self) -> np.ndarray:
+        import numpy as np
         return np.array([self.payment(i) for i in range(1, self.n + 1)])
 
     @classmethod
@@ -250,16 +256,19 @@ def _general_reference(plan: PaymentPlan, spec: StochasticRateSpec, k: int):
 
 def mean_series(plan: PaymentPlan, spec: StochasticRateSpec) -> np.ndarray:
     """Mean accumulated value for k = 1..n, from the recursion."""
+    import numpy as np
     return np.array(_recursion(plan, spec).mean)
 
 
 def second_moment_series(plan: PaymentPlan, spec: StochasticRateSpec) -> np.ndarray:
     """Second moment for k = 1..n, from the recursion."""
+    import numpy as np
     return np.array(_recursion(plan, spec).second)
 
 
 def variance_series(plan: PaymentPlan, spec: StochasticRateSpec) -> np.ndarray:
     """Variance for k = 1..n from the moment recursions, clamped at zero."""
+    import numpy as np
     return np.array(_variances(_recursion(plan, spec), spec))
 
 
@@ -512,17 +521,14 @@ class _ClosedForms:
         return _settle_variance(candidate, var_r)
 
     def series(self) -> tuple:
-        """(mean, second moment, diagonal, cross, variance) lists for k = 1..kmax."""
+        """(mean, second moment, variance, diagonal, cross) lists for k = 1..kmax."""
+        # evaluated in this order, which decides the error an overflow raises
         ks = range(1, self.kmax + 1)
         mean = list(map(self.mean, ks))
         second = list(map(self.second, ks))
-        return (
-            mean,
-            second,
-            list(map(self.diagonal, ks)),
-            list(map(self.cross, ks)),
-            list(map(self.variance, ks, second)),
-        )
+        diagonal = list(map(self.diagonal, ks))
+        cross = list(map(self.cross, ks))
+        return mean, second, list(map(self.variance, ks, second)), diagonal, cross
 
 
 def mean_closed(plan: PaymentPlan, spec: StochasticRateSpec, k) -> float:
@@ -569,28 +575,23 @@ def variance_closed(plan: PaymentPlan, spec: StochasticRateSpec, k) -> float:
     return closed.variance(k, closed.second(k))
 
 
+def _series_columns(plan: PaymentPlan, spec: StochasticRateSpec, method: str) -> tuple:
+    """(mean, second moment, variance, diagonal, cross) for k = 1..n, as Python floats."""
+    if method not in ("recursive", "closed"):
+        raise DomainError(f"method must be 'recursive' or 'closed', got {method!r}")
+    if method == "closed":
+        return _ClosedForms(plan, spec, plan.n).series()
+    ref = _recursion(plan, spec)
+    return ref.mean, ref.second, _variances(ref, spec), ref.diagonal, ref.cross
+
+
 def moment_series(
     plan: PaymentPlan, spec: StochasticRateSpec, method: str = "recursive"
 ) -> MomentSeries:
     """Full mean/second-moment/variance series for k = 1..n."""
-    if method not in ("recursive", "closed"):
-        raise DomainError(f"method must be 'recursive' or 'closed', got {method!r}")
-    if method == "recursive":
-        ref = _recursion(plan, spec)
-        mean, second, diag, cross = ref
-        var = _variances(ref, spec)
-    else:
-        mean, second, diag, cross, var = _ClosedForms(plan, spec, plan.n).series()
-    return MomentSeries(
-        plan=plan,
-        spec=spec,
-        method=method,
-        mean=np.array(mean),
-        second_moment=np.array(second),
-        variance=np.array(var),
-        diagonal=np.array(diag),
-        cross=np.array(cross),
-    )
+    columns = _series_columns(plan, spec, method)
+    import numpy as np
+    return MomentSeries(plan, spec, method, *map(np.array, columns))
 
 
 # ---------------------------------------------------------------------------

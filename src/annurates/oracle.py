@@ -6,19 +6,24 @@ without any appeal to the closed forms.  Monte Carlo simulates the same
 accumulation under a chosen rate distribution with a counter-based RNG whose
 substreams depend only on (seed, path index), so estimates are bit-identical
 for any worker count.
+
+Both oracles import numpy when they are called, and simulate imports its
+thread pool only for more than one worker, so importing the package loads
+neither.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, EnumerationBudgetError, ShapeMismatchError, check_int
 from .moments import MomentSeries, PaymentPlan
 from .rates import StochasticRateSpec, stochastic_rate
+
+if TYPE_CHECKING:
+    import numpy as np
 
 ENUMERATION_MAX_HORIZON = 24
 
@@ -179,6 +184,7 @@ def enumerate_series(
         raise DomainError(
             f"two-point support reaches 1+i <= 0 (lowest rate {spec.j - s})"
         )
+    import numpy as np
     means = np.empty(k)
     seconds = np.empty(k)
     # a degenerate rate has a single deterministic path
@@ -217,6 +223,7 @@ def enumerate_exact(
 
 def _batch_generator(seed: int, batch_index: int) -> np.random.Generator:
     """Philox substream for one block of paths; depends only on (seed, block)."""
+    import numpy as np
     return np.random.Generator(np.random.Philox(key=seed, counter=batch_index << 128))
 
 
@@ -229,6 +236,7 @@ def _simulate_batch(
     k: int,
 ) -> np.ndarray:
     """Power sums (S1..S4 per year) of the accumulated value over one block."""
+    import numpy as np
     rng = _batch_generator(seed, batch_index)
     gross = distribution.sample_gross(rng, (batch_size, k))
     sums = np.empty((4, k))
@@ -256,6 +264,8 @@ def simulate(
     index and partial sums are reduced in block order.
     """
     k = check_int(k, "k", 1, plan.n)
+    # loaded here, before any worker thread imports it
+    import numpy as np
     n = config.paths
     n_batches = (n + _BATCH_PATHS - 1) // _BATCH_PATHS
 
@@ -264,6 +274,7 @@ def simulate(
         return _simulate_batch(plan, distribution, config.seed, b, size, k)
 
     if config.workers > 1 and n_batches > 1:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
             batch_sums = list(pool.map(run, range(n_batches)))
     else:

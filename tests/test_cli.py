@@ -343,3 +343,72 @@ class TestRepeatedCallsInProcess:
             fresh = run_cli(*argv, env={**os.environ, "COLUMNS": "80"})
             assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
         assert code == 0 and out.startswith("k,level,")
+
+
+class TestNumpyFreePath:
+    """Which heavy modules a fresh interpreter has loaded after each call.
+
+    pytest's own process has numpy loaded, so each case runs in a new one.
+    """
+
+    PRELUDE = (
+        "import contextlib, io, json, sys\n"
+        "import annurates as a\n"
+        "from annurates import cli\n"
+        "def main(*argv):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        "        assert cli.main(list(argv)) == 0, argv\n"
+        "def loaded():\n"
+        "    return [name in sys.modules for name in ('numpy', 'concurrent.futures')]\n"
+    )
+    MOMENTS = "'moments', '--family', 'arithmetic', '--p', '2', '--q', '0.3', '--n', '40', " \
+        "'--j', '0.05', '--s2', '0.01', '--method', 'both'"
+    VERIFY = "'verify', '--family', 'level', '--n', '4', '--j', '0.05', '--s2', '0.01', " \
+        "'--paths', '2e4'"
+
+    def loaded_after(self, body):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        ))
+        proc = subprocess.run(
+            [sys.executable, "-c", self.PRELUDE + body],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    def test_tables_and_point_functions_leave_numpy_unloaded(self):
+        body = (
+            f"main({self.MOMENTS}, '--output', 'json')\n"
+            f"main({self.MOMENTS}, '--output', 'csv')\n"
+            "main('fixed', '--n', '30', '--j', '0.07', '--family', 'all', '--q', '0.1')\n"
+            "plan = a.PaymentPlan.increasing(10)\n"
+            "spec = a.stochastic_rate(0.05, 0.01)\n"
+            "a.level_due(10, 0.05)\n"
+            "a.mean_closed(plan, spec, 10)\n"
+            "a.variance_closed(plan, spec, 10)\n"
+            "print(json.dumps(loaded()))\n"
+        )
+        assert self.loaded_after(body) == [False, False]
+
+    def test_moment_series_returns_numpy_arrays(self):
+        body = (
+            "import numpy\n"
+            "series = a.moment_series(a.PaymentPlan.level(5), a.stochastic_rate(0.05, 0.01))\n"
+            "assert isinstance(series.variance, numpy.ndarray)\n"
+            "assert all(type(x) is float for x in series.mean.tolist())\n"
+            "print(json.dumps(loaded()))\n"
+        )
+        assert self.loaded_after(body) == [True, False]
+
+    def test_verify_loads_numpy_and_only_workers_load_a_thread_pool(self):
+        body = (
+            "before = loaded()\n"
+            f"main({self.VERIFY})\n"
+            "one = loaded()\n"
+            f"main({self.VERIFY}, '--workers', '2')\n"
+            "print(json.dumps([before, one, loaded()]))\n"
+        )
+        assert self.loaded_after(body) == [[False, False], [True, False], [True, True]]

@@ -365,6 +365,22 @@ class TestDoubleRange:
         with pytest.raises(NumericalFailureError, match=f"fits is {fits}$"):
             value()
 
+    @pytest.mark.parametrize(
+        "fn, args, modes",
+        [
+            # q^i and the closed quotient overflow; the payments are all zero
+            (geometric_due, (0.0, 1.5, 1800, 0.05), ("recursive", "auto", "closed", "sum")),
+            # g^i overflows where every payment is zero
+            (geometric_due, (0.0, 0.0, 1800, 0.5), ("auto", "sum")),
+            (arithmetic_due, (0.0, 0.0, 1800, 0.5), ("sum",)),
+        ],
+        ids=["geometric-q-overflows", "geometric-zero", "arithmetic-zero"],
+    )
+    def test_zero_payments_stay_zero_past_double_range(self, fn, args, modes):
+        for mode in modes:
+            value = fn(*args, mode, strict=False)
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0, mode
+
     def test_explicit_modes_are_unchecked(self):
         rate = fixed_rate(0.5)
         assert increasing_due(1800, rate, mode="recursive") == math.inf

@@ -52,6 +52,18 @@ fsum's intermediate overflow; 30, geometric and growth with q = 1.5 at each
 rate but -1.0, raised OverflowError from q**i; two geometric calls at
 j = 0.5 with q = -0.5 raised ValueError ("-inf + inf in fsum"); and five
 geometric and arithmetic calls at j = 0.5 with p or q zero returned NaN.
+
+EDGE_GRID_DIGEST was re-recorded again when a zero payment stopped adding
+0 * inf: mode "sum" leaves zero payments out, and geometric_due with p = 0
+is zero in every mode.  33 lines moved, each a non-strict call with p = 0
+that now returns 0.0, and nothing else did.  32 are geometric_due:
+q = 1.5 at k = 1800 in modes auto, closed, recursive and sum at each of
+j = 0.0, 1e-10, 0.05, -0.1 and 0.5, where j = 0.5 meets it twice (q = 1.5
+and q = 1+j); q = 1.5 in mode closed at j = 0.5 and k = 1746, twice the
+same way; and q = 0.0 and -0.5 at j = 0.5 and k = 1800 in modes auto,
+closed and sum.  The 33rd is arithmetic_due(0.0, 0.0, 1800, 0.5, 'sum').
+Before, the six mode "recursive" calls returned NaN (0 * inf in the
+payment list) and the other 27 raised NumericalFailureError.
 """
 
 import hashlib
@@ -120,7 +132,7 @@ GOLDEN = [
 
 LIBRARY_GRID_DIGEST = "40fa82700bcf9cd75ea1d9464f18b254bac82ef00c2bf2f3beca4f035855b979"
 
-EDGE_GRID_DIGEST = "3c3394024cc22b6d798d315e01747b812ccd47a009cfe494971d0c3af24702d6"
+EDGE_GRID_DIGEST = "76a4f7bd0286a9008aaeeffc4feed70df2a49dd94f36fa2196cfde6e3bb15dd1"
 
 
 @pytest.mark.parametrize("command, digest, code", GOLDEN, ids=[g[0] for g in GOLDEN])
