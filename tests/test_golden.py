@@ -31,6 +31,12 @@ to 2.4864504912045573e-11 (tol 1e-9) and arithmetic-decomposition from
 cases read a table entry that is correctly rounded and 1 ulp away from the
 per-year sum.  Every name, case count, tolerance and row position is unchanged.
 
+The last three digests were recorded before the per-cell renderers gave way
+to one table renderer, so that every command is pinned in both formats: the
+JSON fixed table (with its list field "columns"), the CSV verify report (str,
+bool and empty cells) and the JSON identities report.  The verify command
+above already pins the JSON verify report, its default format.
+
 LIBRARY_GRID_DIGEST pins the library itself the same way: the bits of every
 public value function, or the exception it raises, over a seeded grid of
 1,200 cases (_library_grid).  It was recorded before the per-series kernels
@@ -125,6 +131,21 @@ GOLDEN = [
     (
         "fixed --n 30 --j 0 --family all --p 1.5 --q 0.1",
         "ef30801aae89ed1c9a976ad62c098fbccbe340fa49212480f125d6766c344284",
+        0,
+    ),
+    (
+        "fixed --n 30 --j 0.07 --family all --q 0.1 --output json",
+        "6d9a1dc7e9b39c0d715451dc7086def8545a7fc801cf1f1ad9a0596b5470ef11",
+        0,
+    ),
+    (
+        "verify --family increasing --n 8 --j 0.1 --s2 0.04 --paths 2e4 --output csv",
+        "b375d165662147ff20ee8754897245a215f01a9550d33e056d6cf3dc47471319",
+        0,
+    ),
+    (
+        "identities --output json",
+        "4b2d91bd55c3169593c67a4f33ab3370bf3a3650903f1e43e79c821e1c4e2f86",
         0,
     ),
 ]
