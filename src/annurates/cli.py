@@ -15,8 +15,10 @@ import functools
 import io
 import json
 import math
+import re
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, fields, replace
+from typing import NamedTuple
 
 from .errors import DomainError, NumericalFailureError
 from .fixed import (
@@ -31,6 +33,7 @@ from .identities import run_identity_suites
 from .moments import PaymentPlan, _series_columns, moment_series
 from .oracle import (
     ENUMERATION_MAX_HORIZON,
+    MomentComparison,
     RateDistribution,
     SimConfig,
     compare,
@@ -337,6 +340,13 @@ def _build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
+class _Table(NamedTuple):
+    """Columns of equal length under distinct header names."""
+
+    header: list
+    columns: list
+
+
 def _cell(value) -> str:
     if isinstance(value, float):
         return repr(value)
@@ -347,17 +357,8 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _render_csv(header, rows) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)  # excel dialect: CRLF rows, minimal quoting
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_cell(value) for value in row])
-    return buffer.getvalue()
-
-
 def _json_fragment(value) -> str:
-    """One JSON value; floats carry 17 significant digits (bit-exact reload)."""
+    """One JSON scalar; floats carry 17 significant digits (bit-exact reload)."""
     if isinstance(value, float):
         if math.isfinite(value):
             return format(value, ".17g")
@@ -372,26 +373,76 @@ def _json_fragment(value) -> str:
         return str(value)
     if isinstance(value, str):
         return json.dumps(value)
-    if isinstance(value, dict):
-        parts = (f"{_json_key(k)}: {_json_fragment(v)}" for k, v in value.items())
-        return "{" + ", ".join(parts) + "}"
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_json_fragment(v) for v in value) + "]"
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
-# the keys of a report come from a fixed set of names
-_json_key = functools.cache(json.dumps)
+# what makes the csv module's excel dialect quote a field
+_CSV_SPECIAL = re.compile('[,"\r\n]')
+
+
+def _csv_field(text: str) -> str:
+    if _CSV_SPECIAL.search(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _conversion(column, output: str) -> tuple:
+    """The % conversion of one column, and the values it formats.
+
+    Exact ints and floats are formatted by % itself; any other column is
+    rendered cell by cell first and formatted with %s.
+    """
+    kinds = set(map(type, column))
+    if kinds == {int}:
+        return "%d", column
+    if kinds == {float}:
+        if output == "csv":
+            return "%r", column
+        if all(map(math.isfinite, column)):
+            return "%.17g", column
+    if output == "json":
+        return "%s", list(map(_json_fragment, column))
+    return "%s", [_csv_field(_cell(value)) for value in column]
+
+
+def _table_rows(table: _Table, output: str):
+    """Each row of table as text, from one % call on a template built once."""
+    conversions, columns = [], []
+    for column in table.columns:
+        conversion, values = _conversion(column, output)
+        conversions.append(conversion)
+        columns.append(values)
+    if output == "json":
+        # a % in a header name is literal text of the template
+        keys = [json.dumps(name).replace("%", "%%") for name in table.header]
+        items = (f"{key}: {conversion}" for key, conversion in zip(keys, conversions))
+        template = "    {" + ", ".join(items) + "}"
+    else:
+        template = ",".join(conversions) + "\r\n"
+    return map(template.__mod__, zip(*columns))
+
+
+def _render_csv(table: _Table) -> str:
+    buffer = io.StringIO()
+    csv.writer(buffer).writerow(table.header)  # excel dialect: CRLF rows, minimal quoting
+    rows = _table_rows(table, "csv")
+    if len(table.columns) == 1:
+        # the csv module writes a row of one empty field as "", not as an empty line
+        rows = ('""\r\n' if row == "\r\n" else row for row in rows)
+    return buffer.getvalue() + "".join(rows)
 
 
 def _render_json(document: dict) -> str:
     lines = []
     for key, value in document.items():
-        if isinstance(value, (list, tuple)):
+        if isinstance(value, _Table):
+            body = ",\n".join(_table_rows(value, "json"))
+        elif isinstance(value, list):
             body = ",\n".join("    " + _json_fragment(item) for item in value)
-            lines.append(f'  {json.dumps(key)}: [\n{body}\n  ]')
         else:
             lines.append(f"  {json.dumps(key)}: {_json_fragment(value)}")
+            continue
+        lines.append(f"  {json.dumps(key)}: [\n{body}\n  ]")
     return "{\n" + ",\n".join(lines) + "\n}\n"
 
 
@@ -465,19 +516,14 @@ def cmd_fixed(cfg: dict) -> int:
     q_geom = 1.0 if cfg["q"] is None else cfg["q"]
     kernels = _fixed_kernels(rate, n, cfg["p"], q_arith, q_geom, cfg["strict"])
     chosen = [kernels[name] for name in columns]
-    rows = [[k] + [kernel(k) for kernel in chosen] for k in range(1, n + 1)]
+    # row by row, so the first year and column to fail decide the error
+    rows = [[kernel(k) for kernel in chosen] for k in range(1, n + 1)]
+    table = _Table(["k", *columns], [range(1, n + 1), *zip(*rows)])
     if cfg["output"] == "json":
-        document = {
-            "j": cfg["j"],
-            "n": n,
-            "columns": list(columns),
-            "rows": [
-                dict(zip(("k",) + tuple(columns), row)) for row in rows
-            ],
-        }
+        document = {"j": cfg["j"], "n": n, "columns": list(columns), "rows": table}
         _emit(_render_json(document), cfg["out"])
     else:
-        _emit(_render_csv(["k"] + list(columns), rows), cfg["out"])
+        _emit(_render_csv(table), cfg["out"])
     return EXIT_OK
 
 
@@ -489,12 +535,15 @@ def cmd_moments(cfg: dict) -> int:
     header = ["k", "mean", "second_moment", "variance"]
     # the mean, second-moment and variance columns, as Python floats
     columns = _series_columns(plan, spec, "closed" if method == "both" else method)[:3]
-    rows = [[k, *values] for k, values in enumerate(zip(*columns), 1)]
+    columns = [range(1, plan.n + 1), *columns]
     if method == "both":
         other = _series_columns(plan, spec, "recursive")[:3]
         header.append("max_discrepancy")
-        for row, *pairs in zip(rows, *map(zip, columns, other)):
-            row.append(max(abs(a - b) / max(1.0, abs(b)) for a, b in pairs))
+        columns.append([
+            max(abs(a - b) / max(1.0, abs(b)) for a, b in pairs)
+            for pairs in zip(*map(zip, columns[1:], other))
+        ])
+    table = _Table(header, columns)
     if cfg["output"] == "json":
         document = {
             "family": cfg["family"],
@@ -504,13 +553,13 @@ def cmd_moments(cfg: dict) -> int:
             "j": cfg["j"],
             "s2": cfg["s2"],
             "method": method,
-            "rows": [dict(zip(header, row)) for row in rows],
+            "rows": table,
         }
         if cfg["family"] == "growth":
             document["u"] = cfg["u"]
         _emit(_render_json(document), cfg["out"])
     else:
-        _emit(_render_csv(header, rows), cfg["out"])
+        _emit(_render_csv(table), cfg["out"])
     return EXIT_OK
 
 
@@ -531,7 +580,8 @@ def cmd_verify(cfg: dict) -> int:
     for distribution in distributions:
         oracles.append(simulate(plan, distribution, sim_config, plan.n))
     report = compare(analytic, oracles)
-    records = [asdict(c) for c in report.comparisons]
+    header = [field.name for field in fields(MomentComparison)]
+    table = _Table(header, [[getattr(c, name) for c in report.comparisons] for name in header])
     if cfg["output"] == "json":
         # worker count and timing are excluded: reports with the same seed
         # must be byte-identical however the work was split
@@ -546,15 +596,11 @@ def cmd_verify(cfg: dict) -> int:
             "paths": sim_config.paths,
             "seed": sim_config.seed,
             "passed": report.passed,
-            "comparisons": records,
+            "comparisons": table,
         }
         _emit(_render_json(document), cfg["out"])
     else:
-        header = list(records[0]) if records else []
-        _emit(
-            _render_csv(header, [[r[name] for name in header] for r in records]),
-            cfg["out"],
-        )
+        _emit(_render_csv(table), cfg["out"])
     failed = [c for c in report.comparisons if not c.passed]
     print(
         f"verify: {len(oracles)} oracle runs, {len(report.comparisons)} "
@@ -568,15 +614,12 @@ def cmd_identities(cfg: dict, corrupt: bool = False) -> int:
     """Identity grids with per-check counts and worst deviations."""
     results = run_identity_suites(corrupt=corrupt)
     header = ["name", "cases", "max_rel_dev", "tol", "passed"]
-    rows = [[r.name, r.cases, r.max_rel_dev, r.tol, r.passed] for r in results]
+    table = _Table(header, [[getattr(r, name) for r in results] for name in header])
     if cfg["output"] == "json":
-        document = {
-            "checks": [dict(zip(header, row)) for row in rows],
-            "passed": all(r.passed for r in results),
-        }
+        document = {"checks": table, "passed": all(r.passed for r in results)}
         _emit(_render_json(document), cfg["out"])
     else:
-        _emit(_render_csv(header, rows), cfg["out"])
+        _emit(_render_csv(table), cfg["out"])
     breaches = [r for r in results if not r.passed]
     worst = max(results, key=lambda r: r.max_rel_dev)
     print(

@@ -10,8 +10,18 @@ the balance obeys C_t = (C_{t-1} + c_t) * g_t.
 The one floating-point function, two_point_lanes, is a copy of an earlier
 enumeration loop, kept as a bit-level reference for the current one; it
 reads only the plan's payment(t) and the rate's mu and s2.
+
+The report renderers at the end (_cell, _render_csv, _json_fragment and
+_render_json) are copies of the command line's per-cell renderers from
+before it formatted a table one row per % call, kept as byte-level
+references for it: a CSV table is a header and a list of rows, a JSON
+table a list of dicts.
 """
 
+import csv
+import functools
+import io
+import json
 import math
 from fractions import Fraction
 from itertools import product
@@ -131,3 +141,61 @@ def two_point_lanes(plan, spec, k):
         tuple(float(x) for x in seconds),
         tuple(float(x) for x in variance),
     )
+
+
+def _cell(value) -> str:
+    if isinstance(value, float):
+        return repr(value)
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
+
+
+def _render_csv(header, rows) -> str:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)  # excel dialect: CRLF rows, minimal quoting
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_cell(value) for value in row])
+    return buffer.getvalue()
+
+
+def _json_fragment(value) -> str:
+    """One JSON value; floats carry 17 significant digits (bit-exact reload)."""
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return format(value, ".17g")
+        if math.isnan(value):
+            return "NaN"
+        return "Infinity" if value > 0 else "-Infinity"
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, dict):
+        parts = (f"{_json_key(k)}: {_json_fragment(v)}" for k, v in value.items())
+        return "{" + ", ".join(parts) + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(_json_fragment(v) for v in value) + "]"
+    raise TypeError(f"cannot serialize {type(value)!r}")
+
+
+# the keys of a report come from a fixed set of names
+_json_key = functools.cache(json.dumps)
+
+
+def _render_json(document: dict) -> str:
+    lines = []
+    for key, value in document.items():
+        if isinstance(value, (list, tuple)):
+            body = ",\n".join("    " + _json_fragment(item) for item in value)
+            lines.append(f'  {json.dumps(key)}: [\n{body}\n  ]')
+        else:
+            lines.append(f"  {json.dumps(key)}: {_json_fragment(value)}")
+    return "{\n" + ",\n".join(lines) + "\n}\n"

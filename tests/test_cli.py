@@ -1,13 +1,20 @@
 """End-to-end command-line checks run through real subprocesses."""
 
+import csv
+import io
 import json
+import math
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from annurates import cli
+import oracles
+from annurates import cli, fixed_rate, stochastic_rate
+from annurates.moments import PaymentPlan, _series_columns
 
 
 def run_cli(*args, **kwargs):
@@ -412,3 +419,94 @@ class TestNumpyFreePath:
             "print(json.dumps([before, one, loaded()]))\n"
         )
         assert self.loaded_after(body) == [[False, False], [True, False], [True, True]]
+
+
+# every kind of value a report cell holds, with the floats that format
+# differently: signed zeros, the non-finite ones, subnormals and the largest
+_FLOAT_EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-310, 1.7976931348623157e308]
+
+
+class _Float(float):
+    pass
+
+
+_CELLS = {
+    "int": st.integers(),
+    "bool": st.booleans(),
+    "none": st.none(),
+    "str": st.text(alphabet=st.sampled_from(',"\r\n% \tab\u00e9'), max_size=6),
+    "float": st.one_of(st.floats(), st.sampled_from(_FLOAT_EDGES)),
+    "finite": st.floats(allow_nan=False, allow_infinity=False),
+    "float subclass": st.floats().map(_Float),
+}
+_CELLS["mixed"] = st.one_of(*_CELLS.values())
+
+
+@st.composite
+def tables(draw):
+    """(header, columns): distinct names, some with %, over equal-length columns."""
+    width = draw(st.integers(min_value=1, max_value=5))
+    length = draw(st.integers(min_value=0, max_value=6))
+    header = draw(st.lists(st.text(alphabet="k%s,_\"", max_size=4), min_size=width,
+                           max_size=width, unique=True))
+    kinds = draw(st.lists(st.sampled_from(sorted(_CELLS)), min_size=width, max_size=width))
+    columns = [draw(st.lists(_CELLS[kind], min_size=length, max_size=length)) for kind in kinds]
+    return header, columns
+
+
+class TestTableRenderer:
+    """The one-% -call-per-row renderer against the per-cell renderers it replaced."""
+
+    @given(tables())
+    @settings(max_examples=500, deadline=None)
+    def test_csv_matches_the_per_cell_renderer(self, table):
+        header, columns = table
+        expected = oracles._render_csv(header, list(zip(*columns)))
+        assert cli._render_csv(cli._Table(header, columns)) == expected
+
+    @given(tables())
+    @settings(max_examples=500, deadline=None)
+    def test_json_matches_the_per_cell_renderer(self, table):
+        header, columns = table
+        rows = [dict(zip(header, row)) for row in zip(*columns)]
+        before = {"j": 0.07, "columns": list(header), "family": "level"}
+        expected = oracles._render_json({**before, "rows": rows, "u": None})
+        document = {**before, "rows": cli._Table(header, columns), "u": None}
+        assert cli._render_json(document) == expected
+
+
+class TestReload:
+    """A reloaded table gives back the very floats the command computed."""
+
+    @pytest.mark.parametrize("output", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "plan, method",
+        [
+            (PaymentPlan.arithmetic(2.0, 0.3, 60), "closed"),
+            (PaymentPlan.geometric(1.0, 1.05, 40), "recursive"),
+        ],
+    )
+    def test_moments(self, plan, method, output, capsys):
+        argv = ["moments", "--family", plan.family, "--p", repr(plan.p), "--q", repr(plan.q),
+                "--n", str(plan.n), "--j", "0.05", "--s2", "0.0025", "--method", method]
+        assert cli.main(argv + ["--output", output]) == 0
+        expected = _series_columns(plan, stochastic_rate(0.05, 0.0025), method)[:3]
+        assert _reloaded(capsys.readouterr().out, output) == [list(map(float.hex, c)) for c in expected]
+
+    @pytest.mark.parametrize("output", ["csv", "json"])
+    def test_fixed(self, output, capsys):
+        argv = ["fixed", "--n", "50", "--j", "0.07", "--family", "all", "--p", "1.5", "--q", "1.1"]
+        assert cli.main(argv + ["--output", output]) == 0
+        kernels = cli._fixed_kernels(fixed_rate(0.07), 50, 1.5, 1.1, 1.1, True)
+        expected = [[kernels[name](k).hex() for k in range(1, 51)] for name in cli._FIXED_COLUMNS]
+        assert _reloaded(capsys.readouterr().out, output) == expected
+
+
+def _reloaded(text, output):
+    """The value columns of a report, k left out, as the bits of their floats."""
+    if output == "json":
+        rows = [list(row.values()) for row in json.loads(text)["rows"]]
+    else:
+        rows = list(csv.reader(io.StringIO(text, newline="")))[1:]
+    assert [int(row[0]) for row in rows] == list(range(1, len(rows) + 1))
+    return [[float(x).hex() for x in column] for column in list(zip(*rows))[1:]]
