@@ -17,11 +17,11 @@ diagonal part drifts from its reference.
 Both paths of moment_series run in time linear in n.  The arithmetic closed
 forms read their level, increasing and squared-increasing annuity values at
 f, r and j from fixed._sum_tables, exact prefix sums rounded once and built
-once per series; inside the singular band the closed series reads the rows
-of its one recursion pass.  Each closed quantity is a per-series kernel
-(_ClosedForms): its route, k-free coefficients, tables and the accumulators
-it calls (fixed._geometric, fixed._arithmetic) are built once, and each year
-evaluates only the formula.  A moment that leaves double range raises
+once per series; inside the singular band, and for a geometric plan with
+p = 0, the closed series reads the rows of its one recursion pass.  Each
+closed quantity is a per-series kernel (_ClosedForms): its route, k-free
+coefficients, tables and the accumulators it calls (fixed._geometric,
+fixed._arithmetic) are built once, and each year evaluates only the formula.  A moment that leaves double range raises
 NumericalFailureError naming the largest horizon that fits, from those
 accumulators or from fixed._sum_tables.
 
@@ -117,7 +117,15 @@ class PaymentPlan:
             raise DomainError(f"payment index must be in 1..{self.n}, got {i}")
         if self.family == "arithmetic":
             return self.p + (i - 1) * self.q
-        return self.p * self.q ** (i - 1)
+        try:
+            return self.p * self.q ** (i - 1)
+        except OverflowError:
+            # p = 0 pays nothing, however far q^(i-1) leaves double range
+            if not self.p:
+                return self.p
+            raise NumericalFailureError(
+                f"payment {self.p} * {self.q}**{i - 1} overflows double range at year {i}"
+            ) from None
 
     def payments(self) -> np.ndarray:
         import numpy as np
@@ -314,7 +322,9 @@ class _ClosedForms:
         self.plan = plan
         self.spec = spec
         self.kmax = kmax
-        self.singular = _singular(plan, spec)
+        # a geometric plan that pays nothing reads the recursion too: its
+        # moments are zero, while q^k or (1+j)^k alone may leave double range
+        self.singular = _singular(plan, spec) or (plan.family == "geometric" and not plan.p)
         self.rj = fixed_rate(spec.j)
         self.rf = fixed_rate(spec.f)
         self.rr = fixed_rate(spec.r)

@@ -269,6 +269,14 @@ class TestErrorHandling:
                 ("fixed", "--family", "arithmetic", "--j", "0.5", "--n", "1748"),
                 "the largest horizon that fits is 1747",
             ),
+            (
+                # the recursion's payments 1.5^(i-1) leave double range first
+                (
+                    "moments", "--family", "geometric", "--p", "1", "--q", "1.5",
+                    "--n", "1800", "--j", "0.05", "--method", "recursive",
+                ),
+                "payment 1.0 * 1.5**1751 overflows double range at year 1752",
+            ),
         ],
     )
     def test_overflow_is_numerical_failure(self, args, cause):

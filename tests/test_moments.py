@@ -351,3 +351,22 @@ class TestPaymentPlan:
             mean_closed(plan, SPEC, 6)
         with pytest.raises(DomainError):
             variance_closed(plan, SPEC, -1)
+
+    def test_payment_past_double_range_is_numerical_failure(self):
+        # q^(i-1) raised a raw OverflowError here
+        plan = PaymentPlan.geometric(1.0, 1.5, 1800)
+        assert plan.payment(1751) == 1.5**1750
+        with pytest.raises(NumericalFailureError, match="at year 1752$"):
+            plan.payment(1752)
+        with pytest.raises(NumericalFailureError, match="at year 1752$"):
+            moment_series(plan, stochastic_rate(0.05, 0.01), "recursive")
+
+    @pytest.mark.parametrize("q", [1.5, -1.5])
+    @pytest.mark.parametrize("j", [0.05, 0.5, -0.1])
+    def test_zero_payments_stay_zero_past_double_range(self, j, q):
+        plan = PaymentPlan.geometric(0.0, q, 1800, strict=False)
+        assert plan.payment(1800) == 0.0
+        for method in ("closed", "recursive"):
+            series = moment_series(plan, stochastic_rate(j, 0.01), method)
+            for column in (series.mean, series.second_moment, series.variance):
+                assert [float(x).hex() for x in column] == ["0x0.0p+0"] * 1800, method
