@@ -21,9 +21,10 @@ once per series; inside the singular band, and for a geometric plan with
 p = 0, the closed series reads the rows of its one recursion pass.  Each
 closed quantity is a per-series kernel (_ClosedForms): its route, k-free
 coefficients, tables and the accumulators it calls (fixed._geometric,
-fixed._arithmetic) are built once, and each year evaluates only the formula.  A moment that leaves double range raises
-NumericalFailureError naming the largest horizon that fits, from those
-accumulators or from fixed._sum_tables.
+fixed._arithmetic) are built once, and each year evaluates only the
+formula.  A moment that leaves double range raises NumericalFailureError
+naming the largest horizon that fits, from those accumulators or from
+fixed._sum_tables, or the year whose payment leaves it.
 
 The second moment splits as m_k = diagonal + 2*cross, where the diagonal
 part collects the squared-payment terms c_i^2 m^{k-i+1} and the cross part

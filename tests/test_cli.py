@@ -1,4 +1,4 @@
-"""End-to-end command-line checks run through real subprocesses."""
+"""Command-line checks, most run through real subprocesses, and the table renderer."""
 
 import csv
 import io
@@ -431,7 +431,9 @@ class TestNumpyFreePath:
 
 # every kind of value a report cell holds, with the floats that format
 # differently: signed zeros, the non-finite ones, subnormals and the largest
-_FLOAT_EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-310, 1.7976931348623157e308]
+_FLOAT_EDGES = [
+    0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-310, 1.7976931348623157e308,
+]
 
 
 class _Float(float):
@@ -463,7 +465,7 @@ def tables(draw):
 
 
 class TestTableRenderer:
-    """The one-% -call-per-row renderer against the per-cell renderers it replaced."""
+    """The renderer that formats a row with one % call, against the per-cell ones it replaced."""
 
     @given(tables())
     @settings(max_examples=500, deadline=None)
@@ -499,7 +501,8 @@ class TestReload:
                 "--n", str(plan.n), "--j", "0.05", "--s2", "0.0025", "--method", method]
         assert cli.main(argv + ["--output", output]) == 0
         expected = _series_columns(plan, stochastic_rate(0.05, 0.0025), method)[:3]
-        assert _reloaded(capsys.readouterr().out, output) == [list(map(float.hex, c)) for c in expected]
+        expected = [list(map(float.hex, column)) for column in expected]
+        assert _reloaded(capsys.readouterr().out, output) == expected
 
     @pytest.mark.parametrize("output", ["csv", "json"])
     def test_fixed(self, output, capsys):
