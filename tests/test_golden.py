@@ -298,3 +298,16 @@ def _edge_grid():
 def test_edge_grid_digest():
     text = "\n".join(_edge_grid())
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == EDGE_GRID_DIGEST
+
+
+if __name__ == "__main__":
+    # print a grid's lines, one per call, so that a diff between two
+    # checkouts names every line a re-recorded digest moved:
+    #   PYTHONPATH=src python3 tests/test_golden.py library|edge
+    import sys
+
+    grids = {"library": _library_grid, "edge": _edge_grid}
+    if len(sys.argv) != 2 or sys.argv[1] not in grids:
+        sys.exit(f"usage: {sys.argv[0]} {'|'.join(grids)}")
+    for line in grids[sys.argv[1]]():
+        print(line)
