@@ -5,21 +5,23 @@ made at the start of each year, the accumulated value evolves as
 
     C_k = (1 + i_k) (C_{k-1} + c_k),  C_0 = 0,
 
-so its first and second moments satisfy exact one-step recursions driven by
-mu = 1+j and m = (1+j)^2 + s2.  Those recursions are the reference path.
-The closed forms evaluate the same quantities through deterministic annuity
-values at the derived rates f, r, ell and are cross-checked against the
-recursions.  A closed variance that drifts from the recursion's (the
-subtraction m_k - mu_k^2 can cancel) is silently replaced by it; _audit
-raises FormulaAuditError where a specialized family or the arithmetic
-diagonal part drifts from its reference.
+so its mean, second moment and variance satisfy exact one-step recursions
+driven by mu = 1+j and m = (1+j)^2 + s2.  The variance's own,
+var_k = m var_{k-1} + s2 (mu_{k-1} + c_k)^2, holds because i_k is
+independent of C_{k-1}, and adds only non-negative terms.  Those recursions
+are the reference path.  The closed forms evaluate the same quantities
+through deterministic annuity values at the derived rates f, r, ell and are
+cross-checked against the recursions.  A closed variance that drifts from
+the recursion's (the subtraction m_k - mu_k^2 can cancel) is silently
+replaced by it; _audit raises FormulaAuditError where a specialized family
+or the arithmetic diagonal part drifts from its reference.
 
 Both paths of moment_series run in time linear in n.  The arithmetic closed
 forms read their level, increasing and squared-increasing annuity values at
 f, r and j from fixed._sum_tables, exact prefix sums rounded once and built
 once per series; inside the singular band, and for a geometric plan with
-p = 0, the closed series reads the rows of its one recursion pass.  Each
-closed quantity is a per-series kernel (_ClosedForms): its route, k-free
+p = 0, every closed moment is the row of the series' one recursion pass.
+Each closed quantity is a per-series kernel (_ClosedForms): its route, k-free
 coefficients, tables and the accumulators it calls (fixed._geometric,
 fixed._arithmetic) are built once, and each year evaluates only the
 formula.  A moment that leaves double range raises NumericalFailureError
@@ -72,13 +74,10 @@ from .rates import (
 if TYPE_CHECKING:
     import numpy as np
 
-# Negative closed-form variances within this fraction of the second moment
-# are treated as cancellation noise and clamped to zero.
-NEGATIVE_VARIANCE_REL = 1e-9
-
-# A closed-form variance is reported only while it agrees with the recursion
-# this tightly; beyond that the subtraction m_k - mu_k^2 has cancelled and
-# the recursion value is reported instead.
+# A closed-form variance is reported only while it agrees with the
+# recursion's variance this tightly, relative to it; beyond that the
+# subtraction m_k - mu_k^2 has cancelled and the recursion value is reported
+# instead.
 VARIANCE_CONSENSUS_REL = 2.5e-11
 
 _FAMILIES = ("arithmetic", "geometric")
@@ -164,9 +163,9 @@ class MomentSeries:
     """Moments of the accumulated value for every horizon 1..n.
 
     Arrays are indexed by k-1.  variance is 0.0 where s2 = 0; otherwise it is
-    second_moment - mean**2 clamped at zero (recursive) or the closed second
-    moment minus the closed squared mean, settled to the recursion (closed),
-    so it need not equal second_moment - mean**2 of these arrays.
+    the variance's own recursion (recursive) or the closed second moment
+    minus the closed squared mean, settled to that recursion (closed), so it
+    need not equal second_moment - mean**2 of these arrays.
     """
 
     plan: PaymentPlan
@@ -207,6 +206,7 @@ class _Moments(NamedTuple):
 
     mean: tuple
     second: tuple
+    variance: tuple
     diagonal: tuple
     cross: tuple
 
@@ -216,51 +216,41 @@ def _recursion(plan: PaymentPlan, spec: StochasticRateSpec, k: int | None = None
 
     mu_k = mu (mu_{k-1} + c_k) and m_k = m (m_{k-1} + 2 c_k mu_{k-1} + c_k^2),
     whose two parts are diagonal_k = m (diagonal_{k-1} + c_k^2) and
-    cross_k = m (cross_{k-1} + c_k mu_{k-1}).
+    cross_k = m (cross_{k-1} + c_k mu_{k-1}), and
+    var_k = m var_{k-1} + s2 (mu_{k-1} + c_k)^2, which never cancels.
     """
     rows = []
-    mean = second = diag = cross = 0.0
+    mean = second = var = diag = cross = 0.0
     for i in range(1, (plan.n if k is None else k) + 1):
         c = plan.payment(i)
+        step = mean + c
         second = spec.m * (second + 2.0 * c * mean + c * c)
+        # s2 * step first: s2 = 0 gives exactly 0.0, and no factor leaves
+        # double range before the second moment does
+        var = spec.m * var + spec.s2 * step * step
         diag = spec.m * (diag + c * c)
         cross = spec.m * (cross + c * mean)
-        mean = spec.mu * (mean + c)
-        rows.append((mean, second, diag, cross))
+        mean = spec.mu * step
+        rows.append((mean, second, var, diag, cross))
     return _Moments(*zip(*rows))
 
 
-def _recursive_variance(
-    mean: float, second: float, spec: StochasticRateSpec, k: int
-) -> float:
-    """Variance from the recursion's moments at year k, clamped at zero."""
-    if not math.isfinite(second):
+def _recursive_variance(ref: _Moments, k: int) -> float:
+    """The recursion's variance at year k, once its second moment is finite."""
+    if not math.isfinite(ref.second[k - 1]):
         raise NumericalFailureError(f"second moment overflows double range at year {k}")
-    if spec.s2 == 0.0:
-        # deterministic rate: C_k has no spread, and computing m_k - mu_k^2
-        # would only return cancellation noise
-        return 0.0
-    var = second - mean * mean
-    if var >= 0.0:
-        return var
-    if var >= -NEGATIVE_VARIANCE_REL * abs(second):
-        return 0.0
-    raise NumericalFailureError(
-        f"variance {var} is negative beyond tolerance (second moment {second})"
-    )
+    return ref.variance[k - 1]
 
 
-def _variances(ref: _Moments, spec: StochasticRateSpec) -> list:
-    return [
-        _recursive_variance(m, s, spec, k)
-        for k, (m, s) in enumerate(zip(ref.mean, ref.second), 1)
-    ]
+def _variances(ref: _Moments) -> list:
+    return [_recursive_variance(ref, k) for k in range(1, len(ref.mean) + 1)]
 
 
 def _general_reference(plan: PaymentPlan, spec: StochasticRateSpec, k: int):
     """(mean, variance, second moment, diagonal, cross) at year k from the recursion."""
-    mean, second, diag, cross = (a[-1] for a in _recursion(plan, spec, k))
-    return mean, _recursive_variance(mean, second, spec, k), second, diag, cross
+    ref = _recursion(plan, spec, k)
+    var = _recursive_variance(ref, k)
+    return ref.mean[-1], var, ref.second[-1], ref.diagonal[-1], ref.cross[-1]
 
 
 def mean_series(plan: PaymentPlan, spec: StochasticRateSpec) -> np.ndarray:
@@ -276,9 +266,9 @@ def second_moment_series(plan: PaymentPlan, spec: StochasticRateSpec) -> np.ndar
 
 
 def variance_series(plan: PaymentPlan, spec: StochasticRateSpec) -> np.ndarray:
-    """Variance for k = 1..n from the moment recursions, clamped at zero."""
+    """Variance for k = 1..n from its own recursion."""
     import numpy as np
-    return np.array(_variances(_recursion(plan, spec), spec))
+    return np.array(_variances(_recursion(plan, spec)))
 
 
 # ---------------------------------------------------------------------------
@@ -311,12 +301,14 @@ class _ClosedForms:
     it calls (fixed._geometric at j, r and f, fixed._arithmetic at j), the
     arithmetic coefficients, and the tables it reads, the sum-mode annuity
     tables (fixed._sum_tables) at f and r up to kmax and at j up to 2 kmax
-    or, inside the singular band, one pass of the recursion.  A coefficient
-    is a left-associated prefix of the product the formula writes, so every
-    term rounds exactly as the written expression does; powers such as g**k
-    are taken per k.  moment_series evaluates every year from one instance,
-    and each public per-year function from an instance with kmax = k, so
-    the two run the same kernels and agree bit for bit.
+    or, inside the singular band, the rows of one pass of the recursion.
+    That pass also gives the variance column that every closed variance is
+    settled against.  A coefficient is a left-associated prefix of the
+    product the formula writes, so every term rounds exactly as the written
+    expression does; powers such as g**k are taken per k.  moment_series
+    evaluates every year from one instance, and each public per-year
+    function from an instance with kmax = k, so the two run the same kernels
+    and agree bit for bit.
     """
 
     def __init__(self, plan: PaymentPlan, spec: StochasticRateSpec, kmax: int):
@@ -363,13 +355,14 @@ class _ClosedForms:
 
     @cached_property
     def mean(self):
+        if self.singular:
+            # arithmetic_due's recursion rounds (v + p) + (i-1)q and
+            # geometric_due's band route re-sums from year 1 at every k; the
+            # moment recursion's row is the same mean, in one pass
+            return _rows(self.ref.mean)
         p, q = self.plan.p, self.plan.q
         if self.plan.family == "geometric":
             return _geometric(p, q, self.rj, "auto", False)
-        if self.singular:
-            # arithmetic_due's recursion rounds (v + p) + (i-1)q; the moment
-            # recursion rounds v + c_i, and the two must give the same mean
-            return _rows(self.ref.mean)
         return _arithmetic(p, q, self.rj, "auto", False)
 
     @cached_property
@@ -526,10 +519,8 @@ class _ClosedForms:
         candidate = second - self.mean_squared(k)
         # the subtraction cancels almost completely when the rate variance is
         # tiny next to the mean; keep the closed value only while it still
-        # agrees with the recursion, otherwise report the recursion
-        ref = self.ref
-        var_r = _recursive_variance(ref.mean[k - 1], ref.second[k - 1], self.spec, k)
-        return _settle_variance(candidate, var_r)
+        # agrees with the recursion's variance, otherwise report that
+        return _settle_variance(candidate, _recursive_variance(self.ref, k))
 
     def series(self) -> tuple:
         """(mean, second moment, variance, diagonal, cross) lists for k = 1..kmax."""
@@ -593,7 +584,7 @@ def _series_columns(plan: PaymentPlan, spec: StochasticRateSpec, method: str) ->
     if method == "closed":
         return _ClosedForms(plan, spec, plan.n).series()
     ref = _recursion(plan, spec)
-    return ref.mean, ref.second, _variances(ref, spec), ref.diagonal, ref.cross
+    return ref.mean, ref.second, _variances(ref), ref.diagonal, ref.cross
 
 
 def moment_series(
@@ -655,9 +646,7 @@ def _audit(label: str, specialized: float, reference: float, scale: float) -> No
 
 def _settle_variance(candidate: float, reference: float) -> float:
     """Report a closed-form variance only while it tracks the recursion."""
-    if candidate >= 0.0 and abs(candidate - reference) <= VARIANCE_CONSENSUS_REL * max(
-        1.0, abs(reference)
-    ):
+    if candidate >= 0.0 and abs(candidate - reference) <= VARIANCE_CONSENSUS_REL * reference:
         return candidate
     return reference
 

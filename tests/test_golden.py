@@ -70,6 +70,38 @@ same way; and q = 0.0 and -0.5 at j = 0.5 and k = 1800 in modes auto,
 closed and sum.  The 33rd is arithmetic_due(0.0, 0.0, 1800, 0.5, 'sum').
 Before, the six mode "recursive" calls returned NaN (0 * inf in the
 payment list) and the other 27 raised NumericalFailureError.
+
+Six digests were re-recorded when the recursion began to carry the variance
+by its own recursion, var_k = m var_{k-1} + s2 (mu_{k-1} + c_k)^2, instead
+of m_k - mu_k^2 clamped at zero; when the closed variance came to be settled
+within 2.5e-11 relative to that variance, with no floor at 1; and when the
+closed geometric mean inside the band q = 1+j became the recursion's row:
+the three moments commands with --method both, identities in CSV and in
+JSON, and LIBRARY_GRID_DIGEST.  1,261 of the grid's 24,982 lines moved (a
+diff of `PYTHONPATH=src python3 tests/test_golden.py library` at the two
+commits lists them).  Per function, with the worst relative error of the
+moved values against the exact rational recursion, before and after:
+moment_series 500 (closed variance 25 to 2.5e-11, recursive variance 9.5e-4
+to 4.7e-14); variance_closed 418 (1 to 8.4e-12); increasing_moments 71,
+level_moments 69 and growth_moments 65 (variance 8.8e-6 to 9.9e-15, 3.0e-6
+to 1.1e-14 and 2.2e-6 to 1.2e-14 where s2 > 0; the other 23 lines are at
+s2 = 0, where a nonzero variance kept by the old absolute settlement is now
+0.0); decreasing_moments 44 (variance 6.8e-9 to 2.2e-14); and mean_closed
+and mean_squared_closed 47 each, all band geometric plans (1.23e-14 to
+1.27e-14 and 2.46e-14 to 2.53e-14).  No other value's worst error moved.
+Three decreasing_moments lines at s2 = 1e-8, (n, k) = (33, 30) at j = 0.1
+and (103, 100) at j = 0.9 and 0.05, raised a false FormulaAuditError, the
+specialized variance audited against a reference that cancelled; they now
+return variances within 2.3e-14 of exact.  Six worst deviations of the
+identities report moved, each inside its unchanged tolerance:
+arithmetic-variance-closed-vs-recursive 2.4864504912045573e-11 to
+2.4882951066224994e-11, geometric-variance-closed-vs-recursive
+1.1583881287462422e-11 to 1.1573281270147536e-11, and the
+special-vs-general checks of level 1.9099388737231493e-11 to
+1.0529815172653234e-12, increasing 2.347100291899551e-11 to
+2.254646464631249e-11, decreasing 2.441915567014368e-11 to
+2.4432105222392684e-11 and growth 2.1827872842550278e-11 to
+6.883382752675971e-13.
 """
 
 import hashlib
@@ -90,17 +122,17 @@ GOLDEN = [
     (
         "moments --family arithmetic --p 2 --q 0.3 --n 60 --j 0.05 --s2 0.0025"
         " --method both --output json",
-        "71be82bf7bafa1c34b2e97d9dcc8189fc875b57e2f62aa134565b5673a5b463a",
+        "c115bf55910307df2b5743218bc153dcadc9b5a7f309e433e811d6484c48149c",
         0,
     ),
     (
         "moments --family geometric --p 1 --q 1.05 --n 40 --j 0.05 --s2 0.01 --method both",
-        "8d06c11f747c7f45ddde3361e2a04d46a5877f3aad63b5179e92a7be27473a9f",
+        "1372f80f258253371c7ca2a3918ad31c64238715e2eee6af3100541f30d538ca",
         0,
     ),
     (
         "moments --family level --n 50 --j 0 --s2 0.04 --method both",
-        "4553710ff958f32bdef0aab275d27415dfecc14b328bd5302094e5f7fc0a36de",
+        "aae17e9d9671c3cdb09140a7e64830c3d2a6b86a7dc05e438267c0d2eccd7a5c",
         0,
     ),
     (
@@ -125,7 +157,7 @@ GOLDEN = [
     ),
     (
         "identities",
-        "a3fdf088054b61370ada84ee293a5f5fc41248fc7071178d866b7619bb31d01b",
+        "542253f46738419a5a0f79c6b2057a895181cf77cad5ca63e65e7cff2077246f",
         0,
     ),
     (
@@ -145,13 +177,13 @@ GOLDEN = [
     ),
     (
         "identities --output json",
-        "4b2d91bd55c3169593c67a4f33ab3370bf3a3650903f1e43e79c821e1c4e2f86",
+        "1d67364f873da12b17dd5319f9df93639759fd2a5544dab8363464d0e6c3166a",
         0,
     ),
 ]
 
 
-LIBRARY_GRID_DIGEST = "40fa82700bcf9cd75ea1d9464f18b254bac82ef00c2bf2f3beca4f035855b979"
+LIBRARY_GRID_DIGEST = "d27f97e15f6fc7744e6b1c81f42a44481df0c724643fc13c1dcbd19ebaec3f03"
 
 EDGE_GRID_DIGEST = "76a4f7bd0286a9008aaeeffc4feed70df2a49dd94f36fa2196cfde6e3bb15dd1"
 

@@ -32,7 +32,7 @@ from annurates import (
     variance_closed,
 )
 from annurates import cli, fixed, moments
-from annurates.fixed import _arithmetic, _geometric
+from annurates.fixed import _arithmetic, _geometric, _geometric_singular
 from annurates.rates import SINGULARITY_EPS
 
 
@@ -98,7 +98,14 @@ class TestFixedKernels:
         q = ratio(data, spec.mu)
         geometric = PaymentPlan(family="geometric", p=p, q=q, n=k, strict=False)
         forms = moments._ClosedForms(geometric, spec, k)
-        assert outcome(forms.mean, k) == outcome(geometric_due, p, q, k, rj, "auto", False)
+        if _geometric_singular(spec.mu, q) or not p:
+            # inside the band, and for a plan that pays nothing, the closed
+            # mean is the recursion's row
+            # (building the kernel runs the recursion, which may raise)
+            row = outcome(lambda k: moments._recursion(geometric, spec, k).mean[-1], k)
+            assert outcome(lambda k: forms.mean(k), k) == row
+        else:
+            assert outcome(forms.mean, k) == outcome(geometric_due, p, q, k, rj, "auto", False)
         assert outcome(forms.geometric_r, k) == outcome(
             geometric_due, p, q, k, rr, "auto", False
         )

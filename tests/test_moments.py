@@ -9,6 +9,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from annurates import fixed, moments
@@ -270,6 +272,94 @@ class TestMomentSeries:
             closed = moment_series(plan, spec, "closed")
             recursive = moment_series(plan, spec, "recursive")
             assert np.array_equal(closed.mean, recursive.mean)
+
+    @pytest.mark.parametrize("j", [0.05, 0.0, -0.1])
+    def test_closed_geometric_series_in_the_band_is_one_pass(self, monkeypatch, j):
+        # inside the band q = 1+j the closed mean is the recursion's row,
+        # not a fresh sum from year 1 at every k
+        calls = []
+        original = fixed._accumulate
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(fixed, "_accumulate", counting)
+        spec = stochastic_rate(j, 0.01)
+        plan = PaymentPlan.geometric(1.0, spec.mu, 200)
+        closed = moment_series(plan, spec, "closed")
+        assert calls == []
+        assert closed.mean.tolist() == moment_series(plan, spec, "recursive").mean.tolist()
+
+
+def _exact_variances(plan, spec):
+    """Per-year variances of the plan's float payments at spec's j and s2, exactly."""
+    payments = [Fraction(plan.payment(i)) for i in range(1, plan.n + 1)]
+    means, seconds = oracles.moment_recursion(payments, spec.j, spec.s2)
+    return [second - mean * mean for mean, second in zip(means, seconds)]
+
+
+def _within(values, exact, rel, floor=0.0):
+    """Whether every value is within rel of its exact variance, relative to it, plus floor."""
+    return all(abs(Fraction(v) - e) <= rel * e + Fraction(floor) for v, e in zip(values, exact))
+
+
+@st.composite
+def variance_cases(draw):
+    """(plan, spec): either family, signed payments, band ratios q = 1+j, n <= 40."""
+    j = draw(st.one_of(
+        st.floats(min_value=-0.5, max_value=1.0, exclude_min=True),
+        st.sampled_from([0.0, 1e-10, 1e-8, 0.05]),
+    ))
+    s2 = draw(st.one_of(st.just(0.0), st.floats(min_value=-14.0, max_value=-1.0).map(
+        lambda e: 10.0**e)))
+    spec = stochastic_rate(j, s2)
+    family = draw(st.sampled_from(["arithmetic", "geometric"]))
+    p = draw(st.floats(min_value=-5.0, max_value=5.0))
+    if family == "arithmetic":
+        q = draw(st.floats(min_value=-1.0, max_value=2.0))
+    else:
+        q = draw(st.one_of(st.just(spec.mu), st.floats(min_value=-1.5, max_value=2.0)))
+    n = draw(st.integers(min_value=1, max_value=40))
+    return PaymentPlan(family=family, p=p, q=q, n=n, strict=False), spec
+
+
+class TestVarianceRecursion:
+    """The variance carried by its own recursion, against the exact rational one."""
+
+    @given(variance_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_variances_match_the_exact_recursion(self, case):
+        plan, spec = case
+        recursive = moment_series(plan, spec, "recursive").variance.tolist()
+        closed = moment_series(plan, spec, "closed").variance.tolist()
+        if spec.s2 == 0.0:
+            assert recursive == closed == [0.0] * plan.n
+            return
+        exact = _exact_variances(plan, spec)
+        # a rounding below the normal range errs by up to 2^-1075 absolute,
+        # at most three a year, each grown by m a year after it
+        floor = plan.n * max(1.0, spec.m) ** plan.n * 2.0**-1072
+        assert _within(recursive, exact, 1e-12, floor)
+        assert _within(closed, exact, 3e-11, floor)
+
+    def test_signed_plan_at_a_tiny_rate_variance(self):
+        # m_k - mu_k^2 left the recursion 2.6% off and the closed value 31%
+        # off here, and the settlement kept the closed value
+        plan = PaymentPlan.arithmetic(2.3, -0.07, 30, strict=False)
+        spec = stochastic_rate(0.05, 1e-14)
+        exact = _exact_variances(plan, spec)[0]
+        assert float(exact) == pytest.approx(5.29e-14, rel=1e-3)
+        assert _within([variance_series(plan, spec)[0]], [exact], 1e-13)
+        assert _within([variance_closed(plan, spec, 1)], [exact], 1e-13)
+        assert _within([moment_series(plan, spec, "closed").variance[0]], [exact], 1e-13)
+
+    def test_decreasing_variance_at_a_tiny_rate_variance(self):
+        # the specialized variance was audited against a reference that
+        # cancelled, and a FormulaAuditError was raised for a right value
+        spec = stochastic_rate(0.1, 1e-8)
+        exact = _exact_variances(PaymentPlan.decreasing(33), spec)[29]
+        assert _within([decreasing_moments(spec, 33, 30).variance], [exact], 1e-13)
 
 
 class TestSpecializedFamilies:
