@@ -24,9 +24,10 @@ p = 0, every closed moment is the row of the series' one recursion pass.
 Each closed quantity is a per-series kernel (_ClosedForms): its route, k-free
 coefficients, tables and the accumulators it calls (fixed._geometric,
 fixed._arithmetic) are built once, and each year evaluates only the
-formula.  A moment that leaves double range raises NumericalFailureError
+formula.  A moment that leaves double range raises NumericalFailureError:
 naming the largest horizon that fits, from those accumulators or from
-fixed._sum_tables, or the year whose payment leaves it.
+fixed._sum_tables; the year whose payment leaves it; or, where a closed
+formula itself leaves it, the quantity and the year.
 
 The second moment splits as m_k = diagonal + 2*cross, where the diagonal
 part collects the squared-payment terms c_i^2 m^{k-i+1} and the cross part
@@ -307,8 +308,9 @@ class _ClosedForms:
     product the formula writes, so every term rounds exactly as the written
     expression does; powers such as g**k are taken per k.  moment_series
     evaluates every year from one instance, and each public per-year
-    function from an instance with kmax = k, so the two run the same kernels
-    and agree bit for bit.
+    function from an instance with kmax = k, both through column, which
+    checks that every value stays in double range; so the two run the same
+    kernels and agree bit for bit.
     """
 
     def __init__(self, plan: PaymentPlan, spec: StochasticRateSpec, kmax: int):
@@ -522,21 +524,67 @@ class _ClosedForms:
         # agrees with the recursion's variance, otherwise report that
         return _settle_variance(candidate, _recursive_variance(self.ref, k))
 
+    # what each kernel computes, for the error that names it
+    _QUANTITY = {
+        "mean": "mean",
+        "second": "second moment",
+        "diagonal": "diagonal part",
+        "cross": "cross part",
+        "mean_squared": "squared mean",
+        "variance": "variance",
+    }
+
+    def _fails(self, name: str, k: int, *row) -> bool:
+        """Whether the kernel name leaves double range at year k."""
+        try:
+            return not math.isfinite(getattr(self, name)(k, *row))
+        except DomainError:
+            raise
+        except (OverflowError, ValueError):  # a ** past double range, inf - inf in fsum
+            return True
+
+    def column(self, name: str, ks, *rows) -> list:
+        """The kernel name at each year of ks, passed that year's entry of each of rows.
+
+        A value that leaves double range, as inf, NaN, the OverflowError of a
+        ** or the ValueError of an fsum over infinities, raises
+        NumericalFailureError naming the quantity and the first year it
+        does so; the accumulators' own errors pass through.  The year is
+        searched for only once the column has failed.
+        """
+        try:
+            values = list(map(getattr(self, name), ks, *rows))
+            if all(map(math.isfinite, values)):
+                return values
+        except DomainError:
+            raise
+        except (OverflowError, ValueError):
+            pass
+        year = next(k for k, *row in zip(ks, *rows) if self._fails(name, k, *row))
+        raise NumericalFailureError(
+            f"closed {self._QUANTITY[name]} leaves double range at year {year}"
+        )
+
     def series(self) -> tuple:
         """(mean, second moment, variance, diagonal, cross) lists for k = 1..kmax."""
         # evaluated in this order, which decides the error an overflow raises
         ks = range(1, self.kmax + 1)
-        mean = list(map(self.mean, ks))
-        second = list(map(self.second, ks))
-        diagonal = list(map(self.diagonal, ks))
-        cross = list(map(self.cross, ks))
-        return mean, second, list(map(self.variance, ks, second)), diagonal, cross
+        mean = self.column("mean", ks)
+        second = self.column("second", ks)
+        diagonal = self.column("diagonal", ks)
+        cross = self.column("cross", ks)
+        return mean, second, self.column("variance", ks, second), diagonal, cross
+
+
+def _closed_at(plan: PaymentPlan, spec: StochasticRateSpec, k, name: str) -> float:
+    """The closed kernel name at year k, 0.0 at k = 0."""
+    k = _check_plan_k(plan, k)
+    return _ClosedForms(plan, spec, k).column(name, (k,))[0] if k else 0.0
 
 
 def mean_closed(plan: PaymentPlan, spec: StochasticRateSpec, k) -> float:
     """Mean accumulated value: the deterministic value at the mean rate j."""
-    k = _check_plan_k(plan, k)
-    return _ClosedForms(plan, spec, k).mean(k) if k else 0.0
+    return _closed_at(plan, spec, k, "mean")
 
 
 def second_moment_diagonal(plan: PaymentPlan, spec: StochasticRateSpec, k) -> float:
@@ -546,26 +594,22 @@ def second_moment_diagonal(plan: PaymentPlan, spec: StochasticRateSpec, k) -> fl
     agree; for geometric plans this is the geometric accumulator with
     parameters (p^2, q^2) at rate f.
     """
-    k = _check_plan_k(plan, k)
-    return _ClosedForms(plan, spec, k).diagonal(k) if k else 0.0
+    return _closed_at(plan, spec, k, "diagonal")
 
 
 def second_moment_cross(plan: PaymentPlan, spec: StochasticRateSpec, k) -> float:
     """Cross part of the second moment: sum of c_i mu_{i-1} m^{k-i+1}."""
-    k = _check_plan_k(plan, k)
-    return _ClosedForms(plan, spec, k).cross(k) if k else 0.0
+    return _closed_at(plan, spec, k, "cross")
 
 
 def second_moment_closed(plan: PaymentPlan, spec: StochasticRateSpec, k) -> float:
     """Closed-form second moment of the accumulated value at year k."""
-    k = _check_plan_k(plan, k)
-    return _ClosedForms(plan, spec, k).second(k) if k else 0.0
+    return _closed_at(plan, spec, k, "second")
 
 
 def mean_squared_closed(plan: PaymentPlan, spec: StochasticRateSpec, k) -> float:
     """Closed form of the squared mean, written in annuity values at rate j."""
-    k = _check_plan_k(plan, k)
-    return _ClosedForms(plan, spec, k).mean_squared(k) if k else 0.0
+    return _closed_at(plan, spec, k, "mean_squared")
 
 
 def variance_closed(plan: PaymentPlan, spec: StochasticRateSpec, k) -> float:
@@ -574,7 +618,7 @@ def variance_closed(plan: PaymentPlan, spec: StochasticRateSpec, k) -> float:
     if k == 0 or spec.s2 == 0.0:
         return 0.0
     closed = _ClosedForms(plan, spec, k)
-    return closed.variance(k, closed.second(k))
+    return closed.column("variance", (k,), closed.column("second", (k,)))[0]
 
 
 def _series_columns(plan: PaymentPlan, spec: StochasticRateSpec, method: str) -> tuple:

@@ -277,6 +277,22 @@ class TestErrorHandling:
                 ),
                 "payment 1.0 * 1.5**1751 overflows double range at year 1752",
             ),
+            (
+                # the closed second moment left double range as an inf row
+                (
+                    "moments", "--family", "arithmetic", "--p", "1e154", "--q", "0",
+                    "--n", "3", "--j", "0.05",
+                ),
+                "closed second moment leaves double range at year 2",
+            ),
+            (
+                # ... and, with a rate variance, as fsum's ValueError (inf - inf)
+                (
+                    "moments", "--family", "arithmetic", "--p", "1e154", "--q", "0",
+                    "--n", "3", "--j", "0.05", "--s2", "0.01",
+                ),
+                "closed second moment leaves double range at year 2",
+            ),
         ],
     )
     def test_overflow_is_numerical_failure(self, args, cause):

@@ -181,6 +181,36 @@ class TestClosedForms:
         with pytest.raises(NumericalFailureError, match="largest horizon that fits is 511$"):
             closed_form(plan, spec, 600)
 
+    @pytest.mark.parametrize(
+        "p, failing, first",
+        [
+            (1e154, [second_moment_closed, second_moment_diagonal, mean_squared_closed], 2),
+            (1e200, [second_moment_closed, second_moment_diagonal, second_moment_cross,
+                     mean_squared_closed], 1),
+        ],
+    )
+    def test_arithmetic_overflow_is_numerical_failure(self, p, failing, first):
+        # the second moment leaves double range by year 2, where the per-year
+        # functions returned inf or raised a raw OverflowError ((p - q) ** 2)
+        # or ValueError (inf - inf in fsum); the series names the first year
+        plan = PaymentPlan.arithmetic(p, 0.0, 3)
+        spec = stochastic_rate(0.05, 0.01)
+        quantities = {
+            second_moment_closed: "second moment",
+            second_moment_diagonal: "diagonal part",
+            second_moment_cross: "cross part",
+            mean_squared_closed: "squared mean",
+            variance_closed: "second moment",
+        }
+        for function in failing + [variance_closed]:
+            message = f"^closed {quantities[function]} leaves double range at year 2$"
+            with pytest.raises(NumericalFailureError, match=message):
+                function(plan, spec, 2)
+        assert mean_closed(plan, spec, 2) == pytest.approx(p * 1.05 * 2.05, rel=1e-15)
+        message = f"^closed second moment leaves double range at year {first}$"
+        with pytest.raises(NumericalFailureError, match=message):
+            moment_series(plan, spec, "closed")
+
 
 class TestMomentSeries:
     def test_series_shape_and_accessors(self):
