@@ -361,7 +361,9 @@ def _json_fragment(value) -> str:
     """One JSON scalar; floats carry 17 significant digits (bit-exact reload)."""
     if isinstance(value, float):
         if math.isfinite(value):
-            return format(value, ".17g")
+            text = format(value, ".17g")
+            # json reads -0 as the integer 0, which drops the sign
+            return "-0.0" if text == "-0" else text
         if math.isnan(value):
             return "NaN"
         return "Infinity" if value > 0 else "-Infinity"
@@ -398,7 +400,11 @@ def _conversion(column, output: str) -> tuple:
     if kinds == {float}:
         if output == "csv":
             return "%r", column
-        if all(map(math.isfinite, column)):
+        # %.17g writes a negative zero as -0; the membership test keeps a
+        # column without zeros at C speed
+        if all(map(math.isfinite, column)) and (
+            0.0 not in column or all(math.copysign(1.0, x) > 0.0 for x in column if not x)
+        ):
             return "%.17g", column
     if output == "json":
         return "%s", list(map(_json_fragment, column))

@@ -166,7 +166,9 @@ def _json_fragment(value) -> str:
     """One JSON value; floats carry 17 significant digits (bit-exact reload)."""
     if isinstance(value, float):
         if math.isfinite(value):
-            return format(value, ".17g")
+            text = format(value, ".17g")
+            # as the command line writes it now: json reads -0 as the integer 0
+            return "-0.0" if text == "-0" else text
         if math.isnan(value):
             return "NaN"
         return "Infinity" if value > 0 else "-Infinity"

@@ -528,6 +528,16 @@ class TestReload:
         expected = [[kernels[name](k).hex() for k in range(1, 51)] for name in cli._FIXED_COLUMNS]
         assert _reloaded(capsys.readouterr().out, output) == expected
 
+    def test_negative_zero_keeps_its_sign(self, capsys):
+        assert cli.main(["fixed", "--n", "2", "--j", "-0", "--output", "json"]) == 0
+        j = json.loads(capsys.readouterr().out)["j"]
+        assert isinstance(j, float) and math.copysign(1.0, j) == -1.0
+        argv = ["fixed", "--n", "2", "--j", "0.05", "--family", "geometric", "--p", "-0",
+                "--q", "1.5", "--no-strict"]
+        for output in ("csv", "json"):
+            assert cli.main(argv + ["--output", output]) == 0
+            assert _reloaded(capsys.readouterr().out, output) == [[(-0.0).hex()] * 2]
+
 
 def _reloaded(text, output):
     """The value columns of a report, k left out, as the bits of their floats."""
