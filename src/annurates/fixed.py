@@ -157,10 +157,12 @@ def _check_geometric(p: float, q: float) -> None:
 
 
 def _growth_ratio(u) -> float:
-    """The payment ratio 1+u of the growth rate u, which must exceed -1."""
+    """The payment ratio 1+u of the growth rate u, which must be finite and exceed -1."""
     u = float(u)
     if not u > -1.0:
         raise DomainError(f"growth rate must exceed -1, got {u}")
+    if u == math.inf:
+        raise DomainError(f"growth rate must be finite, got {u}")
     return 1.0 + u
 
 

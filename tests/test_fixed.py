@@ -416,6 +416,13 @@ class TestValidation:
         with pytest.raises(DomainError):
             growth_due(-1.0, 3, R10)
 
+    def test_infinite_growth_rate_is_invalid_input(self):
+        # not a NumericalFailureError about the largest horizon that fits
+        with pytest.raises(DomainError, match="growth rate must be finite, got inf"):
+            growth_due(float("inf"), 5, 0.05)
+        with pytest.raises(DomainError, match="growth rate must exceed -1, got -inf"):
+            growth_due(float("-inf"), 5, 0.05)
+
     def test_accepts_plain_float_rate(self):
         assert level_due(3, 0.1) == level_due(3, R10)
 
