@@ -574,15 +574,16 @@ def cmd_verify(cfg: dict) -> int:
     plan = _build_plan(cfg)
     spec = stochastic_rate(cfg["j"], cfg["s2"])
     kinds = _DISTRIBUTIONS if cfg["distribution"] == "all" else (cfg["distribution"],)
-    # constructing the distributions validates rate support before any work
+    # constructing the distributions and the simulation size validates rate
+    # support and path count before any work
     distributions = [
         RateDistribution(kind=kind, j=spec.j, s2=spec.s2) for kind in kinds
     ]
+    sim_config = SimConfig(paths=cfg["paths"], seed=cfg["seed"], workers=cfg["workers"])
     analytic = moment_series(plan, spec, cfg["method"])
     oracles = []
     if "two-point" in kinds and plan.n <= ENUMERATION_MAX_HORIZON:
         oracles.append(enumerate_series(plan, spec, plan.n))
-    sim_config = SimConfig(paths=cfg["paths"], seed=cfg["seed"], workers=cfg["workers"])
     for distribution in distributions:
         oracles.append(simulate(plan, distribution, sim_config, plan.n))
     report = compare(analytic, oracles)

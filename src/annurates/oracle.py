@@ -3,9 +3,10 @@
 Two oracles are provided.  Exact enumeration walks every path of a two-point
 rate (j - s or j + s each year, equally likely) and reproduces the moments
 without any appeal to the closed forms.  Monte Carlo simulates the same
-accumulation under a chosen rate distribution with a counter-based RNG whose
-substreams depend only on (seed, path index), so estimates are bit-identical
-for any worker count.
+accumulation under a chosen rate distribution in fixed-size blocks of paths.
+Block b draws from its own SFC64 stream, seeded by SeedSequence(seed,
+spawn_key=(b,)), and the blocks' means and central sums are merged in block
+order, so estimates are bit-identical for any worker count.
 
 Both oracles import numpy when they are called, and simulate imports its
 thread pool only for more than one worker, so importing the package loads
@@ -33,9 +34,9 @@ ENUM_REL_TOL = 1e-9
 MEAN_Z_LIMIT = 4.0
 VAR_BAND_SE_MULTIPLE = 6.0
 
-# Paths are simulated in fixed-size blocks; block b draws from the Philox
-# substream at counter b << 128, so path i's rates depend only on
-# (seed, i) and never on the worker count.
+# Paths are simulated in fixed-size blocks; block b's rates come from a stream
+# that depends only on (seed, b), so path i's rates depend only on (seed, i)
+# and never on the worker count.
 _BATCH_PATHS = 1 << 14
 
 _KINDS = ("two-point", "uniform", "lognormal")
@@ -85,12 +86,24 @@ class RateDistribution:
         return cls(kind="lognormal", j=float(j), s2=float(s2))
 
     def sample_gross(self, rng: np.random.Generator, shape) -> np.ndarray:
-        """Draw 1 + i with the requested shape."""
+        """Draw 1 + i with the requested shape.
+
+        A two-point draw takes one random bit, unpacked from whole random
+        bytes, and is exactly 1+j-s or 1+j+s.
+        """
+        import numpy as np
         mu = 1.0 + self.j
         if self.kind == "two-point":
             s = math.sqrt(self.s2)
-            bits = rng.integers(0, 2, size=shape)
-            return mu + s * (2.0 * bits - 1.0)
+            count = int(np.prod(shape))
+            packed = rng.integers(0, 256, size=(count + 7) // 8, dtype=np.uint8)
+            bits = np.unpackbits(packed, count=count).reshape(shape)
+            # pick a support value by its bit pattern, low + bit * (high - low)
+            # in integers: exact, and faster than np.where on two scalars
+            low, high = np.array([mu - s, mu + s]).view(np.uint64)
+            patterns = np.multiply(bits, high - low, dtype=np.uint64)
+            patterns += low
+            return patterns.view(np.float64)
         if self.kind == "uniform":
             hw = math.sqrt(3.0 * self.s2)
             return mu + hw * (2.0 * rng.random(size=shape) - 1.0)
@@ -108,7 +121,8 @@ class SimConfig:
     workers: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "paths", check_int(self.paths, "paths", 1))
+        # a variance estimate needs two paths
+        object.__setattr__(self, "paths", check_int(self.paths, "paths", 2))
         object.__setattr__(self, "seed", check_int(self.seed, "seed", 0))
         object.__setattr__(self, "workers", check_int(self.workers, "workers", 1))
 
@@ -222,9 +236,46 @@ def enumerate_exact(
 
 
 def _batch_generator(seed: int, batch_index: int) -> np.random.Generator:
-    """Philox substream for one block of paths; depends only on (seed, block)."""
+    """SFC64 stream for one block of paths; depends only on (seed, block)."""
     import numpy as np
-    return np.random.Generator(np.random.Philox(key=seed, counter=batch_index << 128))
+    sequence = np.random.SeedSequence(seed, spawn_key=(batch_index,))
+    return np.random.Generator(np.random.SFC64(sequence))
+
+
+def _central_sums(c: np.ndarray) -> tuple[float, float, float, float]:
+    """Mean and central sums M2, M3, M4 of c, in two passes."""
+    import numpy as np
+    mean = c.mean()
+    d = c - mean
+    d2 = np.square(d)  # as d * d, bit for bit, but reads one operand
+    return mean, d2.sum(), (d2 * d).sum(), np.square(d2).sum()
+
+
+def _merge_central(a: np.ndarray, n_a: int, b: np.ndarray, n_b: int) -> np.ndarray:
+    """Mean and central sums M2-M4 of two disjoint samples of sizes n_a and n_b.
+
+    a and b hold (mean, M2, M3, M4) along their first axis.  The pairwise
+    update is Chan, Golub & LeVeque (1983) for M2 and Pebay (Sandia report
+    SAND2008-6212, 2008) for M3 and M4; it adds no difference of raw power
+    sums, so a small spread about a large mean keeps its digits.
+    """
+    import numpy as np
+    mean_a, m2_a, m3_a, m4_a = a
+    mean_b, m2_b, m3_b, m4_b = b
+    n_a, n_b = float(n_a), float(n_b)
+    n = n_a + n_b
+    delta = mean_b - mean_a
+    dn = delta / n
+    return np.array([
+        mean_a + n_b * dn,
+        m2_a + m2_b + n_a * n_b * delta * dn,
+        m3_a + m3_b + n_a * n_b * (n_a - n_b) * delta * dn * dn
+        + 3.0 * dn * (n_a * m2_b - n_b * m2_a),
+        m4_a + m4_b
+        + n_a * n_b * (n_a * n_a - n_a * n_b + n_b * n_b) * delta * dn * dn * dn
+        + 6.0 * dn * dn * (n_a * n_a * m2_b + n_b * n_b * m2_a)
+        + 4.0 * dn * (n_a * m3_b - n_b * m3_a),
+    ])
 
 
 def _simulate_batch(
@@ -235,19 +286,20 @@ def _simulate_batch(
     batch_size: int,
     k: int,
 ) -> np.ndarray:
-    """Power sums (S1..S4 per year) of the accumulated value over one block."""
+    """Per-year mean and central sums M2-M4 of the accumulated value over one block.
+
+    Rates are drawn year-major, one contiguous row of the block's paths per
+    year, and each year updates the balances in place.
+    """
     import numpy as np
     rng = _batch_generator(seed, batch_index)
-    gross = distribution.sample_gross(rng, (batch_size, k))
+    gross = distribution.sample_gross(rng, (k, batch_size))
     sums = np.empty((4, k))
     c = np.zeros(batch_size)
-    for t in range(1, k + 1):
-        c = (c + plan.payment(t)) * gross[:, t - 1]
-        c2 = c * c
-        sums[0, t - 1] = np.sum(c)
-        sums[1, t - 1] = np.sum(c2)
-        sums[2, t - 1] = np.sum(c2 * c)
-        sums[3, t - 1] = np.sum(c2 * c2)
+    for t in range(k):
+        c += plan.payment(t + 1)
+        c *= gross[t]
+        sums[:, t] = _central_sums(c)
     return sums
 
 
@@ -260,8 +312,8 @@ def simulate(
     """Monte Carlo estimates of mean and variance of C_t for t = 1..k.
 
     Identical (seed, paths, plan, distribution) inputs give bit-identical
-    results for any worker count: block substreams are derived from the path
-    index and partial sums are reduced in block order.
+    results for any worker count: each block's stream depends only on
+    (seed, block) and the blocks' central sums are merged in block order.
     """
     k = check_int(k, "k", 1, plan.n)
     # loaded here, before any worker thread imports it
@@ -269,9 +321,11 @@ def simulate(
     n = config.paths
     n_batches = (n + _BATCH_PATHS - 1) // _BATCH_PATHS
 
+    def size(b: int) -> int:
+        return min(_BATCH_PATHS, n - b * _BATCH_PATHS)
+
     def run(b: int) -> np.ndarray:
-        size = min(_BATCH_PATHS, n - b * _BATCH_PATHS)
-        return _simulate_batch(plan, distribution, config.seed, b, size, k)
+        return _simulate_batch(plan, distribution, config.seed, b, size(b), k)
 
     if config.workers > 1 and n_batches > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -280,29 +334,24 @@ def simulate(
     else:
         batch_sums = [run(b) for b in range(n_batches)]
 
-    totals = np.zeros((4, k))
-    for sums in batch_sums:  # fixed reduction order keeps results deterministic
-        totals += sums
+    # a fixed merge order keeps results deterministic; every block before
+    # the last is full
+    totals = batch_sums[0]
+    for b in range(1, n_batches):
+        totals = _merge_central(totals, b * _BATCH_PATHS, batch_sums[b], size(b))
 
-    s1, s2_, s3, s4 = totals
-    mean = s1 / n
-    if n > 1:
-        var = (s2_ - n * mean * mean) / (n - 1)
-        var = np.maximum(var, 0.0)
-        m4 = (s4 - 4.0 * mean * s3 + 6.0 * mean * mean * s2_) / n - 3.0 * mean**4
-        se_mean = np.sqrt(var / n)
-        # Var(s^2) = (m4 - var^2)/n + 2 var^2/(n(n-1)), written so the second
-        # term survives plug-in estimation: for the two-point rate at k = 1
-        # the sample m4 tracks var^2 to O(1/n^2) and the difference alone
-        # collapses to noise while the sample variance still fluctuates
-        se_var = np.sqrt(
-            np.maximum(m4 - var * var, 0.0) / n
-            + 2.0 * var * var / (n * (n - 1.0))
-        )
-    else:
-        var = np.full(k, math.nan)
-        se_mean = np.full(k, math.nan)
-        se_var = np.full(k, math.nan)
+    mean, m2, _, m4 = totals
+    var = m2 / (n - 1)
+    m4 = m4 / n
+    se_mean = np.sqrt(var / n)
+    # Var(s^2) = (m4 - var^2)/n + 2 var^2/(n(n-1)), written so the second
+    # term survives plug-in estimation: for the two-point rate at k = 1
+    # the sample m4 tracks var^2 to O(1/n^2) and the difference alone
+    # collapses to noise while the sample variance still fluctuates
+    se_var = np.sqrt(
+        np.maximum(m4 - var * var, 0.0) / n
+        + 2.0 * var * var / (n * (n - 1.0))
+    )
     return SimulationResult(
         kind=distribution.kind,
         paths=n,

@@ -151,15 +151,28 @@ class TestVerifyCommand:
         assert {"mc-two-point", "mc-uniform", "mc-lognormal"} <= sources
 
     def test_worker_count_does_not_change_output(self, tmp_path):
+        # 2 * 2^14 + 3 paths: three blocks, the last of 3 paths
         args = (
             "verify", "--family", "increasing", "--n", "6", "--j", "0.05",
-            "--s2", "0.0025", "--paths", "2e4", "--seed", "11",
+            "--s2", "0.0025", "--paths", "32771", "--seed", "11",
         )
-        one = tmp_path / "w1.json"
-        three = tmp_path / "w3.json"
-        run_cli(*args, "--workers", "1", "--out", str(one))
-        run_cli(*args, "--workers", "3", "--out", str(three))
-        assert one.read_bytes() == three.read_bytes()
+        reports = []
+        for workers in ("1", "2", "5"):
+            out = tmp_path / f"w{workers}.json"
+            assert run_cli(*args, "--workers", workers, "--out", str(out)).returncode == 0
+            reports.append(out.read_bytes())
+        assert reports[1] == reports[0] and reports[2] == reports[0]
+
+    @pytest.mark.parametrize("s2", ["1e-8", "1e-10", "1e-14"])
+    def test_tiny_rate_variance_passes(self, s2):
+        # a variance formed as S2 - n mean^2 from raw power sums cancels here
+        # and failed up to 38 of the 80 comparisons
+        proc = run_cli(
+            "verify", "--family", "level", "--n", "20", "--j", "0.05",
+            "--s2", s2, "--paths", "1e5", "--seed", "1",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "80 comparisons, 0 failed" in proc.stderr
 
     def test_single_distribution(self):
         proc = run_cli(
@@ -219,6 +232,15 @@ class TestErrorHandling:
             "--s2", "1.44", "--paths", "1e3", "--seed", "0",
         )
         assert proc.returncode == 2
+
+    def test_one_path_rejected(self):
+        proc = run_cli(
+            "verify", "--family", "level", "--n", "3", "--j", "0.05",
+            "--s2", "0.01", "--paths", "1", "--seed", "0",
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "paths must be at least 2, got 1" in proc.stderr
 
     def test_extraneous_parameter_rejected(self):
         proc = run_cli(

@@ -6,9 +6,9 @@ intended updates the digest together with a note of why it moved.
 
 The digests were recorded with numpy 2.4.6 on Linux x86-64 (glibc).  The
 closed forms go through the platform's libm, and the Monte Carlo part of the
-verify report follows numpy's Generator streams, which numpy does not promise
-to keep from one release to the next; the CI workflow pins numpy for that
-reason.  A digest that moves only with such an upgrade is re-recorded, not
+verify report follows numpy's SFC64 and SeedSequence streams and its
+lognormal sampler, which numpy does not promise to keep from one release to
+the next; the CI workflow pins numpy for that reason.  A digest that moves only with such an upgrade is re-recorded, not
 a regression.
 
 Four digests were re-recorded when the arithmetic closed forms began to read
@@ -102,6 +102,20 @@ special-vs-general checks of level 1.9099388737231493e-11 to
 2.254646464631249e-11, decreasing 2.441915567014368e-11 to
 2.4432105222392684e-11 and growth 2.1827872842550278e-11 to
 6.883382752675971e-13.
+
+The two digests of `verify --family increasing --n 8 --j 0.1 --s2 0.04
+--paths 2e4`, JSON and CSV, were re-recorded when the Monte Carlo changed
+both its streams and its estimator: block b now draws from
+SFC64(SeedSequence(seed, spawn_key=(b,))) instead of a Philox substream,
+year-major, with two-point draws unpacked from random bytes, and the
+variance comes from each block's central sums merged in block order (Chan,
+Golub & LeVeque; Pebay) instead of raw power sums, S2 - n mean^2.  Every
+field of the 24 Monte Carlo rows that depends on the draws moved; the 8
+enumeration rows and every analytic value did not, and the report still
+passes.  The worst |z| of a mean went from 1.54 to 1.45 (two-point), 1.79
+to 2.60 (uniform) and 1.78 to 1.04 (lognormal), against a limit of 4, and
+the worst |ratio - 1| of a variance, in standard errors, from 1.84 to 2.74,
+1.06 to 1.74 and 1.42 to 1.78, against a limit of 6.
 """
 
 import hashlib
@@ -152,7 +166,7 @@ GOLDEN = [
     ),
     (
         "verify --family increasing --n 8 --j 0.1 --s2 0.04 --paths 2e4",
-        "fbffe9e4c2666605d64047cc1a69ebfcd5cf32e55f1ba91f3e8a18fbadfd09f3",
+        "7d0e5ccc4e3b2f78f0b25676c89e0be150f40b7af194af98de794aa95483540e",
         0,
     ),
     (
@@ -172,7 +186,7 @@ GOLDEN = [
     ),
     (
         "verify --family increasing --n 8 --j 0.1 --s2 0.04 --paths 2e4 --output csv",
-        "b375d165662147ff20ee8754897245a215f01a9550d33e056d6cf3dc47471319",
+        "63a4a2d2f7572fae7628f2f7b65f85c017737dedd9ca4ef437adcaee9f61eb44",
         0,
     ),
     (

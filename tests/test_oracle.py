@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -26,7 +26,13 @@ from annurates import (
     simulate,
     stochastic_rate,
 )
-from annurates.oracle import ENUM_REL_TOL
+from annurates.oracle import (
+    _BATCH_PATHS,
+    ENUM_REL_TOL,
+    _batch_generator,
+    _central_sums,
+    _merge_central,
+)
 
 PLAN = PaymentPlan.increasing(10)
 nan, inf = float("nan"), float("inf")
@@ -165,25 +171,87 @@ class TestRateDistribution:
 
     @pytest.mark.parametrize("kind", ["two-point", "uniform", "lognormal"])
     def test_moment_matching(self, kind):
-        # each distribution must hit the requested mean and variance
+        # each distribution must hit the requested mean and variance, drawn
+        # year-major through the generator simulate uses
         dist = RateDistribution(kind=kind, j=0.07, s2=0.03)
-        rng = np.random.Generator(np.random.Philox(key=99))
-        draws = dist.sample_gross(rng, 400_000)
+        draws = dist.sample_gross(_batch_generator(99, 0), (20, 20_000))
+        assert draws.shape == (20, 20_000)
         assert draws.min() > 0.0
         assert draws.mean() == pytest.approx(1.07, abs=6 * np.sqrt(0.03 / 400_000))
         assert draws.var(ddof=1) == pytest.approx(0.03, rel=0.05)
 
+    def test_two_point_draws_are_the_exact_support(self):
+        # 400,003 draws: the last byte's unpacked bits are cut at the count
+        dist = RateDistribution.two_point(0.07, 0.03)
+        low, high = 1.07 - math.sqrt(0.03), 1.07 + math.sqrt(0.03)
+        draws = dist.sample_gross(_batch_generator(99, 0), (7, 57_143))
+        values, counts = np.unique(draws, return_counts=True)
+        assert values.tolist() == [low, high]
+        # a fair coin's share of highs is within 6 standard errors of 1/2
+        assert abs(counts[1] / draws.size - 0.5) <= 6 * 0.5 / math.sqrt(draws.size)
+
+
+def _finite(low, high):
+    return st.floats(min_value=low, max_value=high, allow_nan=False, allow_infinity=False)
+
+
+class TestCentralSums:
+    """Blocks' central sums merged in block order against one pass over all paths."""
+
+    @given(
+        st.lists(st.lists(_finite(-1.0, 1.0), min_size=1, max_size=40), min_size=1, max_size=8),
+        _finite(-1e3, 1e3),
+        _finite(1e-8, 1e3),
+    )
+    @example(blocks=[[0.5, -0.25, 1.0], [0.75], [-1.0, 0.125]], loc=1e3, spread=1e-8)
+    @example(blocks=[[0.3], [0.9], [-0.2, 0.4, 0.1, -0.7]], loc=1.05, spread=1e-7)
+    @settings(max_examples=300, deadline=None)
+    def test_merged_blocks_match_one_two_pass_sum(self, blocks, loc, spread):
+        blocks = [loc + spread * np.array(block) for block in blocks]
+        merged, count = np.array(_central_sums(blocks[0])), len(blocks[0])
+        for block in blocks[1:]:
+            merged = _merge_central(merged, count, np.array(_central_sums(block)), len(block))
+            count += len(block)
+        # the reference: two passes over all paths with exactly rounded sums
+        x = np.concatenate(blocks)
+        mean = math.fsum(x) / len(x)
+        d = [v - mean for v in x.tolist()]
+        # the merged mean is good to a few ulps of the data, and an error e in
+        # the mean moves each deviation by e; the sums must agree to 1e-12 of
+        # sum |d|^p beyond what that alone can move
+        e = 64 * 2.0**-53 * float(np.max(np.abs(x)))
+        assert abs(merged[0] - mean) <= e
+        for p, got in zip((2, 3, 4), merged[1:]):
+            want = math.fsum(v**p for v in d)
+            scale = math.fsum(abs(v) ** p for v in d)
+            shifted = math.fsum((abs(v) + e) ** p for v in d)
+            assert abs(got - want) <= 1e-12 * scale + (shifted - scale), p
+
 
 class TestSimulate:
     def test_worker_count_does_not_change_results(self):
-        results = []
-        for workers in (1, 2, 5):
-            cfg = SimConfig(paths=50_000, seed=31, workers=workers)
-            results.append(simulate(PLAN, RateDistribution.uniform(0.1, 0.04), cfg, 10))
-        for other in results[1:]:
-            assert other.mean == results[0].mean
-            assert other.variance == results[0].variance
-            assert other.se_variance == results[0].se_variance
+        # three blocks, the last of 3 paths: 30 two-point bits, not whole bytes
+        paths = 2 * _BATCH_PATHS + 3
+        for kind in ("two-point", "uniform", "lognormal"):
+            dist = RateDistribution(kind=kind, j=0.1, s2=0.04)
+            results = [
+                simulate(PLAN, dist, SimConfig(paths=paths, seed=31, workers=workers), 10)
+                for workers in (1, 2, 5)
+            ]
+            assert results[1] == results[0] and results[2] == results[0], kind
+
+    def test_one_block_is_its_sample_statistics(self):
+        # a single block draws year-major from stream (seed, 0) and reports
+        # the sample mean and variance of those paths
+        dist = RateDistribution.lognormal(0.1, 0.04)
+        paths = 1000
+        result = simulate(PLAN, dist, SimConfig(paths=paths, seed=8), 10)
+        gross = dist.sample_gross(_batch_generator(8, 0), (10, paths))
+        c = np.zeros(paths)
+        for t in range(10):
+            c = (c + PLAN.payment(t + 1)) * gross[t]
+            assert result.mean[t] == pytest.approx(c.mean(), rel=1e-14)
+            assert result.variance[t] == pytest.approx(c.var(ddof=1), rel=1e-12)
 
     def test_seed_changes_results(self):
         dist = RateDistribution.uniform(0.1, 0.04)
@@ -208,6 +276,10 @@ class TestSimulate:
     def test_config_validation(self):
         with pytest.raises(DomainError):
             SimConfig(paths=0, seed=1)
+        # one path has no sample variance
+        with pytest.raises(DomainError, match="paths must be at least 2, got 1"):
+            SimConfig(paths=1, seed=1)
+        SimConfig(paths=2, seed=1)
         with pytest.raises(DomainError):
             SimConfig(paths=100, seed=-1)
         with pytest.raises(DomainError):
