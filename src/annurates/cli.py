@@ -29,7 +29,7 @@ from .fixed import (
     _increasing_squared,
     _level,
 )
-from .identities import run_identity_suites
+from .identities import _dev, run_identity_suites
 from .moments import PaymentPlan, _series_columns, moment_series
 from .oracle import (
     ENUMERATION_MAX_HORIZON,
@@ -452,7 +452,10 @@ def _render_json(document: dict) -> str:
     return "{\n" + ",\n".join(lines) + "\n}\n"
 
 
-def _emit(text: str, out_path) -> None:
+def _emit(cfg: dict, table: _Table, document: dict) -> None:
+    """The report in cfg's format, CSV of table or JSON of document, to stdout or cfg's --out."""
+    text = _render_json(document) if cfg["output"] == "json" else _render_csv(table)
+    out_path = cfg["out"]
     if out_path:
         # newline='' keeps CSV CRLF and JSON LF bytes exactly as rendered
         with open(out_path, "w", encoding="utf-8", newline="") as handle:
@@ -477,16 +480,12 @@ def _build_plan(cfg: dict) -> PaymentPlan:
     family = cfg["family"]
     n = cfg["n"]
     strict = cfg["strict"]
-    if family == "arithmetic":
+    if family in ("arithmetic", "geometric"):
         _reject_extraneous(cfg, ("p", "q"), family)
         p = 1.0 if cfg["p"] is None else cfg["p"]
-        q = 0.0 if cfg["q"] is None else cfg["q"]
-        return PaymentPlan.arithmetic(p, q, n, strict=strict)
-    if family == "geometric":
-        _reject_extraneous(cfg, ("p", "q"), family)
-        p = 1.0 if cfg["p"] is None else cfg["p"]
-        q = 1.0 if cfg["q"] is None else cfg["q"]
-        return PaymentPlan.geometric(p, q, n, strict=strict)
+        level = 1.0 if family == "geometric" else 0.0  # the step or ratio of level payments
+        q = level if cfg["q"] is None else cfg["q"]
+        return PaymentPlan(family, p, q, n, strict)
     if family == "growth":
         _reject_extraneous(cfg, ("u",), family)
         if cfg["u"] is None:
@@ -525,11 +524,7 @@ def cmd_fixed(cfg: dict) -> int:
     # row by row, so the first year and column to fail decide the error
     rows = [[kernel(k) for kernel in chosen] for k in range(1, n + 1)]
     table = _Table(["k", *columns], [range(1, n + 1), *zip(*rows)])
-    if cfg["output"] == "json":
-        document = {"j": cfg["j"], "n": n, "columns": list(columns), "rows": table}
-        _emit(_render_json(document), cfg["out"])
-    else:
-        _emit(_render_csv(table), cfg["out"])
+    _emit(cfg, table, {"j": cfg["j"], "n": n, "columns": list(columns), "rows": table})
     return EXIT_OK
 
 
@@ -546,26 +541,22 @@ def cmd_moments(cfg: dict) -> int:
         other = _series_columns(plan, spec, "recursive")[:3]
         header.append("max_discrepancy")
         columns.append([
-            max(abs(a - b) / max(1.0, abs(b)) for a, b in pairs)
-            for pairs in zip(*map(zip, columns[1:], other))
+            max(_dev(a, b) for a, b in pairs) for pairs in zip(*map(zip, columns[1:], other))
         ])
     table = _Table(header, columns)
-    if cfg["output"] == "json":
-        document = {
-            "family": cfg["family"],
-            "p": plan.p,
-            "q": plan.q,
-            "n": plan.n,
-            "j": cfg["j"],
-            "s2": cfg["s2"],
-            "method": method,
-            "rows": table,
-        }
-        if cfg["family"] == "growth":
-            document["u"] = cfg["u"]
-        _emit(_render_json(document), cfg["out"])
-    else:
-        _emit(_render_csv(table), cfg["out"])
+    document = {
+        "family": cfg["family"],
+        "p": plan.p,
+        "q": plan.q,
+        "n": plan.n,
+        "j": cfg["j"],
+        "s2": cfg["s2"],
+        "method": method,
+        "rows": table,
+    }
+    if cfg["family"] == "growth":
+        document["u"] = cfg["u"]
+    _emit(cfg, table, document)
     return EXIT_OK
 
 
@@ -589,25 +580,22 @@ def cmd_verify(cfg: dict) -> int:
     report = compare(analytic, oracles)
     header = [field.name for field in fields(MomentComparison)]
     table = _Table(header, [[getattr(c, name) for c in report.comparisons] for name in header])
-    if cfg["output"] == "json":
-        # worker count and timing are excluded: reports with the same seed
-        # must be byte-identical however the work was split
-        document = {
-            "family": cfg["family"],
-            "p": plan.p,
-            "q": plan.q,
-            "n": plan.n,
-            "j": spec.j,
-            "s2": spec.s2,
-            "method": cfg["method"],
-            "paths": sim_config.paths,
-            "seed": sim_config.seed,
-            "passed": report.passed,
-            "comparisons": table,
-        }
-        _emit(_render_json(document), cfg["out"])
-    else:
-        _emit(_render_csv(table), cfg["out"])
+    # worker count and timing are excluded: reports with the same seed must
+    # be byte-identical however the work was split
+    document = {
+        "family": cfg["family"],
+        "p": plan.p,
+        "q": plan.q,
+        "n": plan.n,
+        "j": spec.j,
+        "s2": spec.s2,
+        "method": cfg["method"],
+        "paths": sim_config.paths,
+        "seed": sim_config.seed,
+        "passed": report.passed,
+        "comparisons": table,
+    }
+    _emit(cfg, table, document)
     failed = [c for c in report.comparisons if not c.passed]
     print(
         f"verify: {len(oracles)} oracle runs, {len(report.comparisons)} "
@@ -622,11 +610,7 @@ def cmd_identities(cfg: dict, corrupt: bool = False) -> int:
     results = run_identity_suites(corrupt=corrupt)
     header = ["name", "cases", "max_rel_dev", "tol", "passed"]
     table = _Table(header, [[getattr(r, name) for r in results] for name in header])
-    if cfg["output"] == "json":
-        document = {"checks": table, "passed": all(r.passed for r in results)}
-        _emit(_render_json(document), cfg["out"])
-    else:
-        _emit(_render_csv(table), cfg["out"])
+    _emit(cfg, table, {"checks": table, "passed": all(r.passed for r in results)})
     breaches = [r for r in results if not r.passed]
     worst = max(results, key=lambda r: r.max_rel_dev)
     print(
@@ -661,10 +645,7 @@ def main(argv=None) -> int:
     except NumericalFailureError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (_ConfigError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except OSError as exc:
+    except (_ConfigError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -28,7 +28,7 @@ import operator
 import sys
 
 from .errors import DomainError, NumericalFailureError, PaymentPositivityError, check_int
-from .rates import SINGULARITY_EPS, FixedRate, fixed_rate
+from .rates import FixedRate, fixed_rate, geometric_singular, singular
 
 _MODES = ("auto", "closed", "recursive", "sum")
 # increasing_squared_due also accepts the quadratic-denominator relationship
@@ -97,12 +97,18 @@ def _overflow(rate: FixedRate, fits: int) -> NumericalFailureError:
     )
 
 
-def _evaluate(value, k: int) -> float:
-    """value(k), or inf where it raises OverflowError."""
+def _fits(value, *args) -> bool:
+    """Whether value(*args) stays in double range.
+
+    inf, NaN, the OverflowError of ** and the ValueError of an fsum over
+    infinities say it does not; a DomainError passes through.
+    """
     try:
-        return value(k)
-    except OverflowError:
-        return math.inf
+        return math.isfinite(value(*args))
+    except DomainError:
+        raise
+    except (OverflowError, ValueError):
+        return False
 
 
 def _guarded(path, value, rate: FixedRate, mode: str, check=None):
@@ -126,13 +132,14 @@ def _guarded(path, value, rate: FixedRate, mode: str, check=None):
             return 0.0
         if explicit:
             return value(k)
-        result = _evaluate(value, k)
-        if math.isfinite(result):
-            return result
+        try:
+            result = value(k)
+            if math.isfinite(result):
+                return result
+        except OverflowError:
+            pass
         # the values grow with the horizon: bisect for the first one that does not fit
-        fits = bisect.bisect_left(
-            range(1, k), True, key=lambda h: not math.isfinite(_evaluate(value, h))
-        )
+        fits = bisect.bisect_left(range(1, k), True, key=lambda h: not _fits(value, h))
         raise _overflow(rate, fits)
 
     return guarded
@@ -241,7 +248,7 @@ def _annuity(rate, mode: str, closed, payments, lead=0.0, tail=0, allowed=_MODES
     closed(h) is its closed form at horizon h >= 1; the recursion and the sum
     accumulate its payments(h) with lead and tail, as _accumulate does.
     """
-    path = _route(mode, abs(rate.j) < SINGULARITY_EPS, allowed)
+    path = _route(mode, singular(rate.j), allowed)
     if path in ("closed", "relation"):
         return _guarded(path, closed, rate, mode, check)
     g = 1.0 + rate.j
@@ -364,7 +371,7 @@ def _geometric(p, q, rate: FixedRate, mode: str, strict: bool):
     g = 1.0 + rate.j
     # an explicit "closed" is evaluated inside the band too: it stays finite
     path = _route(mode, False)
-    if mode == "auto" and _geometric_singular(g, q):
+    if mode == "auto" and geometric_singular(g, q):
         path = "sum"
     pg = p * g
 
@@ -396,11 +403,6 @@ def geometric_due(p, q, k, rate, mode: str = "auto", strict: bool = True) -> flo
     rate = _as_rate(rate)
     k = check_int(k, "k", 0)
     return _geometric(p, q, rate, mode, strict)(k)
-
-
-def _geometric_singular(g: float, q: float) -> bool:
-    """Whether q lies in the band |g-q| < 1e-9*max(1,q) around g = 1+j."""
-    return abs(g - q) < SINGULARITY_EPS * max(1.0, q)
 
 
 def growth_due(u, k, rate, mode: str = "auto") -> float:

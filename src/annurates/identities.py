@@ -30,7 +30,7 @@ from .moments import (
     increasing_moments,
     level_moments,
 )
-from .rates import SINGULARITY_EPS, fixed_rate, geometric_aux, stochastic_rate
+from .rates import fixed_rate, geometric_aux, geometric_singular, singular, stochastic_rate
 
 FIXED_J_GRID = (-0.05, 0.0, 0.01, 0.05, 0.1, 0.25)
 FIXED_K_MAX = 40
@@ -137,7 +137,7 @@ def _fixed_tables(rate) -> tuple:
     general) compare two accumulators in every mode.
     """
     g = 1.0 + rate.j
-    closed = () if abs(rate.j) < SINGULARITY_EPS else ("closed",)
+    closed = () if singular(rate.j) else ("closed",)
     both = ("auto", "recursive")
     level = partial(level_due, rate=rate)
     increasing = partial(increasing_due, rate=rate)
@@ -163,7 +163,7 @@ def _fixed_tables(rate) -> tuple:
         (
             "geometric-evaluators",
             partial(geometric_due, 2.0, q, rate=rate),
-            both if abs(g - q) < SINGULARITY_EPS * max(1.0, q) else both + ("closed",),
+            both if geometric_singular(g, q) else both + ("closed",),
         )
         for q in (0.9, 1.0, 1.05, 1.2, g)
     ]
@@ -188,11 +188,11 @@ def fixed_identity_suite(
     for j in j_grid:
         rate = fixed_rate(j)
         g = 1.0 + j
-        singular = abs(j) < SINGULARITY_EPS
+        in_band = singular(j)
         for value, reference in ((g * rate.d, j), (g * rate.v, 1.0), (rate.v + rate.d, 1.0)):
             rec.record("discount-identities", _dev(value, reference))
         evaluators, specializations = _fixed_tables(rate)
-        modes = ("sum", "recursive") if singular else ("sum", "recursive", "closed")
+        modes = ("sum", "recursive") if in_band else ("sum", "recursive", "closed")
         for k in range(0, k_max + 1):
             for name, evaluate, compared in evaluators:
                 reference = evaluate(k, mode="sum")
@@ -219,7 +219,7 @@ def fixed_identity_suite(
             rec.record("increasing-shift", _dev(shifted, is_ref - s_ref))
             shifted = increasing_squared_due(k - 1, rate, mode="sum")
             rec.record("increasing-squared-shift", _dev(shifted, i2_ref - 2.0 * is_ref + s_ref))
-            if singular:
+            if in_band:
                 continue
             s_2k = level_due(2 * k, rate, mode="sum")
             rec.record("level-squared", _dev(s_ref * s_ref, (s_2k - 2.0 * s_ref) / rate.d))

@@ -55,8 +55,8 @@ from .fixed import (
     _arithmetic,
     _check_arithmetic,
     _check_geometric,
+    _fits,
     _geometric,
-    _geometric_singular,
     _growth_ratio,
     _sum_tables,
     decreasing_due,
@@ -65,11 +65,12 @@ from .fixed import (
     level_due,
 )
 from .rates import (
-    SINGULARITY_EPS,
     GeometricAux,
     StochasticRateSpec,
     fixed_rate,
     geometric_aux,
+    geometric_singular,
+    singular,
 )
 
 if TYPE_CHECKING:
@@ -282,17 +283,6 @@ def _rows(column: tuple):
     return lambda k: column[k - 1]
 
 
-def _check_plan_k(plan: PaymentPlan, k) -> int:
-    return check_int(k, "k", 0, plan.n)
-
-
-def _singular(plan: PaymentPlan, spec: StochasticRateSpec) -> bool:
-    """Whether the closed forms' denominator (d, or 1+j-q for geometric plans) vanishes."""
-    if plan.family == "arithmetic":
-        return abs(spec.j) < SINGULARITY_EPS
-    return _geometric_singular(spec.mu, plan.q)
-
-
 class _ClosedForms:
     """The closed forms of one plan and rate at every year 1 <= k <= kmax.
 
@@ -317,9 +307,14 @@ class _ClosedForms:
         self.plan = plan
         self.spec = spec
         self.kmax = kmax
-        # a geometric plan that pays nothing reads the recursion too: its
-        # moments are zero, while q^k or (1+j)^k alone may leave double range
-        self.singular = _singular(plan, spec) or (plan.family == "geometric" and not plan.p)
+        # whether the closed forms' denominator (d, or 1+j-q for geometric
+        # plans) vanishes; a geometric plan that pays nothing reads the
+        # recursion too: its moments are zero, while q^k or (1+j)^k alone may
+        # leave double range
+        if plan.family == "geometric":
+            self.singular = geometric_singular(spec.mu, plan.q) or not plan.p
+        else:
+            self.singular = singular(spec.j)
         self.rj = fixed_rate(spec.j)
         self.rf = fixed_rate(spec.f)
         self.rr = fixed_rate(spec.r)
@@ -534,15 +529,6 @@ class _ClosedForms:
         "variance": "variance",
     }
 
-    def _fails(self, name: str, k: int, *row) -> bool:
-        """Whether the kernel name leaves double range at year k."""
-        try:
-            return not math.isfinite(getattr(self, name)(k, *row))
-        except DomainError:
-            raise
-        except (OverflowError, ValueError):  # a ** past double range, inf - inf in fsum
-            return True
-
     def column(self, name: str, ks, *rows) -> list:
         """The kernel name at each year of ks, passed that year's entry of each of rows.
 
@@ -560,7 +546,9 @@ class _ClosedForms:
             raise
         except (OverflowError, ValueError):
             pass
-        year = next(k for k, *row in zip(ks, *rows) if self._fails(name, k, *row))
+        # looked up inside the test, since building a kernel may leave double range
+        kernel = lambda *args: getattr(self, name)(*args)
+        year = next(k for k, *row in zip(ks, *rows) if not _fits(kernel, k, *row))
         raise NumericalFailureError(
             f"closed {self._QUANTITY[name]} leaves double range at year {year}"
         )
@@ -578,7 +566,7 @@ class _ClosedForms:
 
 def _closed_at(plan: PaymentPlan, spec: StochasticRateSpec, k, name: str) -> float:
     """The closed kernel name at year k, 0.0 at k = 0."""
-    k = _check_plan_k(plan, k)
+    k = check_int(k, "k", 0, plan.n)
     return _ClosedForms(plan, spec, k).column(name, (k,))[0] if k else 0.0
 
 
@@ -614,7 +602,7 @@ def mean_squared_closed(plan: PaymentPlan, spec: StochasticRateSpec, k) -> float
 
 def variance_closed(plan: PaymentPlan, spec: StochasticRateSpec, k) -> float:
     """Closed-form variance, falling back to the recursions on cancellation."""
-    k = _check_plan_k(plan, k)
+    k = check_int(k, "k", 0, plan.n)
     if k == 0 or spec.s2 == 0.0:
         return 0.0
     closed = _ClosedForms(plan, spec, k)
@@ -695,13 +683,23 @@ def _settle_variance(candidate: float, reference: float) -> float:
     return reference
 
 
+def _special_variance(
+    label: str, terms: list, plan: PaymentPlan, spec: StochasticRateSpec, k: int
+) -> float:
+    """A specialized family's variance fsum(terms), audited and settled against the recursion."""
+    var = math.fsum(terms)
+    _, var_r, *_ = _general_reference(plan, spec, k)
+    _audit(label, var, var_r, scale=_term_scale(terms))
+    return _settle_variance(var, var_r)
+
+
 def level_moments(spec: StochasticRateSpec, k) -> LevelMoments:
     """Mean and variance of a level annuity-due of 1 per year."""
     k = check_int(k, "k", 0)
     if k == 0:
         return LevelMoments(0.0, 0.0)
     plan = PaymentPlan.level(k)
-    if abs(spec.j) < SINGULARITY_EPS:
+    if singular(spec.j):
         mean_r, var_r, *_ = _general_reference(plan, spec, k)
         return LevelMoments(mean_r, var_r)
     rj = fixed_rate(spec.j)
@@ -715,11 +713,7 @@ def level_moments(spec: StochasticRateSpec, k) -> LevelMoments:
         -g * level_due(2 * k, rj, mode="sum") / spec.j,
         2.0 * g * level_due(k, rj, mode="sum") / spec.j,
     ]
-    var = math.fsum(terms)
-    _, var_r, *_ = _general_reference(plan, spec, k)
-    _audit("level variance", var, var_r, scale=_term_scale(terms))
-    var = _settle_variance(var, var_r)
-    return LevelMoments(mean, var)
+    return LevelMoments(mean, _special_variance("level variance", terms, plan, spec, k))
 
 
 def increasing_moments(spec: StochasticRateSpec, k) -> IncreasingMoments:
@@ -728,7 +722,7 @@ def increasing_moments(spec: StochasticRateSpec, k) -> IncreasingMoments:
     if k == 0:
         return IncreasingMoments(0.0, 0.0, 0.0, 0.0, 0.0)
     plan = PaymentPlan.increasing(k)
-    if abs(spec.j) < SINGULARITY_EPS:
+    if singular(spec.j):
         mean, var, _, diag, cross = _general_reference(plan, spec, k)
         return IncreasingMoments(mean, diag, cross, diag + 2.0 * cross, var)
     j = spec.j
@@ -772,7 +766,7 @@ def decreasing_moments(spec: StochasticRateSpec, n, k) -> DecreasingMoments:
     if k == 0:
         return DecreasingMoments(0.0, 0.0)
     plan = PaymentPlan.decreasing(n)
-    if abs(spec.j) < SINGULARITY_EPS or spec.ell <= 0.0:
+    if singular(spec.j) or spec.ell <= 0.0:
         # the ell-form needs j away from 0 and a genuinely random rate
         mean_r, var_r, *_ = _general_reference(plan, spec, k)
         return DecreasingMoments(mean_r, var_r)
@@ -793,11 +787,7 @@ def decreasing_moments(spec: StochasticRateSpec, n, k) -> DecreasingMoments:
         -2.0 * lead * a * increasing_due(k, rf, mode="sum") / (1.0 + spec.f),
         lead * increasing_squared_due(k, rf, mode="sum") / (1.0 + spec.f),
     ]
-    var = math.fsum(terms)
-    _, var_r, *_ = _general_reference(plan, spec, k)
-    _audit("decreasing variance", var, var_r, scale=_term_scale(terms))
-    var = _settle_variance(var, var_r)
-    return DecreasingMoments(mean, var)
+    return DecreasingMoments(mean, _special_variance("decreasing variance", terms, plan, spec, k))
 
 
 def growth_moments(spec: StochasticRateSpec, aux: GeometricAux, k) -> GrowthMoments:
@@ -815,7 +805,7 @@ def growth_moments(spec: StochasticRateSpec, aux: GeometricAux, k) -> GrowthMome
     if k == 0:
         return GrowthMoments(0.0, 0.0)
     plan = PaymentPlan.growth(aux.u, k)
-    if abs(aux.t) < SINGULARITY_EPS:
+    if singular(aux.t):
         mean_r, var_r, *_ = _general_reference(plan, spec, k)
         return GrowthMoments(mean_r, var_r)
     g = spec.mu
@@ -831,8 +821,4 @@ def growth_moments(spec: StochasticRateSpec, aux: GeometricAux, k) -> GrowthMome
         -g ** (2 * k) * level_due(2 * k, rt, mode="sum") / (aux.t * one_t),
         2.0 * g ** (2 * k) * level_due(k, rt, mode="sum") / (aux.t * one_t),
     ]
-    var = math.fsum(terms)
-    _, var_r, *_ = _general_reference(plan, spec, k)
-    _audit("growth variance", var, var_r, scale=_term_scale(terms))
-    var = _settle_variance(var, var_r)
-    return GrowthMoments(mean, var)
+    return GrowthMoments(mean, _special_variance("growth variance", terms, plan, spec, k))

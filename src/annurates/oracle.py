@@ -368,36 +368,44 @@ def _rel_dev(a: float, b: float) -> float:
     return abs(a - b) / max(1.0, abs(a), abs(b))
 
 
+def _years(analytic: MomentSeries, oracle):
+    """(k, analytic mean, oracle mean, analytic variance, oracle variance) for each year."""
+    for i in range(oracle.horizon):
+        a_mean, a_var = float(analytic.mean[i]), float(analytic.variance[i])
+        yield i + 1, a_mean, oracle.mean[i], a_var, oracle.variance[i]
+
+
+def _comparison(
+    source: str, k: int, a_mean: float, o_mean: float, a_var: float, o_var: float, passed: bool,
+    *, mean_se=None, mean_z=None, var_se_rel=None, var_ratio=None,
+) -> MomentComparison:
+    """The comparison record at year k; enumeration leaves the Monte Carlo fields None."""
+    return MomentComparison(
+        k=k,
+        source=source,
+        analytic_mean=a_mean,
+        oracle_mean=o_mean,
+        mean_abs_dev=abs(a_mean - o_mean),
+        mean_rel_dev=_rel_dev(a_mean, o_mean),
+        analytic_variance=a_var,
+        oracle_variance=o_var,
+        var_abs_dev=abs(a_var - o_var),
+        var_rel_dev=_rel_dev(a_var, o_var),
+        mean_se=mean_se,
+        mean_z=mean_z,
+        var_se_rel=var_se_rel,
+        var_ratio=var_ratio,
+        passed=passed,
+    )
+
+
 def _compare_enumeration(
     analytic: MomentSeries, oracle: EnumerationResult
 ) -> list[MomentComparison]:
     out = []
-    for i in range(oracle.horizon):
-        a_mean = float(analytic.mean[i])
-        a_var = float(analytic.variance[i])
-        o_mean = oracle.mean[i]
-        o_var = oracle.variance[i]
-        mean_rel = _rel_dev(a_mean, o_mean)
-        var_rel = _rel_dev(a_var, o_var)
-        out.append(
-            MomentComparison(
-                k=i + 1,
-                source="enumeration",
-                analytic_mean=a_mean,
-                oracle_mean=o_mean,
-                mean_abs_dev=abs(a_mean - o_mean),
-                mean_rel_dev=mean_rel,
-                analytic_variance=a_var,
-                oracle_variance=o_var,
-                var_abs_dev=abs(a_var - o_var),
-                var_rel_dev=var_rel,
-                mean_se=None,
-                mean_z=None,
-                var_se_rel=None,
-                var_ratio=None,
-                passed=mean_rel <= ENUM_REL_TOL and var_rel <= ENUM_REL_TOL,
-            )
-        )
+    for k, a_mean, o_mean, a_var, o_var in _years(analytic, oracle):
+        passed = _rel_dev(a_mean, o_mean) <= ENUM_REL_TOL and _rel_dev(a_var, o_var) <= ENUM_REL_TOL
+        out.append(_comparison("enumeration", k, a_mean, o_mean, a_var, o_var, passed))
     return out
 
 
@@ -405,12 +413,8 @@ def _compare_simulation(
     analytic: MomentSeries, oracle: SimulationResult
 ) -> list[MomentComparison]:
     out = []
-    for i in range(oracle.horizon):
-        a_mean = float(analytic.mean[i])
-        a_var = float(analytic.variance[i])
-        o_mean = oracle.mean[i]
-        o_var = oracle.variance[i]
-        se = oracle.se_mean[i]
+    for k, a_mean, o_mean, a_var, o_var in _years(analytic, oracle):
+        se = oracle.se_mean[k - 1]
         if se > 1e-15:
             z = (o_mean - a_mean) / se
             mean_ok = abs(z) <= MEAN_Z_LIMIT
@@ -424,29 +428,16 @@ def _compare_simulation(
             var_ok = True
         elif a_var > 0.0:
             ratio = o_var / a_var
-            se_rel = oracle.se_variance[i] / a_var
+            se_rel = oracle.se_variance[k - 1] / a_var
             var_ok = abs(ratio - 1.0) <= VAR_BAND_SE_MULTIPLE * se_rel
         else:
             ratio = math.inf
             se_rel = math.inf
             var_ok = False
         out.append(
-            MomentComparison(
-                k=i + 1,
-                source=f"mc-{oracle.kind}",
-                analytic_mean=a_mean,
-                oracle_mean=o_mean,
-                mean_abs_dev=abs(a_mean - o_mean),
-                mean_rel_dev=_rel_dev(a_mean, o_mean),
-                analytic_variance=a_var,
-                oracle_variance=o_var,
-                var_abs_dev=abs(a_var - o_var),
-                var_rel_dev=_rel_dev(a_var, o_var),
-                mean_se=se,
-                mean_z=z,
-                var_se_rel=se_rel,
-                var_ratio=ratio,
-                passed=mean_ok and var_ok,
+            _comparison(
+                f"mc-{oracle.kind}", k, a_mean, o_mean, a_var, o_var, mean_ok and var_ok,
+                mean_se=se, mean_z=z, var_se_rel=se_rel, var_ratio=ratio,
             )
         )
     return out

@@ -18,8 +18,18 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 
-# Below this, closed forms dividing by d or j switch to recursion.
+# the half-width of the singular bands
 SINGULARITY_EPS = 1e-9
+
+
+def singular(j: float) -> bool:
+    """Whether the rate j lies in the band |j| < 1e-9 around the pole of 1/d."""
+    return abs(j) < SINGULARITY_EPS
+
+
+def geometric_singular(g: float, q: float) -> bool:
+    """Whether q lies in the band |g-q| < 1e-9*max(1,q) around g = 1+j."""
+    return abs(g - q) < SINGULARITY_EPS * max(1.0, q)
 
 
 @dataclass(frozen=True)

@@ -32,8 +32,8 @@ from annurates import (
     variance_closed,
 )
 from annurates import cli, fixed, moments
-from annurates.fixed import _arithmetic, _geometric, _geometric_singular
-from annurates.rates import SINGULARITY_EPS
+from annurates.fixed import _arithmetic, _geometric
+from annurates.rates import SINGULARITY_EPS, geometric_singular
 
 
 def outcome(fn, *args):
@@ -98,7 +98,7 @@ class TestFixedKernels:
         q = ratio(data, spec.mu)
         geometric = PaymentPlan(family="geometric", p=p, q=q, n=k, strict=False)
         forms = moments._ClosedForms(geometric, spec, k)
-        if _geometric_singular(spec.mu, q) or not p:
+        if geometric_singular(spec.mu, q) or not p:
             # inside the band, and for a plan that pays nothing, the closed
             # mean is the recursion's row
             # (building the kernel runs the recursion, which may raise)
