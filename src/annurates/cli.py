@@ -541,7 +541,8 @@ def cmd_moments(cfg: dict) -> int:
         other = _series_columns(plan, spec, "recursive")[:3]
         header.append("max_discrepancy")
         columns.append([
-            max(_dev(a, b) for a, b in pairs) for pairs in zip(*map(zip, columns[1:], other))
+            max(_dev(a, b) for a, b in pairs)
+            for pairs in zip(*map(zip, columns[1:], other))
         ])
     table = _Table(header, columns)
     document = {

@@ -3,9 +3,9 @@
 Payments land at the start of each year and the accumulated value is taken
 at the end of year k, so a payment made in year i grows by (1+j)^(k-i+1).
 Each accumulator offers a closed form, a one-step recursion and a direct
-summation; the last two are the same _accumulate over the accumulator's
-payment list.  Mode "auto" (the default) uses the closed form except inside
-the singular band of its denominator, where it falls back to the recursion.
+summation over its payment list (_recursive, _accumulate).  Mode "auto" (the
+default) uses the closed form except inside the singular band of its
+denominator, where it falls back to the recursion.
 A result of any mode but an explicit "recursive" that leaves double range
 raises NumericalFailureError naming the largest horizon that fits.
 _sum_tables gives the summation values of the level, increasing and
@@ -58,20 +58,33 @@ def _route(mode: str, singular: bool, allowed=_MODES):
     return mode
 
 
-def _accumulate(g: float, payments, path: str, lead=0.0, tail=0) -> float:
-    """Value at the end of year k of payments c_i = lead + payments[i] + tail.
+def _recursive(g: float, payments, lead=0.0, tail=0):
+    """value = g*(value + lead + c + tail) over payments(h), as a function of the horizon h.
 
-    Payment i is made at the start of year i.  Path "recursive" runs
-    value = g*(value + lead + payments[i] + tail), adding left to right, so
-    the split of c_i fixes how the recursion rounds; path "sum" adds the
-    terms c_i g^(k-i+1) with a single rounding, leaving out each zero
+    Payment i is made at the start of year i; adding left to right, the split
+    of c fixes how the recursion rounds.  The values of one pass are kept for
+    every horizon, and extended to at least twice as many when a later h is
+    asked for, so a table of n horizons runs over O(n) payments.
+    """
+    rows = [0.0]
+
+    def value(h):
+        if h >= len(rows):
+            x = rows[-1]
+            for c in itertools.islice(payments(max(h, 2 * len(rows))), len(rows) - 1, None):
+                x = g * (x + lead + c + tail)
+                rows.append(x)
+        return rows[h]
+
+    return value
+
+
+def _accumulate(g: float, payments, lead=0.0, tail=0) -> float:
+    """Sum of c_i g^(k-i+1) over payments c_i = lead + payments[i] + tail, i = 1..k.
+
+    The terms are added with a single rounding, leaving out each zero
     payment, which adds nothing even where its g^(k-i+1) is inf.
     """
-    if path == "recursive":
-        value = 0.0
-        for c in payments:
-            value = g * (value + lead + c + tail)
-        return value
     if lead or tail:
         payments = [lead + c + tail for c in payments]
     terms = []
@@ -246,15 +259,17 @@ def _annuity(rate, mode: str, closed, payments, lead=0.0, tail=0, allowed=_MODES
     """An annuity-due at rate in mode, as a function of k.
 
     closed(h) is its closed form at horizon h >= 1; the recursion and the sum
-    accumulate its payments(h) with lead and tail, as _accumulate does.
+    run over its payments(h) with lead and tail.
     """
     path = _route(mode, singular(rate.j), allowed)
-    if path in ("closed", "relation"):
-        return _guarded(path, closed, rate, mode, check)
     g = 1.0 + rate.j
-    return _guarded(
-        path, lambda h: _accumulate(g, payments(h), path, lead, tail), rate, mode, check
-    )
+    if path == "recursive":
+        value = _recursive(g, payments, lead, tail)
+    elif path == "sum":
+        value = lambda h: _accumulate(g, payments(h), lead, tail)
+    else:  # "closed", "relation", or the DomainError _guarded raises
+        value = closed
+    return _guarded(path, value, rate, mode, check)
 
 
 def _level(rate: FixedRate, mode: str):
@@ -375,19 +390,24 @@ def _geometric(p, q, rate: FixedRate, mode: str, strict: bool):
         path = "sum"
     pg = p * g
 
-    def value(h):
-        # p = 0 pays nothing: its value is zero even where q^i or the
-        # quotient leaves double range, which 0*inf would turn into NaN
-        if path == "closed":
-            return pg * _power_diff_quotient(g, q, h) if p else pg
+    # p = 0 pays nothing: its value is zero even where q^i or the quotient
+    # leaves double range, which 0*inf would turn into NaN
+    def payments(h):
         if not p:
-            return _accumulate(g, [p] * h, path)
+            return [p] * h
         if path == "recursive":
             # iterated powers of q, which reach inf where q**i would overflow
             powers = itertools.accumulate(itertools.repeat(q, h - 1), operator.mul, initial=1.0)
         else:
             powers = (q**i for i in range(h))
-        return _accumulate(g, [p * x for x in powers], path)
+        return [p * x for x in powers]
+
+    if path == "closed":
+        value = lambda h: pg * _power_diff_quotient(g, q, h) if p else pg
+    elif path == "recursive":
+        value = _recursive(g, payments)
+    else:
+        value = lambda h: _accumulate(g, payments(h))
 
     check = (lambda k: _check_geometric(p, q)) if strict else None
     return _guarded(path, value, rate, mode, check)

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (
@@ -339,16 +339,18 @@ class _ClosedForms:
         return _sum_tables(self.rj, 2 * self.kmax, squares=False)
 
     # the geometric sums with parameters (p, q) at r and (p^2, q^2) at f;
-    # strict=False because plan construction already enforced positivity
+    # strict=False because plan construction already enforced positivity.
+    # second, diagonal and cross read them at the same years, so each year's
+    # value is cached; a call that raises is not, and raises again
 
     @cached_property
     def geometric_r(self):
-        return _geometric(self.plan.p, self.plan.q, self.rr, "auto", False)
+        return cache(_geometric(self.plan.p, self.plan.q, self.rr, "auto", False))
 
     @cached_property
     def geometric_f(self):
         p, q = self.plan.p, self.plan.q
-        return _geometric(p * p, q * q, self.rf, "auto", False)
+        return cache(_geometric(p * p, q * q, self.rf, "auto", False))
 
     @cached_property
     def mean(self):
@@ -359,7 +361,8 @@ class _ClosedForms:
             return _rows(self.ref.mean)
         p, q = self.plan.p, self.plan.q
         if self.plan.family == "geometric":
-            return _geometric(p, q, self.rj, "auto", False)
+            # cached: mean_squared reads it again at k
+            return cache(_geometric(p, q, self.rj, "auto", False))
         return _arithmetic(p, q, self.rj, "auto", False)
 
     @cached_property

@@ -9,6 +9,10 @@ closed-form accumulated-value formulas are evaluated at:
     m  = (1+j)^2 + s2 = 1 + f  second moment of 1 + i
     r  = j + s2/(1+j)          cross rate, (1+j)(1+r) = 1+f
     ell = s2/(1+j)^2           relative variance, (1+j)^2(1+ell) = 1+f
+
+The closed forms divide by d or j, or by 1+j-q for geometric payments, and
+give way to a recursion or a sum in a band around each pole.  singular and
+geometric_singular, the only readers of SINGULARITY_EPS, draw those bands.
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ from annurates import (
     increasing_squared_due,
     level_due,
 )
-from annurates.fixed import _sum_tables
+from annurates.fixed import _annuity, _sum_tables
 
 R10 = fixed_rate(0.1)
 
@@ -212,6 +212,28 @@ class TestGeometricSingularity:
         got = geometric_due(1.5, q, k, R10, mode="closed")
         want = geometric_due(1.5, q, k, R10, mode="sum")
         assert got == pytest.approx(want, rel=1e-11)
+
+
+class TestBandTables:
+    @pytest.mark.parametrize("j", [0.0, 1e-10, -5e-10])
+    def test_band_table_runs_the_recursion_over_linear_payments(self, j):
+        # inside |j| < 1e-9 a table's recursion keeps the values of one pass,
+        # so n rows ask for O(n) payments, not n(n+1)/2 from a rerun per row
+        n = 1000
+        rate = fixed_rate(j)
+        asked = []
+
+        def payments(h):
+            asked.append(h)
+            return range(1, h + 1)
+
+        increasing = _annuity(rate, "auto", None, payments)
+        table = [increasing(k) for k in range(1, n + 1)]
+        assert sum(asked) <= 4 * n
+        # each row carries the bits of a recursion run to its horizon alone
+        for k in (1, 2, 3, 500, n):
+            assert table[k - 1] == increasing_due(k, rate, "recursive")
+        assert increasing(7) == increasing_due(7, rate)
 
 
 class TestSumTables:

@@ -116,6 +116,12 @@ passes.  The worst |z| of a mean went from 1.54 to 1.45 (two-point), 1.79
 to 2.60 (uniform) and 1.78 to 1.04 (lognormal), against a limit of 4, and
 the worst |ratio - 1| of a variance, in standard errors, from 1.84 to 2.74,
 1.06 to 1.74 and 1.42 to 1.78, against a limit of 6.
+
+No digest moved when each numerical decision got one home: the singular
+bands in rates.singular and rates.geometric_singular, the double-range test
+in fixed._fits, the comparison record in oracle._comparison and the report
+format in cli._emit; nor when the band recursion began to keep one pass's
+values and the closed geometric kernels to cache each accumulator's year.
 """
 
 import hashlib

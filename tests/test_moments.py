@@ -321,6 +321,21 @@ class TestMomentSeries:
         assert calls == []
         assert closed.mean.tolist() == moment_series(plan, spec, "recursive").mean.tolist()
 
+    def test_closed_geometric_series_takes_each_quotient_once_per_year(self, monkeypatch):
+        # mean, second, diagonal, cross and mean_squared share one value of each
+        # accumulator per year: at j for k and 2k, at r and at f
+        calls = []
+        original = fixed._power_diff_quotient
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(fixed, "_power_diff_quotient", counting)
+        n = 300
+        moment_series(PaymentPlan.geometric(1.3, 1.07, n), stochastic_rate(0.04, 0.02), "closed")
+        assert 0 < len(calls) <= 4 * n
+
 
 def _exact_variances(plan, spec):
     """Per-year variances of the plan's float payments at spec's j and s2, exactly."""

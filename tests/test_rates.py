@@ -7,11 +7,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from annurates import (
+    SINGULARITY_EPS,
     DomainError,
+    PaymentPlan,
     fixed_rate,
     geometric_aux,
+    geometric_due,
+    level_due,
     stochastic_rate,
 )
+from annurates.identities import _fixed_tables
+from annurates.moments import _ClosedForms
+from annurates.rates import geometric_singular, singular
+
+# j at the center and on both sides of both edges of the band |j| < 1e-9
+BAND_J = (0.0, 0.999e-9, -0.999e-9, 1.001e-9, -1.001e-9)
+# geometric ratios at these multiples of the band's half-width from 1+j
+BAND_OFFSETS = (0.0, 0.5, -0.999, 0.999, -1.001, 1.001, -10.0, 10.0)
 
 
 class TestFixedRate:
@@ -129,3 +141,59 @@ class TestGeometricAux:
         assert 1.0 + aux.w == pytest.approx(
             (1.0 + spec.f) / (gj * gj * (1.0 + aux.t)), rel=1e-12
         )
+
+
+class TestSingularBands:
+    """fixed, moments and the identity suites route by the predicates in rates."""
+
+    def test_band_edges(self):
+        assert [singular(j) for j in BAND_J] == [True, True, True, False, False]
+        g = 1.05
+        inside = [geometric_singular(g, g + m * SINGULARITY_EPS * g) for m in BAND_OFFSETS]
+        assert inside == [True, True, True, True, False, False, False, False]
+
+    @pytest.mark.parametrize("j", BAND_J)
+    def test_closed_level_is_rejected_exactly_in_the_band(self, j):
+        if singular(j):
+            with pytest.raises(DomainError, match="closed form is singular for"):
+                level_due(1, j, "closed")
+        else:
+            assert level_due(1, j, "closed") == pytest.approx(1.0 + j, rel=1e-12)
+        assert level_due(5, j) == level_due(5, j, "recursive" if singular(j) else "closed")
+
+    @pytest.mark.parametrize("j", BAND_J + (0.05,))
+    @pytest.mark.parametrize("offset", BAND_OFFSETS)
+    def test_geometric_due_sums_exactly_in_the_band(self, j, offset):
+        g = 1.0 + j
+        q = g + offset * SINGULARITY_EPS * max(1.0, g)
+        mode = "sum" if geometric_singular(g, q) else "closed"
+        assert geometric_due(2.0, q, 7, j) == geometric_due(2.0, q, 7, j, mode)
+
+    @pytest.mark.parametrize("j", BAND_J + (0.05,))
+    @pytest.mark.parametrize("offset", BAND_OFFSETS)
+    def test_closed_moments_follow_the_predicates(self, j, offset):
+        spec = stochastic_rate(j, 0.01)
+        arithmetic = PaymentPlan.arithmetic(1.0, 0.5, 3)
+        assert _ClosedForms(arithmetic, spec, 3).singular == singular(j)
+        q = spec.mu + offset * SINGULARITY_EPS * max(1.0, spec.mu)
+        geometric = PaymentPlan.geometric(1.0, q, 3)
+        assert _ClosedForms(geometric, spec, 3).singular == geometric_singular(spec.mu, q)
+
+    @pytest.mark.parametrize("j", BAND_J + (0.05,))
+    def test_identity_tables_follow_the_predicates(self, j):
+        evaluators, _ = _fixed_tables(fixed_rate(j))
+        closed_named = {
+            "level-evaluators": "closed",
+            "increasing-evaluators": "closed",
+            "increasing-squared-evaluators": "closed",
+            "increasing-squared-relation": "relation",
+        }
+        geometric = 0
+        for name, evaluate, modes in evaluators:
+            if name == "geometric-evaluators":
+                q = evaluate.args[1]
+                assert ("closed" in modes) == (not geometric_singular(1.0 + j, q)), q
+                geometric += 1
+            elif name in closed_named:
+                assert (closed_named[name] in modes) == (not singular(j)), name
+        assert geometric == 5
