@@ -4,8 +4,9 @@ Payments land at the start of each year and the accumulated value is taken
 at the end of year k, so a payment made in year i grows by (1+j)^(k-i+1).
 Each accumulator offers a closed form, a one-step recursion and a direct
 summation over its payment list (_recursive, _accumulate).  Mode "auto" (the
-default) uses the closed form except inside the singular band of its
-denominator, where it falls back to the recursion.
+default) uses the closed form, except that the forms dividing by d fall back
+to the recursion inside the band |j| < 1e-9; the geometric form, whose
+quotient (g^k - q^k)/(g - q) stays accurate as q nears g = 1+j, has no band.
 A result of any mode but an explicit "recursive" that leaves double range
 raises NumericalFailureError naming the largest horizon that fits.
 _sum_tables gives the summation values of the level, increasing and
@@ -28,7 +29,7 @@ import operator
 import sys
 
 from .errors import DomainError, NumericalFailureError, PaymentPositivityError, check_int
-from .rates import FixedRate, fixed_rate, geometric_singular, singular
+from .rates import FixedRate, fixed_rate, singular
 
 _MODES = ("auto", "closed", "recursive", "sum")
 # increasing_squared_due also accepts the quadratic-denominator relationship
@@ -384,10 +385,7 @@ def _geometric(p, q, rate: FixedRate, mode: str, strict: bool):
     p = float(p)
     q = float(q)
     g = 1.0 + rate.j
-    # an explicit "closed" is evaluated inside the band too: it stays finite
     path = _route(mode, False)
-    if mode == "auto" and geometric_singular(g, q):
-        path = "sum"
     pg = p * g
 
     # p = 0 pays nothing: its value is zero even where q^i or the quotient
@@ -417,8 +415,8 @@ def geometric_due(p, q, k, rate, mode: str = "auto", strict: bool = True) -> flo
     """Accumulated value of payments p, pq, pq^2, ..., pq^(k-1).
 
     Closed form p(1+j)((1+j)^k - q^k)/(1+j-q), with limit p*k*(1+j)^k at
-    q = 1+j.  Mode "auto" switches to direct summation inside the band
-    |1+j-q| < 1e-9*max(1,q).  Strict mode requires p > 0 and q > 0.
+    q = 1+j; mode "auto" takes it at every q.  Strict mode requires p > 0
+    and q > 0.
     """
     rate = _as_rate(rate)
     k = check_int(k, "k", 0)

@@ -30,7 +30,7 @@ from .moments import (
     increasing_moments,
     level_moments,
 )
-from .rates import fixed_rate, geometric_aux, geometric_singular, singular, stochastic_rate
+from .rates import fixed_rate, geometric_aux, singular, stochastic_rate
 
 FIXED_J_GRID = (-0.05, 0.0, 0.01, 0.05, 0.1, 0.25)
 FIXED_K_MAX = 40
@@ -160,11 +160,7 @@ def _fixed_tables(rate) -> tuple:
         for p, q in ((2.0, 3.0), (1.0, 0.5), (3.0, -0.25))
     ]
     evaluators += [
-        (
-            "geometric-evaluators",
-            partial(geometric_due, 2.0, q, rate=rate),
-            both if geometric_singular(g, q) else both + ("closed",),
-        )
+        ("geometric-evaluators", partial(geometric_due, 2.0, q, rate=rate), both + ("closed",))
         for q in (0.9, 1.0, 1.05, 1.2, g)
     ]
     specializations = [

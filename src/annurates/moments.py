@@ -355,9 +355,9 @@ class _ClosedForms:
     @cached_property
     def mean(self):
         if self.singular:
-            # arithmetic_due's recursion rounds (v + p) + (i-1)q and
-            # geometric_due's band route re-sums from year 1 at every k; the
-            # moment recursion's row is the same mean, in one pass
+            # the band's second and cross rows come from the moment
+            # recursion, so its mean does too; arithmetic_due's recursion
+            # would round (v + p) + (i-1)q, not the moment recursion's sum
             return _rows(self.ref.mean)
         p, q = self.plan.p, self.plan.q
         if self.plan.family == "geometric":
@@ -430,8 +430,7 @@ class _ClosedForms:
     @cached_property
     def cross(self):
         if self.singular:
-            cross = self.ref.cross
-            return lambda k: 0.0 if k == 1 else cross[k - 1]
+            return _rows(self.ref.cross)
         p, q = self.plan.p, self.plan.q
         g = self.spec.mu
         if self.plan.family == "geometric":

@@ -11,8 +11,10 @@ closed-form accumulated-value formulas are evaluated at:
     ell = s2/(1+j)^2           relative variance, (1+j)^2(1+ell) = 1+f
 
 The closed forms divide by d or j, or by 1+j-q for geometric payments, and
-give way to a recursion or a sum in a band around each pole.  singular and
-geometric_singular, the only readers of SINGULARITY_EPS, draw those bands.
+give way to a recursion in a band around each pole: singular draws the band
+of d, geometric_singular that of the closed geometric moments, whose second
+and cross forms divide by 1+j-q.  They are the only readers of
+SINGULARITY_EPS.
 """
 
 from __future__ import annotations

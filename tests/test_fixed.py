@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import oracles
 from annurates import (
+    SINGULARITY_EPS,
     DomainError,
     NumericalFailureError,
     PaymentPositivityError,
@@ -29,9 +30,14 @@ from annurates import (
     increasing_squared_due,
     level_due,
 )
-from annurates.fixed import _annuity, _sum_tables
+from annurates import fixed
+from annurates.fixed import _annuity, _geometric, _sum_tables
 
 R10 = fixed_rate(0.1)
+# u, the unit roundoff of a double
+ROUNDOFF = Fraction(2) ** -53
+# ratios at multiples of the half-width SINGULARITY_EPS from 1.1, the gross rate of R10
+BAND_RATIOS = [1.1 + m * SINGULARITY_EPS * 1.1 for m in (0.0, 0.5, -0.999, 0.999, -1.001, 1.001)]
 
 rates = st.floats(min_value=-0.6, max_value=1.0).filter(lambda j: abs(j) > 1e-6)
 # the twice-divided-by-d closed forms lose ~eps/d^2, so hold them to tight
@@ -204,14 +210,52 @@ class TestGeometricSingularity:
         # inf where q**i would raise OverflowError
         assert geometric_due(2.0, 1e10, 40, R10, mode="recursive") == math.inf
 
-    @given(st.floats(min_value=0.1, max_value=2.5), st.integers(min_value=1, max_value=30))
+    @given(
+        st.floats(min_value=0.1, max_value=2.5) | st.sampled_from(BAND_RATIOS),
+        st.integers(min_value=1, max_value=30),
+    )
     @settings(max_examples=150, deadline=None)
-    def test_closed_matches_sum_away_from_band(self, q, k):
-        if abs(1.1 - q) < 1e-6:
-            q += 0.01
+    def test_closed_matches_sum(self, q, k):
         got = geometric_due(1.5, q, k, R10, mode="closed")
         want = geometric_due(1.5, q, k, R10, mode="sum")
         assert got == pytest.approx(want, rel=1e-11)
+
+    @pytest.mark.parametrize("k", [1746, 1800])
+    def test_auto_is_within_one_roundoff_at_a_long_horizon(self, k):
+        # q is the double 1+j: the sum of k rounded terms drifts by about
+        # 45 u here, and the closed limit k g^k stays within one.  Each
+        # payment q^(i-1) grows to g^k, so the exact value is k g^k, which
+        # equals the oracle's year-by-year value (checked at k = 60); the
+        # oracle itself takes seconds at these horizons
+        j, q = 1e-10, 1.0000000001
+        g = Fraction(1.0 + j)
+        assert g == Fraction(q)
+        assert 60 * g**60 == oracles.fixed_value(oracles.geometric_payments(1.0, q, 60), g - 1)
+        exact = k * g**k
+        assert abs(Fraction(geometric_due(1.0, q, k, j)) - exact) <= ROUNDOFF * exact
+
+    @given(
+        st.floats(min_value=-0.5, max_value=1.0),
+        st.sampled_from([0.0, 0.5, -0.999, 0.999]),
+        st.integers(min_value=1, max_value=400),
+        st.floats(min_value=0.5, max_value=5.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_auto_is_accurate_in_the_band(self, j, offset, k, p):
+        g = 1.0 + j
+        q = g + offset * SINGULARITY_EPS * max(1.0, g)
+        exact = oracles.fixed_value(oracles.geometric_payments(p, q, k), Fraction(g) - 1)
+        assert abs(Fraction(geometric_due(p, q, k, j)) - exact) <= 8 * ROUNDOFF * exact
+
+    def test_band_table_takes_no_sum(self, monkeypatch):
+        # q = 1+j: a table of n rows takes the closed quotient at each k,
+        # not n sums of up to n terms
+        calls = []
+        monkeypatch.setattr(fixed, "_accumulate", lambda *args: calls.append(args))
+        kernel = _geometric(1.0, 1.0, fixed_rate(0.0), "auto", True)
+        table = [kernel(k) for k in range(1, 1001)]
+        assert calls == []
+        assert table[:3] == [1.0, 2.0, 3.0] and table[-1] == 1000.0
 
 
 class TestBandTables:

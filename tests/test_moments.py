@@ -5,6 +5,8 @@ Frozen expected values come from the exact rational oracles in oracles.py
 test_recursions_match_rational_oracle re-derives a grid at run time.
 """
 
+import functools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -323,18 +325,25 @@ class TestMomentSeries:
 
     def test_closed_geometric_series_takes_each_quotient_once_per_year(self, monkeypatch):
         # mean, second, diagonal, cross and mean_squared share one value of each
-        # accumulator per year: at j for k and 2k, at r and at f
-        calls = []
-        original = fixed._power_diff_quotient
-
-        def counting(*args):
-            calls.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(fixed, "_power_diff_quotient", counting)
+        # accumulator per year: at j for k and 2k, at r and at f.  That holds
+        # where q = 1+r or q^2 = 1+f too, and no year sums afresh
+        spec = stochastic_rate(0.04, 0.02)
         n = 300
-        moment_series(PaymentPlan.geometric(1.3, 1.07, n), stochastic_rate(0.04, 0.02), "closed")
-        assert 0 < len(calls) <= 4 * n
+        for q in (1.07, 1.0 + spec.r, math.sqrt(1.0 + spec.f)):
+            calls = {"_power_diff_quotient": 0, "_accumulate": 0}
+            with monkeypatch.context() as patch:
+                for name in calls:
+                    counting = functools.partial(_counted, calls, name, getattr(fixed, name))
+                    patch.setattr(fixed, name, counting)
+                moment_series(PaymentPlan.geometric(1.3, q, n), spec, "closed")
+            assert 0 < calls["_power_diff_quotient"] <= 4 * n, q
+            assert calls["_accumulate"] == 0, q
+
+
+def _counted(calls, name, original, *args):
+    """original(*args), counted in calls[name]."""
+    calls[name] += 1
+    return original(*args)
 
 
 def _exact_variances(plan, spec):

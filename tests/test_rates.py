@@ -1,11 +1,13 @@
 """Rate containers: derived quantities and input validation."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from annurates import (
     SINGULARITY_EPS,
     DomainError,
@@ -164,10 +166,14 @@ class TestSingularBands:
     @pytest.mark.parametrize("j", BAND_J + (0.05,))
     @pytest.mark.parametrize("offset", BAND_OFFSETS)
     def test_geometric_due_sums_exactly_in_the_band(self, j, offset):
+        # mode "auto" is the closed quotient at every ratio, in the band too,
+        # and stays within a few units of roundoff of the exact value
         g = 1.0 + j
         q = g + offset * SINGULARITY_EPS * max(1.0, g)
-        mode = "sum" if geometric_singular(g, q) else "closed"
-        assert geometric_due(2.0, q, 7, j) == geometric_due(2.0, q, 7, j, mode)
+        value = geometric_due(2.0, q, 7, j)
+        assert value == geometric_due(2.0, q, 7, j, "closed")
+        exact = oracles.fixed_value(oracles.geometric_payments(2.0, q, 7), Fraction(g) - 1)
+        assert abs(Fraction(value) - exact) <= 4 * 2**-53 * exact
 
     @pytest.mark.parametrize("j", BAND_J + (0.05,))
     @pytest.mark.parametrize("offset", BAND_OFFSETS)
@@ -191,8 +197,8 @@ class TestSingularBands:
         geometric = 0
         for name, evaluate, modes in evaluators:
             if name == "geometric-evaluators":
-                q = evaluate.args[1]
-                assert ("closed" in modes) == (not geometric_singular(1.0 + j, q)), q
+                # the closed geometric quotient has no band: q = 1+j included
+                assert "closed" in modes, evaluate.args[1]
                 geometric += 1
             elif name in closed_named:
                 assert (closed_named[name] in modes) == (not singular(j)), name
