@@ -30,7 +30,13 @@ from .fixed import (
     _level,
 )
 from .identities import _dev, run_identity_suites
-from .moments import PaymentPlan, _series_columns, moment_series
+from .moments import (
+    PaymentPlan,
+    _ClosedForms,
+    _recursive_columns,
+    _series_columns,
+    moment_series,
+)
 from .oracle import (
     ENUMERATION_MAX_HORIZON,
     MomentComparison,
@@ -535,10 +541,13 @@ def cmd_moments(cfg: dict) -> int:
     method = cfg["method"]
     header = ["k", "mean", "second_moment", "variance"]
     # the mean, second-moment and variance columns, as Python floats
-    columns = _series_columns(plan, spec, "closed" if method == "both" else method)[:3]
-    columns = [range(1, plan.n + 1), *columns]
-    if method == "both":
-        other = _series_columns(plan, spec, "recursive")[:3]
+    if method != "both":
+        columns = [range(1, plan.n + 1), *_series_columns(plan, spec, method)[:3]]
+    else:
+        closed = _ClosedForms(plan, spec, plan.n)
+        columns = [range(1, plan.n + 1), *closed.series()[:3]]
+        # the recursion the closed variances are settled against, run once
+        other = _recursive_columns(closed.ref)[:3]
         header.append("max_discrepancy")
         columns.append([
             max(_dev(a, b) for a, b in pairs)

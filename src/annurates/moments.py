@@ -617,7 +617,11 @@ def _series_columns(plan: PaymentPlan, spec: StochasticRateSpec, method: str) ->
         raise DomainError(f"method must be 'recursive' or 'closed', got {method!r}")
     if method == "closed":
         return _ClosedForms(plan, spec, plan.n).series()
-    ref = _recursion(plan, spec)
+    return _recursive_columns(_recursion(plan, spec))
+
+
+def _recursive_columns(ref: _Moments) -> tuple:
+    """_series_columns(..., "recursive") from one pass of the recursion."""
     return ref.mean, ref.second, _variances(ref), ref.diagonal, ref.cross
 
 

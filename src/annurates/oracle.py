@@ -2,7 +2,9 @@
 
 Two oracles are provided.  Exact enumeration walks every path of a two-point
 rate (j - s or j + s each year, equally likely) and reproduces the moments
-without any appeal to the closed forms.  Monte Carlo simulates the same
+without any appeal to the closed forms.  Its time doubles with each year of
+horizon, but it holds at most 2^12 balances per year: past that it walks the
+paths depth first.  Monte Carlo simulates the same
 accumulation under a chosen rate distribution in fixed-size blocks of paths.
 Block b draws from its own SFC64 stream, seeded by SeedSequence(seed,
 spawn_key=(b,)), and the blocks' means and central sums are merged in block
@@ -27,6 +29,12 @@ if TYPE_CHECKING:
     import numpy as np
 
 ENUMERATION_MAX_HORIZON = 24
+
+# Enumeration walks the years after the first _SUBTREE_BITS depth first, in
+# subtrees of 2^_SUBTREE_BITS balances.  It must stay >= 7, so that a subtree
+# spans whole 128-lane blocks of numpy's pairwise sum; 2^14 and 2^16 lanes
+# were no faster.
+_SUBTREE_BITS = 12
 
 # Comparison rules: exact enumeration must match to this relative tolerance;
 # Monte Carlo means are judged by |z| and variances by a ratio band.
@@ -183,10 +191,12 @@ def enumerate_series(
 ) -> EnumerationResult:
     """Exact per-year moments over all 2^k two-point rate paths.
 
-    Year t's 2^t distinct balances are built from year t-1's, so time and
-    memory are proportional to 2^k: k = 24 takes about 0.5 s and peaks at
-    256 MiB of arrays on a 2-core Xeon.  Limited to k <= 24.  Requires
-    j - s > -1 so every gross rate stays positive.
+    Years 1..m, m = min(k, 12), are built breadth first: year t's 2^t
+    distinct balances from year t-1's.  Later years are walked depth first
+    in subtrees of 2^m balances, so time is proportional to 2^k but memory
+    to k 2^m: k = 24 takes about 0.16 s and peaks at 1 MiB of arrays on a
+    2-core Xeon.  Limited to k <= 24.  Requires j - s > -1 so every gross
+    rate stays positive.
     """
     k = check_int(k, "k", 1, plan.n)
     if k > ENUMERATION_MAX_HORIZON:
@@ -203,17 +213,20 @@ def enumerate_series(
     seconds = np.empty(k)
     # a degenerate rate has a single deterministic path
     gross = (spec.mu - s,) if s == 0.0 else (spec.mu - s, spec.mu + s)
+    m = k if s == 0.0 else min(k, _SUBTREE_BITS)
     # numpy sums float64 pairwise in blocks of up to 128, so 2^(k-t) copies of
     # the 2^t distinct year-t balances sum to 2^(k-t) times one copy's sum, bit
     # for bit, once a copy is a block wide; a narrower copy is tiled first
     width = min(len(gross) ** k, 128)
     c = np.zeros(1)
-    for t in range(1, k + 1):
+    for t in range(1, m + 1):
         # path i's balance is c[i mod 2^t]; bit t-1 of i picks its year-t rate
         c = np.outer(gross, c + plan.payment(t)).ravel()
         lanes = np.tile(c, width // len(c)) if len(c) < width else c
         means[t - 1] = lanes.mean()
         seconds[t - 1] = np.mean(lanes * lanes)
+    if m < k:
+        _walk_subtrees(plan, gross, c, m, k, means, seconds)
     variance = np.maximum(seconds - means * means, 0.0)
     return EnumerationResult(
         horizon=k,
@@ -221,6 +234,43 @@ def enumerate_series(
         second_moment=tuple(float(x) for x in seconds),
         variance=tuple(float(x) for x in variance),
     )
+
+
+def _walk_subtrees(
+    plan: PaymentPlan, gross: tuple, root: np.ndarray, m: int, k: int,
+    means: np.ndarray, seconds: np.ndarray,
+) -> None:
+    """Years m+1..k of enumerate_series, depth first from year m's balances.
+
+    Year t's 2^t balances, in path order, are 2^(t-m) runs of 2^m, one for
+    each pattern of the rates of years m+1..t, with year t's rate bit as the
+    most significant bit of the run's index.  Each run is a node of the
+    walk.  numpy sums a float64 array by halving it at powers of two down to
+    blocks of 128 lanes, so a run of 2^m >= 128 lanes sums alone as it does
+    inside the whole array, and adding adjacent run sums level by level
+    rebuilds the whole array's sum bit for bit; so do the squares'.
+    """
+    import numpy as np
+    # per year t > m, the sums of each run's balances and of their squares
+    sums = [np.empty((2, 1 << (t - m))) for t in range(m + 1, k + 1)]
+
+    def visit(balances: np.ndarray, t: int, index: int) -> None:
+        # the float operations of np.outer(gross, balances + payment(t))
+        x = balances + plan.payment(t)
+        row = sums[t - m - 1]
+        for bit, g in enumerate(gross):
+            child = x * g
+            node = index | bit << (t - m - 1)
+            row[0, node] = child.sum()
+            row[1, node] = (child * child).sum()
+            if t < k:
+                visit(child, t + 1, node)
+
+    visit(root, m + 1, 0)
+    for t, row in enumerate(sums, m + 1):
+        while row.shape[1] > 1:
+            row = row[:, 0::2] + row[:, 1::2]
+        means[t - 1], seconds[t - 1] = row[:, 0] / 2.0**t
 
 
 def enumerate_exact(

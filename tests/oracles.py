@@ -8,8 +8,9 @@ and every balance earns that year's rate, so along a rate path g_1..g_k
 the balance obeys C_t = (C_{t-1} + c_t) * g_t.
 
 The one floating-point function, two_point_lanes, is a copy of an earlier
-enumeration loop, kept as a bit-level reference for the current one; it
-reads only the plan's payment(t) and the rate's mu and s2.
+enumeration loop, kept as a bit-level reference for the current one, which
+builds the distinct balances breadth first and walks the later years depth
+first; it reads only the plan's payment(t) and the rate's mu and s2.
 
 The report renderers at the end (_cell, _render_csv, _json_fragment and
 _render_json) are copies of the command line's per-cell renderers from
@@ -118,8 +119,10 @@ def two_point_lanes(plan, spec, k):
 
     The all-lanes enumeration that annurates.enumerate_series ran before it
     built the distinct balances one year at a time: every one of the 2^k
-    paths is carried from year 1.  Its loop is copied verbatim, so it is a
-    bit-level reference for the faster loop, not an exact one; the argument
+    paths is carried from year 1, and each year's 2^k balances are summed
+    in one call.  Its loop is copied verbatim, so it is a bit-level
+    reference for the faster loop, not an exact one.  That loop holds at
+    most 2^12 balances per year and sums them in subtrees.  The argument
     checks are left to the function under test.
     """
     s = math.sqrt(spec.s2)

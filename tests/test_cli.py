@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from annurates import cli, fixed_rate, stochastic_rate
+from annurates import cli, fixed_rate, moments, stochastic_rate
 from annurates.moments import PaymentPlan, _series_columns
 
 
@@ -116,6 +116,26 @@ class TestMomentsCommand:
         header, rows = csv_rows(proc.stdout)
         assert header[-1] == "max_discrepancy"
         assert all(float(r[-1]) <= 1e-9 for r in rows)
+
+    @pytest.mark.parametrize("method", ["recursive", "closed", "both"])
+    @pytest.mark.parametrize("family, j", [("increasing", "0.1"), ("level", "0")])
+    def test_one_recursion_per_request(self, method, family, j, monkeypatch, capsys):
+        # the closed variances are settled against the recursion, and
+        # --method both compares them with that same pass; j = 0 is inside
+        # the singular band, whose closed rows come from the recursion too
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return recursion(*args)
+
+        recursion = moments._recursion
+        monkeypatch.setattr(moments, "_recursion", counted)
+        argv = ["moments", "--family", family, "--n", "6", "--j", j, "--s2", "0.04",
+                "--method", method]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out.startswith("k,mean,")
+        assert len(calls) == 1
 
     def test_json_round_trip_is_exact(self):
         # values printed with 17 significant digits must parse back to

@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from annurates import (
     simulate,
     stochastic_rate,
 )
+from annurates import oracle
 from annurates.oracle import (
     _BATCH_PATHS,
     ENUM_REL_TOL,
@@ -101,7 +103,10 @@ class TestEnumerationLoop:
     The loop keeps only the 2^t distinct year-t balances and relies on
     numpy's pairwise summation to sum them as it sums all 2^k lanes; k up
     to 16 covers distinct-balance counts below, at and above its 128-wide
-    block.
+    block.  Past 2^12 balances it walks the later years depth first, in
+    subtrees of 2^12; the k = 20 cases walk 8 years that way, and the walk
+    property narrows the subtrees to 2^7 and 2^8 so k up to 16 walks up to
+    9 years, down to the narrowest subtree the summation argument allows.
     """
 
     @staticmethod
@@ -121,15 +126,40 @@ class TestEnumerationLoop:
         got = self._fields(enumerate_series(plan, spec, k))
         assert got == oracles.two_point_lanes(plan, spec, k)
 
+    @pytest.mark.parametrize("bits", [7, 8])
+    @given(
+        st.data(),
+        st.floats(min_value=-0.9, max_value=1.0),
+        st.sampled_from([0.0, 1e-14]) | st.floats(min_value=0.0, max_value=0.2),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_walk_bit_equal_to_all_lanes(self, bits, data, j, s2):
+        # from one year short of a subtree, so most draws walk some years
+        k = data.draw(st.integers(min_value=bits - 1, max_value=16), label="k")
+        plan = data.draw(_plans(k), label="plan")
+        assume(j - math.sqrt(s2) > -1.0)
+        spec = stochastic_rate(j, s2)
+        # patched here, not by a fixture, so every example sees it
+        with mock.patch.object(oracle, "_SUBTREE_BITS", bits):
+            got = self._fields(enumerate_series(plan, spec, k))
+        assert got == oracles.two_point_lanes(plan, spec, k)
+
     def test_bit_equal_at_k20(self):
         plan = PaymentPlan.arithmetic(3.0, -0.25, 20, strict=False)
         spec = stochastic_rate(0.04, 0.03)
         got = self._fields(enumerate_series(plan, spec, 20))
         assert got == oracles.two_point_lanes(plan, spec, 20)
 
+    def test_bit_equal_at_k20_geometric(self):
+        plan = PaymentPlan.geometric(2.0, 0.9, 20)
+        spec = stochastic_rate(0.06, 0.05)
+        got = self._fields(enumerate_series(plan, spec, 20))
+        assert got == oracles.two_point_lanes(plan, spec, 20)
+
     def test_horizon_cap_matches_recursion(self):
         # 2^24 paths; on a 2-core Xeon the all-lanes loop took 6.5 s and its
-        # arrays peaked at 528 MiB, where this one takes 0.5 s and 256 MiB
+        # arrays peaked at 528 MiB; the breadth-first loop that followed it
+        # took 0.30 s and 256 MiB, and this walk takes 0.16 s and 1 MiB
         k = ENUMERATION_MAX_HORIZON
         plan = PaymentPlan.level(k)
         spec = stochastic_rate(0.05, 0.01)
@@ -139,8 +169,8 @@ class TestEnumerationLoop:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the year-k balances and their squares, two arrays of 2^k doubles
-        assert peak <= 2**k * 16 + 2**24
+        # a few arrays of 2^12 doubles for each year walked depth first
+        assert peak <= 2**23
         want = moment_series(plan, spec, "recursive")
         for got, ref in ((result.mean, want.mean), (result.variance, want.variance)):
             assert np.allclose(got, ref, rtol=ENUM_REL_TOL, atol=0.0)
