@@ -507,7 +507,7 @@ def _build_plan(cfg: dict) -> PaymentPlan:
 
 
 def _fixed_kernels(rate, n: int, p: float, q_arith: float, q_geom: float, strict: bool) -> dict:
-    """Each column's accumulator in mode "auto", built once per table, as a function of k."""
+    """Each column's accumulator in mode "auto", built once per table, as a function of years."""
     return {
         "level": _level(rate, "auto"),
         "increasing": _increasing(rate, "auto"),
@@ -526,10 +526,16 @@ def cmd_fixed(cfg: dict) -> int:
     q_arith = 0.0 if cfg["q"] is None else cfg["q"]
     q_geom = 1.0 if cfg["q"] is None else cfg["q"]
     kernels = _fixed_kernels(rate, n, cfg["p"], q_arith, q_geom, cfg["strict"])
-    chosen = [kernels[name] for name in columns]
-    # row by row, so the first year and column to fail decide the error
-    rows = [[kernel(k) for kernel in chosen] for k in range(1, n + 1)]
-    table = _Table(["k", *columns], [range(1, n + 1), *zip(*rows)])
+    ks = range(1, n + 1)
+    try:
+        values = [kernels[name](ks) for name in columns]
+    except (DomainError, NumericalFailureError):
+        # row by row, so the first year, then the first column, to fail decides the error
+        for k in ks:
+            for name in columns:
+                kernels[name]((k,))
+        raise
+    table = _Table(["k", *columns], [ks, *values])
     _emit(cfg, table, {"j": cfg["j"], "n": n, "columns": list(columns), "rows": table})
     return EXIT_OK
 
@@ -540,19 +546,17 @@ def cmd_moments(cfg: dict) -> int:
     spec = stochastic_rate(cfg["j"], cfg["s2"])
     method = cfg["method"]
     header = ["k", "mean", "second_moment", "variance"]
-    # the mean, second-moment and variance columns, as Python floats
+    # the three printed columns as Python floats; diagonal and cross parts are not evaluated
     if method != "both":
-        columns = [range(1, plan.n + 1), *_series_columns(plan, spec, method)[:3]]
+        columns = [range(1, plan.n + 1), *_series_columns(plan, spec, method, parts=3)]
     else:
         closed = _ClosedForms(plan, spec, plan.n)
-        columns = [range(1, plan.n + 1), *closed.series()[:3]]
+        columns = [range(1, plan.n + 1), *closed.series(parts=3)]
         # the recursion the closed variances are settled against, run once
         other = _recursive_columns(closed.ref)[:3]
         header.append("max_discrepancy")
-        columns.append([
-            max(_dev(a, b) for a, b in pairs)
-            for pairs in zip(*map(zip, columns[1:], other))
-        ])
+        rows = zip(zip(*columns[1:]), zip(*other))
+        columns.append([max(map(_dev, row, ref)) for row, ref in rows])
     table = _Table(header, columns)
     document = {
         "family": cfg["family"],

@@ -15,8 +15,8 @@ squared-increasing annuities for every k up to a horizon in one pass.
 Each accumulator is written once, as a builder (_level, _increasing,
 _increasing_squared, _decreasing, _arithmetic, _geometric): it settles the
 mode, the route, the strict-payment rule and the k-free factors once and
-returns the accumulator as a function of k.  The public function calls it
-at one k; a table or a moment series builds it once and calls it at each k.
+returns the accumulator over the years ks as one column, checked once; the
+public function calls it at (k,), a table or moment series over all its years.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ def _route(mode: str, singular: bool, allowed=_MODES):
 
 
 def _recursive(g: float, payments, lead=0.0, tail=0):
-    """value = g*(value + lead + c + tail) over payments(h), as a function of the horizon h.
+    """value = g*(value + lead + c + tail) over payments(h), at each horizon h of ks.
 
     Payment i is made at the start of year i; adding left to right, the split
     of c fixes how the recursion rounds.  The values of one pass are kept for
@@ -77,7 +77,7 @@ def _recursive(g: float, payments, lead=0.0, tail=0):
                 rows.append(x)
         return rows[h]
 
-    return value
+    return lambda ks: list(map(value, ks))
 
 
 def _accumulate(g: float, payments, lead=0.0, tail=0) -> float:
@@ -125,38 +125,48 @@ def _fits(value, *args) -> bool:
         return False
 
 
-def _guarded(path, value, rate: FixedRate, mode: str, check=None):
-    """value, an accumulator of the horizon h >= 1, as a function of k >= 0.
+def _guarded(path, values, rate: FixedRate, mode: str, check=None):
+    """values, an accumulator's column over horizons h >= 1, as a function of the years ks.
 
-    In order, the function runs check (the strict-payment rule) at k >= 1,
-    raises path if it is _route's DomainError, and is 0.0 at k = 0.  Outside
-    an explicit mode "recursive", a value that leaves double range (inf, NaN
-    or OverflowError) raises NumericalFailureError naming the largest
-    horizon that fits.
+    Ascending ks >= 1 run in one pass, checked once: check (the strict rule)
+    at both ends, which covers the years between, and each value for double
+    range.  Else each year runs alone, in order: check at k >= 1, path if
+    _route gave a DomainError, 0.0 at k = 0, then, unless mode is
+    "recursive", a value past double range raises NumericalFailureError
+    naming the largest horizon that fits.
     """
-    rejected = isinstance(path, DomainError)
-    explicit = mode == "recursive"
+    explicit, rejected = mode == "recursive", isinstance(path, DomainError)
 
-    def guarded(k):
-        if check and k:
-            check(k)
-        if rejected:
-            raise path.with_traceback(None)
-        if k == 0:
-            return 0.0
-        if explicit:
-            return value(k)
-        try:
-            result = value(k)
-            if math.isfinite(result):
-                return result
-        except OverflowError:
-            pass
-        # the values grow with the horizon: bisect for the first one that does not fit
-        fits = bisect.bisect_left(range(1, k), True, key=lambda h: not _fits(value, h))
-        raise _overflow(rate, fits)
+    def column(ks):
+        if ks and ks[0] and not rejected:
+            try:
+                if check:
+                    check(ks[0])
+                    check(ks[-1])
+                result = values(ks)
+                if explicit or all(map(math.isfinite, result)):
+                    return result
+            except (PaymentPositivityError, OverflowError):
+                pass
+        return [_year(k, path, values, rate, explicit, check) for k in ks]
 
-    return guarded
+    return column
+
+
+def _year(k: int, path, values, rate: FixedRate, explicit: bool, check) -> float:
+    """_guarded's column at year k alone."""
+    if check and k:
+        check(k)
+    if isinstance(path, DomainError):
+        raise path.with_traceback(None)
+    if k == 0:
+        return 0.0
+    value = lambda h: values((h,))[0]
+    if explicit or _fits(value, k):
+        return value(k)
+    # the values grow with the horizon: bisect for the first one that does not fit
+    fits = bisect.bisect_left(range(1, k), True, key=lambda h: not _fits(value, h))
+    raise _overflow(rate, fits)
 
 
 def _check_arithmetic(p: float, q: float, n: int, name: str = "k") -> None:
@@ -187,95 +197,118 @@ def _growth_ratio(u) -> float:
     return 1.0 + u
 
 
-def _sum_tables(rate, kmax: int, squares: bool = True) -> tuple:
+def _sum_tables(rate, kmax: int, squares: bool = True, rows=None) -> tuple:
     """Sum-mode level, increasing and squared-increasing values for k = 0..kmax.
 
-    Returns three lists indexed by k, or the first two when squares is false.
-    The powers g^e are built by the same iterated multiplication as
-    _accumulate, and the exact prefix sums L_k = L_{k-1} + g^k,
-    I_k = I_{k-1} + L_k and Q_k = Q_{k-1} + 2 I_k - L_k (the shift identity)
-    are kept exactly, as integers in units of the finest binary digit among
-    the powers.  Each entry is rounded once by int/int true division, which
-    is correctly rounded, so the level entries equal
-    level_due(k, rate, mode="sum") bit for bit and the others are the
-    correctly rounded exact sums.  Raises NumericalFailureError when a
-    returned entry up to kmax leaves double range.
+    Three lists indexed by k, the first two when squares is false, or given
+    rows, dicts of those k.  The powers g^e are iterated products as in
+    _accumulate; L_k = L_{k-1} + g^k, I_k = I_{k-1} + L_k and
+    Q_k = Q_{k-1} + 2 I_k - L_k are exact integers (_scaled), each rounded
+    once, correctly, so L_k is level_due(k, rate, mode="sum") bit for bit.
+    Raises NumericalFailureError when an entry up to kmax leaves double range.
     """
     rate = _as_rate(rate)
-    powers = itertools.accumulate(itertools.repeat(1.0 + rate.j, kmax), operator.mul)
-    ratios = [x.as_integer_ratio() for x in itertools.takewhile(math.isfinite, powers)]
-    # the denominators are powers of two: scale by the largest of them
-    top = max((den.bit_length() for _, den in ratios), default=1)
-    scale = 1 << (top - 1)
-    level = list(itertools.accumulate(num << (top - den.bit_length()) for num, den in ratios))
+    powers = list(itertools.accumulate(itertools.repeat(1.0 + rate.j, kmax), operator.mul))
+    if powers and powers[-1] == math.inf:  # the powers are monotone in e
+        del powers[powers.index(math.inf) :]
+    top, nums = _scaled(powers)
+    level = list(itertools.accumulate(nums, initial=0))
     sums = [level, list(itertools.accumulate(level))]
     if squares:
-        steps = (2 * inc - lev for inc, lev in zip(sums[1], level))
-        sums.append(list(itertools.accumulate(steps)))
+        doubled = map(operator.lshift, sums[1], itertools.repeat(1))
+        sums.append(list(itertools.accumulate(map(operator.sub, doubled, level))))
     # 0 <= L_k <= I_k <= Q_k, each nondecreasing in k, so the last column
     # decides how many rows fit
-    fits = bisect.bisect_left(sums[-1], _OVERFLOW_EDGE * scale)
+    fits = bisect.bisect_left(sums[-1], _OVERFLOW_EDGE << (top - 1)) - 1
     if fits < kmax:
         raise _overflow(rate, fits)
-    return tuple([0.0] + [s / scale for s in column] for column in sums)
+    scale = 1 << (top - 1)
+    if rows is not None:
+        return tuple({k: column[k] / scale for k in rows} for column in sums)
+    if top <= 1023 and sums[-1][-1] < _OVERFLOW_EDGE:
+        # float(s) fits (the last entry is the largest) and is correctly rounded;
+        # scaling it by 2^(1-top) is exact while both are normal, as each entry >= g is
+        unit = 2.0 ** (1 - top)
+        return tuple([x * unit for x in map(float, column)] for column in sums)
+    return tuple([s / scale for s in column] for column in sums)
 
 
-def _power_diff_quotient(g: float, q: float, k: int) -> float:
-    """(g^k - q^k) / (g - q), kept accurate when g is close to q."""
+def _scaled(powers: list) -> tuple:
+    """top, and each of the monotone powers as an integer in units of 2^(1-top).
+
+    A normal x = m 2^e (1/2 <= m < 1) is a multiple of 2^(e-53): the smaller end
+    sets the unit while all are normal and fit once scaled, else the largest denominator.
+    """
+    low = min(powers[0], powers[-1]) if powers else 1.0
+    if low >= sys.float_info.min:
+        top = max(1, 54 - math.frexp(low)[1])
+        try:
+            scaled = map(operator.mul, powers, itertools.repeat(2.0 ** (top - 1)))
+            return top, list(map(int, scaled))
+        except OverflowError:
+            pass
+    ratios = [x.as_integer_ratio() for x in powers]
+    top = max((den.bit_length() for _, den in ratios), default=1)
+    return top, [num << (top - den.bit_length()) for num, den in ratios]
+
+
+def _power_diff_quotient(g: float, q: float, ks) -> list:
+    """(g^k - q^k) / (g - q) at each k of ks, kept accurate when g is close to q."""
     if g == q:
-        return k * g ** (k - 1)
-    if q > 0.0:
-        delta = (g - q) / q
-        if abs(delta) < 0.5:
-            # g - q is exact for nearby floats; expm1/log1p avoid the
-            # catastrophic cancellation of the plain difference.
-            x = k * math.log1p(delta)
-            try:
-                power = q ** (k - 1)
-                if power >= sys.float_info.min:
-                    return power * math.expm1(x) / delta
-            except OverflowError:
-                pass
-            # q^(k-1) left the normal range or expm1(x) overflowed, though
-            # the quotient may fit: take the product as one exponent.
-            # expm1(x)/delta > 0, and log|expm1(x)| = x + log(1 - e^-x) for x > 0
-            log_growth = x + math.log(-math.expm1(-x)) if x > 0.0 else math.log(-math.expm1(x))
-            return math.exp((k - 1) * math.log(q) + log_growth - math.log(abs(delta)))
-    return (g**k - q**k) / (g - q)
+        return [k * g ** (k - 1) for k in ks]
+    delta = (g - q) / q if q > 0.0 else math.inf
+    if not abs(delta) < 0.5:
+        return [(g**k - q**k) / (g - q) for k in ks]
+    # g - q is exact for nearby floats; expm1/log1p avoid the catastrophic
+    # cancellation of the plain difference.
+    growth = math.log1p(delta)
+    tiny = sys.float_info.min
+    try:
+        # the years whose q^(k-1) is a normal double; the rest take the route below
+        values = [x * math.expm1(k * growth) / delta for k in ks if (x := q ** (k - 1)) >= tiny]
+        if len(values) == len(ks):
+            return values
+    except OverflowError:
+        pass
+    if len(ks) > 1:  # each year alone
+        return [x for k in ks for x in _power_diff_quotient(g, q, (k,))]
+    # q^(k-1) left the normal range or expm1(x) overflowed, though the
+    # quotient may fit: take the product as one exponent.  expm1(x)/delta > 0,
+    # and log|expm1(x)| = x + log(1 - e^-x) for x > 0
+    x = ks[0] * growth
+    log_growth = x + math.log(-math.expm1(-x)) if x > 0.0 else math.log(-math.expm1(x))
+    return [math.exp((ks[0] - 1) * math.log(q) + log_growth - math.log(abs(delta)))]
 
 
-def _level_closed(k: int, rate: FixedRate) -> float:
-    """((1+j)^k - 1)/d."""
+def _level_closed(ks, rate: FixedRate) -> list:
+    """((1+j)^k - 1)/d at each k of ks."""
     # expm1/log1p keeps (1+j)^k - 1 accurate to a couple of ulps even when
     # the numerator nearly cancels, which downstream closed forms divide by d
     # up to three more times
-    return math.expm1(k * math.log1p(rate.j)) / rate.d
-
-
-def _increasing_closed(k: int, rate: FixedRate) -> float:
-    return (_level_closed(k, rate) - k) / rate.d
+    growth, d = math.log1p(rate.j), rate.d
+    return [math.expm1(k * growth) / d for k in ks]
 
 
 def _annuity(rate, mode: str, closed, payments, lead=0.0, tail=0, allowed=_MODES, check=None):
-    """An annuity-due at rate in mode, as a function of k.
+    """An annuity-due at rate in mode, as a function of the years ks.
 
-    closed(h) is its closed form at horizon h >= 1; the recursion and the sum
-    run over its payments(h) with lead and tail.
+    closed(ks) is its closed form's column over horizons h >= 1; the
+    recursion and the sum run over its payments(h) with lead and tail.
     """
     path = _route(mode, singular(rate.j), allowed)
     g = 1.0 + rate.j
     if path == "recursive":
-        value = _recursive(g, payments, lead, tail)
+        values = _recursive(g, payments, lead, tail)
     elif path == "sum":
-        value = lambda h: _accumulate(g, payments(h), lead, tail)
+        values = lambda ks: [_accumulate(g, payments(h), lead, tail) for h in ks]
     else:  # "closed", "relation", or the DomainError _guarded raises
-        value = closed
-    return _guarded(path, value, rate, mode, check)
+        values = closed
+    return _guarded(path, values, rate, mode, check)
 
 
 def _level(rate: FixedRate, mode: str):
-    """level_due at rate in mode, as a function of k."""
-    return _annuity(rate, mode, lambda h: _level_closed(h, rate), lambda h: [1.0] * h)
+    """level_due at rate in mode, as a function of the years ks."""
+    return _annuity(rate, mode, lambda ks: _level_closed(ks, rate), lambda h: [1.0] * h)
 
 
 def level_due(k, rate, mode: str = "auto") -> float:
@@ -285,12 +318,14 @@ def level_due(k, rate, mode: str = "auto") -> float:
     value_k = (1+j)(1 + value_{k-1}).
     """
     rate = _as_rate(rate)
-    return _level(rate, mode)(check_int(k, "k", 0))
+    return _level(rate, mode)((check_int(k, "k", 0),))[0]
 
 
 def _increasing(rate: FixedRate, mode: str):
-    """increasing_due at rate in mode, as a function of k."""
-    return _annuity(rate, mode, lambda h: _increasing_closed(h, rate), lambda h: range(1, h + 1))
+    """increasing_due at rate in mode, as a function of the years ks."""
+    d = rate.d
+    closed = lambda ks: [(s - h) / d for h, s in zip(ks, _level_closed(ks, rate))]
+    return _annuity(rate, mode, closed, lambda h: range(1, h + 1))
 
 
 def increasing_due(k, rate, mode: str = "auto") -> float:
@@ -299,21 +334,22 @@ def increasing_due(k, rate, mode: str = "auto") -> float:
     Closed form (level - k)/d; recursion value_k = (1+j)(k + value_{k-1}).
     """
     rate = _as_rate(rate)
-    return _increasing(rate, mode)(check_int(k, "k", 0))
+    return _increasing(rate, mode)((check_int(k, "k", 0),))[0]
 
 
 def _increasing_squared(rate: FixedRate, mode: str):
-    """increasing_squared_due at rate in mode, as a function of k."""
+    """increasing_squared_due at rate in mode, as a function of the years ks."""
 
-    def closed(h):
-        s = _level_closed(h, rate)
+    def closed(ks):
+        rows, d = zip(ks, _level_closed(ks, rate)), rate.d
         if mode == "relation":
-            return ((1.0 + rate.v) * (s + h * h) - 2.0 * h - 2.0 * h * h) / (rate.d * rate.d)
-        return (2.0 * _increasing_closed(h, rate) - s - h * h) / rate.d
+            v1, dd = 1.0 + rate.v, d * d
+            return [(v1 * (s + h * h) - 2.0 * h - 2.0 * h * h) / dd for h, s in rows]
+        # 2*increasing - level - h^2, increasing = (level - h)/d
+        return [(2.0 * ((s - h) / d) - s - h * h) / d for h, s in rows]
 
-    return _annuity(
-        rate, mode, closed, lambda h: [i * i for i in range(1, h + 1)], allowed=_SQ_MODES
-    )
+    squares = lambda h: [i * i for i in range(1, h + 1)]
+    return _annuity(rate, mode, closed, squares, allowed=_SQ_MODES)
 
 
 def increasing_squared_due(k, rate, mode: str = "auto") -> float:
@@ -324,15 +360,13 @@ def increasing_squared_due(k, rate, mode: str = "auto") -> float:
     equivalent ((1+v)(level + k^2) - 2k - 2k^2)/d^2.
     """
     rate = _as_rate(rate)
-    return _increasing_squared(rate, mode)(check_int(k, "k", 0))
+    return _increasing_squared(rate, mode)((check_int(k, "k", 0),))[0]
 
 
 def _decreasing(n: int, rate: FixedRate, mode: str):
-    """decreasing_due with n payments at rate in mode, as a function of k <= n."""
-
-    def closed(h):
-        return (n + 1) * _level_closed(h, rate) - _increasing_closed(h, rate)
-
+    """decreasing_due with n payments at rate in mode, as a function of the years ks <= n."""
+    d = rate.d
+    closed = lambda ks: [(n + 1) * s - (s - h) / d for h, s in zip(ks, _level_closed(ks, rate))]
     return _annuity(rate, mode, closed, lambda h: [-i for i in range(1, h + 1)], n, 1)
 
 
@@ -349,21 +383,25 @@ def decreasing_due(n, k, rate, mode: str = "auto") -> float:
         raise DomainError(f"n must be at least 1, got {n}")
     if k > n:
         raise DomainError(f"k must not exceed n, got k={k}, n={n}")
-    return _decreasing(n, rate, mode)(k)
+    return _decreasing(n, rate, mode)((k,))[0]
 
 
 def _arithmetic(p, q, rate: FixedRate, mode: str, strict: bool):
-    """arithmetic_due at rate in mode, as a function of k."""
+    """arithmetic_due at rate in mode, as a function of the years ks."""
     p = float(p)
     q = float(q)
 
-    def closed(h):
-        # (p-q)*level + q*increasing.  c*x is a zero with c's sign for any
-        # finite x > 0, so a term whose coefficient c is zero is c itself;
-        # evaluating it would give 0*inf = NaN once its annuity value leaves
-        # double range, ending the range early
-        level = (p - q) * _level_closed(h, rate) if p != q else p - q
-        return level + (q * _increasing_closed(h, rate) if q else q)
+    def closed(ks):
+        # (p-q)*level + q*increasing, increasing = (level - h)/d.  c*x is a zero
+        # with c's sign for any finite x > 0, so a term whose coefficient c is
+        # zero is c itself, not 0*inf = NaN once its annuity value leaves double
+        # range; where both are zero no annuity value is read at all
+        d = rate.d
+        levels = _level_closed(ks, rate) if p != q or q else itertools.repeat(0.0)
+        return [
+            ((p - q) * s if p != q else p - q) + (q * ((s - h) / d) if q else q)
+            for h, s in zip(ks, levels)
+        ]
 
     check = functools.partial(_check_arithmetic, p, q) if strict else None
     return _annuity(rate, mode, closed, lambda h: [i * q for i in range(h)], p, check=check)
@@ -377,11 +415,11 @@ def arithmetic_due(p, q, k, rate, mode: str = "auto", strict: bool = True) -> fl
     """
     rate = _as_rate(rate)
     k = check_int(k, "k", 0)
-    return _arithmetic(p, q, rate, mode, strict)(k)
+    return _arithmetic(p, q, rate, mode, strict)((k,))[0]
 
 
 def _geometric(p, q, rate: FixedRate, mode: str, strict: bool):
-    """geometric_due at rate in mode, as a function of k."""
+    """geometric_due at rate in mode, as a function of the years ks."""
     p = float(p)
     q = float(q)
     g = 1.0 + rate.j
@@ -401,14 +439,15 @@ def _geometric(p, q, rate: FixedRate, mode: str, strict: bool):
         return [p * x for x in powers]
 
     if path == "closed":
-        value = lambda h: pg * _power_diff_quotient(g, q, h) if p else pg
+        quotients = lambda ks: [pg * x for x in _power_diff_quotient(g, q, ks)]
+        values = quotients if p else (lambda ks: [pg] * len(ks))
     elif path == "recursive":
-        value = _recursive(g, payments)
+        values = _recursive(g, payments)
     else:
-        value = lambda h: _accumulate(g, payments(h))
+        values = lambda ks: [_accumulate(g, payments(h)) for h in ks]
 
     check = (lambda k: _check_geometric(p, q)) if strict else None
-    return _guarded(path, value, rate, mode, check)
+    return _guarded(path, values, rate, mode, check)
 
 
 def geometric_due(p, q, k, rate, mode: str = "auto", strict: bool = True) -> float:
@@ -420,7 +459,7 @@ def geometric_due(p, q, k, rate, mode: str = "auto", strict: bool = True) -> flo
     """
     rate = _as_rate(rate)
     k = check_int(k, "k", 0)
-    return _geometric(p, q, rate, mode, strict)(k)
+    return _geometric(p, q, rate, mode, strict)((k,))[0]
 
 
 def growth_due(u, k, rate, mode: str = "auto") -> float:

@@ -17,17 +17,14 @@ replaced by it; _audit raises FormulaAuditError where a specialized family
 or the arithmetic diagonal part drifts from its reference.
 
 Both paths of moment_series run in time linear in n.  The arithmetic closed
-forms read their level, increasing and squared-increasing annuity values at
-f, r and j from fixed._sum_tables, exact prefix sums rounded once and built
-once per series; inside the singular band, and for a geometric plan with
-p = 0, every closed moment is the row of the series' one recursion pass.
-Each closed quantity is a per-series kernel (_ClosedForms): its route, k-free
-coefficients, tables and the accumulators it calls (fixed._geometric,
-fixed._arithmetic) are built once, and each year evaluates only the
-formula.  A moment that leaves double range raises NumericalFailureError:
-naming the largest horizon that fits, from those accumulators or from
-fixed._sum_tables; the year whose payment leaves it; or, where a closed
-formula itself leaves it, the quantity and the year.
+forms read their annuity values at f, r and j from fixed._sum_tables, exact
+prefix sums rounded once; inside the singular band, and for a geometric plan
+with p = 0, every closed moment is the row of one recursion pass.  Each
+closed quantity is a kernel (_ClosedForms) that evaluates a whole column of
+years in one pass.  A moment that leaves double range raises
+NumericalFailureError: naming the largest horizon that fits, from the
+accumulators or fixed._sum_tables; the year whose payment leaves it; or,
+where a closed formula itself leaves it, the quantity and the year.
 
 The second moment splits as m_k = diagonal + 2*cross, where the diagonal
 part collects the squared-payment terms c_i^2 m^{k-i+1} and the cross part
@@ -41,6 +38,7 @@ numpy, when they are called; the CLI's tables read _series_columns.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import TYPE_CHECKING, NamedTuple
@@ -55,7 +53,6 @@ from .fixed import (
     _arithmetic,
     _check_arithmetic,
     _check_geometric,
-    _fits,
     _geometric,
     _growth_ratio,
     _sum_tables,
@@ -223,35 +220,33 @@ def _recursion(plan: PaymentPlan, spec: StochasticRateSpec, k: int | None = None
     """
     rows = []
     mean = second = var = diag = cross = 0.0
-    for i in range(1, (plan.n if k is None else k) + 1):
-        c = plan.payment(i)
+    m, mu, s2 = spec.m, spec.mu, spec.s2
+    for c in map(plan.payment, range(1, (plan.n if k is None else k) + 1)):
         step = mean + c
-        second = spec.m * (second + 2.0 * c * mean + c * c)
+        second = m * (second + 2.0 * c * mean + c * c)
         # s2 * step first: s2 = 0 gives exactly 0.0, and no factor leaves
         # double range before the second moment does
-        var = spec.m * var + spec.s2 * step * step
-        diag = spec.m * (diag + c * c)
-        cross = spec.m * (cross + c * mean)
-        mean = spec.mu * step
+        var = m * var + s2 * step * step
+        diag = m * (diag + c * c)
+        cross = m * (cross + c * mean)
+        mean = mu * step
         rows.append((mean, second, var, diag, cross))
     return _Moments(*zip(*rows))
 
 
-def _recursive_variance(ref: _Moments, k: int) -> float:
-    """The recursion's variance at year k, once its second moment is finite."""
-    if not math.isfinite(ref.second[k - 1]):
-        raise NumericalFailureError(f"second moment overflows double range at year {k}")
-    return ref.variance[k - 1]
-
-
-def _variances(ref: _Moments) -> list:
-    return [_recursive_variance(ref, k) for k in range(1, len(ref.mean) + 1)]
+def _variances(ref: _Moments, ks: range) -> list:
+    """The recursion's variances at the years ks, once the second moment is finite at each."""
+    rows = slice(ks.start - 1, ks.stop - 1)
+    if all(map(math.isfinite, ref.second[rows])):
+        return list(ref.variance[rows])
+    k = next(k for k in ks if not math.isfinite(ref.second[k - 1]))
+    raise NumericalFailureError(f"second moment overflows double range at year {k}")
 
 
 def _general_reference(plan: PaymentPlan, spec: StochasticRateSpec, k: int):
     """(mean, variance, second moment, diagonal, cross) at year k from the recursion."""
     ref = _recursion(plan, spec, k)
-    var = _recursive_variance(ref, k)
+    var = _variances(ref, range(k, k + 1))[0]
     return ref.mean[-1], var, ref.second[-1], ref.diagonal[-1], ref.cross[-1]
 
 
@@ -270,7 +265,7 @@ def second_moment_series(plan: PaymentPlan, spec: StochasticRateSpec) -> np.ndar
 def variance_series(plan: PaymentPlan, spec: StochasticRateSpec) -> np.ndarray:
     """Variance for k = 1..n from its own recursion."""
     import numpy as np
-    return np.array(_variances(_recursion(plan, spec)))
+    return np.array(_variances(_recursion(plan, spec), range(1, plan.n + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -279,34 +274,27 @@ def variance_series(plan: PaymentPlan, spec: StochasticRateSpec) -> np.ndarray:
 
 
 def _rows(column: tuple):
-    """k -> column[k-1], a kernel that reads a table indexed by year - 1."""
-    return lambda k: column[k - 1]
+    """ks -> column[k-1] for each k of ks, a kernel that reads a table indexed by year - 1."""
+    return lambda ks: [column[k - 1] for k in ks]
 
 
 class _ClosedForms:
-    """The closed forms of one plan and rate at every year 1 <= k <= kmax.
+    """The closed forms of one plan and rate at the years ks = first..kmax.
 
-    Each of mean, second, diagonal, cross and mean_squared is a per-series
-    kernel, a function of k built on first use.  Building it settles what
-    does not depend on k: the route (singular band or not), the accumulators
-    it calls (fixed._geometric at j, r and f, fixed._arithmetic at j), the
-    arithmetic coefficients, and the tables it reads, the sum-mode annuity
-    tables (fixed._sum_tables) at f and r up to kmax and at j up to 2 kmax
-    or, inside the singular band, the rows of one pass of the recursion.
-    That pass also gives the variance column that every closed variance is
-    settled against.  A coefficient is a left-associated prefix of the
-    product the formula writes, so every term rounds exactly as the written
-    expression does; powers such as g**k are taken per k.  moment_series
-    evaluates every year from one instance, and each public per-year
-    function from an instance with kmax = k, both through column, which
-    checks that every value stays in double range; so the two run the same
-    kernels and agree bit for bit.
+    Each of mean, second, diagonal, cross and mean_squared is a kernel, built
+    on first use, that maps a range of years to its values in one pass, with
+    the route, accumulators, coefficients (left-associated prefixes of the
+    written products, so each term rounds as written) and tables (rows of
+    fixed._sum_tables that ks reads, or of the recursion pass every closed
+    variance is settled against) settled once.  moment_series takes ks = 1..n
+    and a per-year function ks = k..k, both through column: they agree bit for bit.
     """
 
-    def __init__(self, plan: PaymentPlan, spec: StochasticRateSpec, kmax: int):
+    def __init__(self, plan: PaymentPlan, spec: StochasticRateSpec, kmax: int, first: int = 1):
         self.plan = plan
         self.spec = spec
         self.kmax = kmax
+        self.ks = range(first, kmax + 1)
         # whether the closed forms' denominator (d, or 1+j-q for geometric
         # plans) vanishes; a geometric plan that pays nothing reads the
         # recursion too: its moments are zero, while q^k or (1+j)^k alone may
@@ -323,25 +311,32 @@ class _ClosedForms:
     def ref(self) -> _Moments:
         return _recursion(self.plan, self.spec, self.kmax)
 
+    def _table(self, rate, kmax: int, rows, squares: bool = False) -> tuple:
+        """fixed._sum_tables at rate up to kmax, rounded at rows unless ks starts at year 1."""
+        return _sum_tables(rate, kmax, squares, None if self.ks.start == 1 else rows)
+
     @cached_property
     def at_f(self) -> tuple:
-        return _sum_tables(self.rf, self.kmax)
+        # the diagonal part reads year k-1 too
+        return self._table(self.rf, self.kmax, range(self.ks.start - 1, self.kmax + 1), True)
 
     # no closed form reads a squared-increasing value at r or j, and those
     # entries leave double range first
 
     @cached_property
     def at_r(self) -> tuple:
-        return _sum_tables(self.rr, self.kmax, squares=False)
+        return self._table(self.rr, self.kmax, self.ks)
 
     @cached_property
     def at_j(self) -> tuple:
-        return _sum_tables(self.rj, 2 * self.kmax, squares=False)
+        # the squared mean reads years k and 2k
+        ks = self.ks
+        return self._table(self.rj, 2 * self.kmax, [*ks, *range(2 * ks[0], 2 * ks[-1] + 1, 2)])
 
     # the geometric sums with parameters (p, q) at r and (p^2, q^2) at f;
     # strict=False because plan construction already enforced positivity.
-    # second, diagonal and cross read them at the same years, so each year's
-    # value is cached; a call that raises is not, and raises again
+    # second, diagonal and cross read them at the same years, so each
+    # column is cached; a call that raises is not, and raises again
 
     @cached_property
     def geometric_r(self):
@@ -361,7 +356,7 @@ class _ClosedForms:
             return _rows(self.ref.mean)
         p, q = self.plan.p, self.plan.q
         if self.plan.family == "geometric":
-            # cached: mean_squared reads it again at k
+            # cached: mean_squared reads it again at ks
             return cache(_geometric(p, q, self.rj, "auto", False))
         return _arithmetic(p, q, self.rj, "auto", False)
 
@@ -374,13 +369,10 @@ class _ClosedForms:
         if self.plan.family == "geometric":
             at_r, at_f = self.geometric_r, self.geometric_f
             two_p, q_g, g_q = 2.0 * p, q + g, g - q
-
-            def second(k):
-                sg_r = at_r(k)
-                sg_f = at_f(k)
-                return (two_p * g ** (k + 1) * sg_r - q_g * sg_f) / g_q
-
-            return second
+            return lambda ks: [
+                (two_p * g ** (k + 1) * sg_r - q_g * sg_f) / g_q
+                for k, sg_r, sg_f in zip(ks, at_r(ks), at_f(ks))
+            ]
         d, v = self.rj.d, self.rj.v
         pq = p - q
         c_s_f = (q - p) * (d * pq * (1.0 + v) + 2.0 * q * v)
@@ -391,20 +383,11 @@ class _ClosedForms:
         dd = d * d
         s_f, is_f, i2_f = self.at_f
         s_r, is_r = self.at_r
-
-        def second(k):
-            gk = g**k
-            return math.fsum(
-                [
-                    c_s_f * s_f[k],
-                    c_is_f * is_f[k],
-                    c_i2_f * i2_f[k],
-                    c_s_r * gk * s_r[k],
-                    c_is_r * gk * is_r[k],
-                ]
-            ) / dd
-
-        return second
+        return lambda ks: [
+            math.fsum([c_s_f * s_f[k], c_is_f * is_f[k], c_i2_f * i2_f[k],
+                       c_s_r * gk * s_r[k], c_is_r * gk * is_r[k]]) / dd
+            for k, gk in zip(ks, [g**k for k in ks])
+        ]
 
     @cached_property
     def diagonal(self):
@@ -417,13 +400,14 @@ class _ClosedForms:
         c_s, c_is, c_i2 = (p - q) ** 2, 2.0 * q * (p - q), q * q
         o_s, o_is = p * p, 2.0 * p * q
 
-        def diagonal(k):
-            terms = [c_s * s_f[k], c_is * is_f[k], c_i2 * i2_f[k]]
-            full = math.fsum(terms)
-            offset_terms = [o_s * s_f[k], o_is * is_f[k - 1], c_i2 * i2_f[k - 1]]
-            offset = math.fsum(offset_terms)
-            _audit("diagonal part", full, offset, scale=_term_scale(terms + offset_terms))
-            return full
+        def diagonal(ks):
+            values = []
+            for k in ks:
+                terms = [c_s * s_f[k], c_is * is_f[k], c_i2 * i2_f[k]]
+                offset = [o_s * s_f[k], o_is * is_f[k - 1], c_i2 * i2_f[k - 1]]
+                values.append(math.fsum(terms))
+                _audit("diagonal part", values[-1], math.fsum(offset), _term_scale(terms + offset))
+            return values
 
         return diagonal
 
@@ -437,14 +421,11 @@ class _ClosedForms:
             at_r, at_f = self.geometric_r, self.geometric_f
             g_q = g - q
 
-            def cross(k):
-                if k == 1:
-                    return 0.0
-                sg_r = at_r(k)
-                sg_f = at_f(k)
-                return (p * g ** (k + 1) * sg_r - g * sg_f) / g_q
-
-            return cross
+            # year 1 alone reads no accumulator
+            return lambda ks: [0.0] if ks == range(1, 2) else [
+                0.0 if k == 1 else (p * g ** (k + 1) * r - g * f) / g_q
+                for k, r, f in zip(ks, at_r(ks), at_f(ks))
+            ]
         d, v = self.rj.d, self.rj.v
         pq = p - q
         c_s_r = pq * (d * pq + q)
@@ -455,40 +436,26 @@ class _ClosedForms:
         dd = d * d
         s_f, is_f, i2_f = self.at_f
         s_r, is_r = self.at_r
-
-        def cross(k):
-            if k == 1:
-                return 0.0
-            gk = g**k
-            return math.fsum(
-                [
-                    c_s_r * gk * s_r[k],
-                    c_is_r * gk * is_r[k],
-                    c_s_f * s_f[k],
-                    c_is_f * is_f[k],
-                    c_i2_f * i2_f[k],
-                ]
-            ) / dd
-
-        return cross
+        return lambda ks: [
+            0.0 if k == 1 else math.fsum([c_s_r * gk * s_r[k], c_is_r * gk * is_r[k],
+                                          c_s_f * s_f[k], c_is_f * is_f[k], c_i2_f * i2_f[k]]) / dd
+            for k, gk in zip(ks, [g**k for k in ks])
+        ]
 
     @cached_property
     def mean_squared(self):
         if self.singular:
             mean = self.mean
-            return lambda k: mean(k) ** 2
+            return lambda ks: [x**2 for x in mean(ks)]
         p, q = self.plan.p, self.plan.q
         if self.plan.family == "geometric":
             g = self.spec.mu
             at_j = self.mean
             lead = p * g / (g - q)
-
-            def mean_squared(k):
-                sg_k = at_j(k)
-                sg_2k = at_j(2 * k)
-                return lead * (sg_2k - 2.0 * q**k * sg_k)
-
-            return mean_squared
+            return lambda ks: [
+                lead * (sg_2k - 2.0 * q**k * sg_k)
+                for k, sg_k, sg_2k in zip(ks, at_j(ks), at_j(range(2 * ks[0], 2 * ks[-1] + 1, 2)))
+            ]
         d = self.rj.d
         pq = p - q
         s_j, is_j = self.at_j
@@ -496,80 +463,65 @@ class _ClosedForms:
         lead = pq / d * (pq + 2.0 * qd)
         c_s_k, c_k_s_k = -2.0 * lead, -2.0 * q * pq
         c_is_2k, c_is_k, c_kk = qd * qd, -2.0 * qd * qd, -qd * qd
+        return lambda ks: [
+            math.fsum([lead * s_j[2 * k], c_s_k * s_j[k], c_k_s_k * k / d * s_j[k],
+                       c_is_2k * is_j[2 * k], c_is_k * (1.0 + k * d) * is_j[k], c_kk * k * k])
+            for k in ks
+        ]
 
-        def mean_squared(k):
-            return math.fsum(
-                [
-                    lead * s_j[2 * k],
-                    c_s_k * s_j[k],
-                    c_k_s_k * k / d * s_j[k],
-                    c_is_2k * is_j[2 * k],
-                    c_is_k * (1.0 + k * d) * is_j[k],
-                    c_kk * k * k,
-                ]
-            )
-
-        return mean_squared
-
-    def variance(self, k: int, second: float) -> float:
-        """second - mean_squared at year k, settled against the recursion."""
+    def variance(self, ks, second) -> list:
+        """second - mean_squared at each year of ks, settled against the recursion."""
         if self.spec.s2 == 0.0:
-            return 0.0
-        candidate = second - self.mean_squared(k)
-        # the subtraction cancels almost completely when the rate variance is
-        # tiny next to the mean; keep the closed value only while it still
-        # agrees with the recursion's variance, otherwise report that
-        return _settle_variance(candidate, _recursive_variance(self.ref, k))
+            return [0.0] * len(ks)
+        candidates = map(operator.sub, second, self.mean_squared(ks))
+        return _settle_variance(candidates, _variances(self.ref, ks))
 
     # what each kernel computes, for the error that names it
-    _QUANTITY = {
-        "mean": "mean",
-        "second": "second moment",
-        "diagonal": "diagonal part",
-        "cross": "cross part",
-        "mean_squared": "squared mean",
-        "variance": "variance",
-    }
+    _QUANTITY = dict(mean="mean", second="second moment", diagonal="diagonal part",
+                     cross="cross part", mean_squared="squared mean", variance="variance")
 
-    def column(self, name: str, ks, *rows) -> list:
-        """The kernel name at each year of ks, passed that year's entry of each of rows.
+    def column(self, name: str, *rows) -> list:
+        """The kernel name over ks, passed those years' entries of rows, checked once.
 
-        A value that leaves double range, as inf, NaN, the OverflowError of a
-        ** or the ValueError of an fsum over infinities, raises
-        NumericalFailureError naming the quantity and the first year it
-        does so; the accumulators' own errors pass through.  The year is
-        searched for only once the column has failed.
+        Else the years run alone until one raises, which passes through, but
+        an OverflowError or ValueError, like an inf or NaN value, raises
+        NumericalFailureError naming the first such year.
         """
         try:
-            values = list(map(getattr(self, name), ks, *rows))
+            values = getattr(self, name)(self.ks, *rows)
             if all(map(math.isfinite, values)):
                 return values
-        except DomainError:
-            raise
-        except (OverflowError, ValueError):
+        except (ArithmeticError, ValueError):  # the years alone decide which error
             pass
-        # looked up inside the test, since building a kernel may leave double range
-        kernel = lambda *args: getattr(self, name)(*args)
-        year = next(k for k, *row in zip(ks, *rows) if not _fits(kernel, k, *row))
+        values = []
+        for i, k in enumerate(self.ks):
+            try:
+                # looked up here, since building a kernel may leave double range
+                values += getattr(self, name)(range(k, k + 1), *(row[i : i + 1] for row in rows))
+            except DomainError:
+                raise
+            except (OverflowError, ValueError):
+                values.append(math.nan)
+                break
+        year = next((k for k, value in zip(self.ks, values) if not math.isfinite(value)), None)
+        if year is None:
+            return values
         raise NumericalFailureError(
             f"closed {self._QUANTITY[name]} leaves double range at year {year}"
         )
 
-    def series(self) -> tuple:
-        """(mean, second moment, variance, diagonal, cross) lists for k = 1..kmax."""
+    def series(self, parts: int = 5) -> tuple:
+        """The first parts of (mean, second moment, variance, diagonal, cross) lists over ks."""
         # evaluated in this order, which decides the error an overflow raises
-        ks = range(1, self.kmax + 1)
-        mean = self.column("mean", ks)
-        second = self.column("second", ks)
-        diagonal = self.column("diagonal", ks)
-        cross = self.column("cross", ks)
-        return mean, second, self.column("variance", ks, second), diagonal, cross
+        mean, second = self.column("mean"), self.column("second")
+        rest = [self.column("diagonal"), self.column("cross")] if parts > 3 else []
+        return (mean, second, self.column("variance", second), *rest)[:parts]
 
 
 def _closed_at(plan: PaymentPlan, spec: StochasticRateSpec, k, name: str) -> float:
     """The closed kernel name at year k, 0.0 at k = 0."""
     k = check_int(k, "k", 0, plan.n)
-    return _ClosedForms(plan, spec, k).column(name, (k,))[0] if k else 0.0
+    return _ClosedForms(plan, spec, k, k).column(name)[0] if k else 0.0
 
 
 def mean_closed(plan: PaymentPlan, spec: StochasticRateSpec, k) -> float:
@@ -607,22 +559,23 @@ def variance_closed(plan: PaymentPlan, spec: StochasticRateSpec, k) -> float:
     k = check_int(k, "k", 0, plan.n)
     if k == 0 or spec.s2 == 0.0:
         return 0.0
-    closed = _ClosedForms(plan, spec, k)
-    return closed.column("variance", (k,), closed.column("second", (k,)))[0]
+    closed = _ClosedForms(plan, spec, k, k)
+    return closed.column("variance", closed.column("second"))[0]
 
 
-def _series_columns(plan: PaymentPlan, spec: StochasticRateSpec, method: str) -> tuple:
-    """(mean, second moment, variance, diagonal, cross) for k = 1..n, as Python floats."""
+def _series_columns(plan: PaymentPlan, spec: StochasticRateSpec, method: str, parts=5) -> tuple:
+    """The first parts of (mean, second moment, variance, diagonal, cross), k = 1..n, as floats."""
     if method not in ("recursive", "closed"):
         raise DomainError(f"method must be 'recursive' or 'closed', got {method!r}")
     if method == "closed":
-        return _ClosedForms(plan, spec, plan.n).series()
-    return _recursive_columns(_recursion(plan, spec))
+        return _ClosedForms(plan, spec, plan.n).series(parts)
+    return _recursive_columns(_recursion(plan, spec))[:parts]
 
 
 def _recursive_columns(ref: _Moments) -> tuple:
     """_series_columns(..., "recursive") from one pass of the recursion."""
-    return ref.mean, ref.second, _variances(ref), ref.diagonal, ref.cross
+    variance = _variances(ref, range(1, len(ref.mean) + 1))
+    return ref.mean, ref.second, variance, ref.diagonal, ref.cross
 
 
 def moment_series(
@@ -682,11 +635,10 @@ def _audit(label: str, specialized: float, reference: float, scale: float) -> No
         )
 
 
-def _settle_variance(candidate: float, reference: float) -> float:
-    """Report a closed-form variance only while it tracks the recursion."""
-    if candidate >= 0.0 and abs(candidate - reference) <= VARIANCE_CONSENSUS_REL * reference:
-        return candidate
-    return reference
+def _settle_variance(candidates, references) -> list:
+    """Each closed-form variance while it tracks the recursion's, else the recursion's."""
+    rel = VARIANCE_CONSENSUS_REL
+    return [c if c >= 0.0 and abs(c - r) <= rel * r else r for c, r in zip(candidates, references)]
 
 
 def _special_variance(
@@ -696,7 +648,7 @@ def _special_variance(
     var = math.fsum(terms)
     _, var_r, *_ = _general_reference(plan, spec, k)
     _audit(label, var, var_r, scale=_term_scale(terms))
-    return _settle_variance(var, var_r)
+    return _settle_variance([var], [var_r])[0]
 
 
 def level_moments(spec: StochasticRateSpec, k) -> LevelMoments:
@@ -761,7 +713,7 @@ def increasing_moments(spec: StochasticRateSpec, k) -> IncreasingMoments:
     _audit(
         "increasing variance", var, var_r, scale=_term_scale(m2_terms + sq_terms)
     )
-    var = _settle_variance(var, var_r)
+    var = _settle_variance([var], [var_r])[0]
     return IncreasingMoments(mean, diag, cross, m2, var)
 
 

@@ -13,7 +13,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from annurates import cli, fixed_rate, moments, stochastic_rate
+from annurates import (
+    DomainError,
+    NumericalFailureError,
+    arithmetic_due,
+    cli,
+    decreasing_due,
+    fixed_rate,
+    geometric_due,
+    increasing_due,
+    increasing_squared_due,
+    level_due,
+    moments,
+    stochastic_rate,
+)
 from annurates.moments import PaymentPlan, _series_columns
 
 
@@ -567,7 +580,7 @@ class TestReload:
         argv = ["fixed", "--n", "50", "--j", "0.07", "--family", "all", "--p", "1.5", "--q", "1.1"]
         assert cli.main(argv + ["--output", output]) == 0
         kernels = cli._fixed_kernels(fixed_rate(0.07), 50, 1.5, 1.1, 1.1, True)
-        expected = [[kernels[name](k).hex() for k in range(1, 51)] for name in cli._FIXED_COLUMNS]
+        expected = [[x.hex() for x in kernels[name](range(1, 51))] for name in cli._FIXED_COLUMNS]
         assert _reloaded(capsys.readouterr().out, output) == expected
 
     def test_negative_zero_keeps_its_sign(self, capsys):
@@ -589,3 +602,78 @@ def _reloaded(text, output):
         rows = list(csv.reader(io.StringIO(text, newline="")))[1:]
     assert [int(row[0]) for row in rows] == list(range(1, len(rows) + 1))
     return [[float(x).hex() for x in column] for column in list(zip(*rows))[1:]]
+
+
+class TestTablesByColumns:
+    """Tables are evaluated a whole column at a time, with the errors of a row-by-row pass."""
+
+    @pytest.mark.parametrize("method", ["closed", "both"])
+    @pytest.mark.parametrize(
+        "plan", [["arithmetic", "--p", "1", "--q", "0.5"], ["geometric", "--p", "1", "--q", "1.03"]]
+    )
+    def test_moments_evaluates_only_the_printed_columns(self, plan, method, monkeypatch, capsys):
+        evaluated = []
+        column = moments._ClosedForms.column
+
+        def recording(self, name, *rows):
+            evaluated.append(name)
+            return column(self, name, *rows)
+
+        def unprinted(self):
+            raise AssertionError("a moments table evaluated the diagonal or cross part")
+
+        monkeypatch.setattr(moments._ClosedForms, "column", recording)
+        for name in ("diagonal", "cross"):
+            monkeypatch.setattr(moments._ClosedForms, name, property(unprinted))
+        argv = ["moments", "--family", *plan, "--n", "40", "--j", "0.05", "--s2", "0.01"]
+        assert cli.main(argv + ["--method", method]) == 0
+        assert evaluated == ["mean", "second", "variance"]
+        assert len(capsys.readouterr().out.splitlines()) == 41
+
+    @pytest.mark.parametrize(
+        "columns, p, q",
+        [
+            # the arithmetic column's strict rule fails at year 1001, before
+            # the level column leaves double range at year 1748
+            ("level,arithmetic", 1.0, -0.001),
+            # the strict rule fails at year 1726, the increasing column
+            # leaves double range later
+            ("increasing,arithmetic", 1.0, -0.00058),
+            # here the increasing column leaves double range first
+            ("increasing,arithmetic", 1.0, -0.00056),
+            # both strict rules fail at year 1: the left column's error
+            ("arithmetic,geometric", -1.0, 0.5),
+            # the geometric rule fails at year 1, right of every other column
+            ("all", 1.0, -0.5),
+        ],
+    )
+    def test_fixed_error_is_the_first_failing_row(self, columns, p, q, capsys):
+        j, n = 0.5, 2000
+        argv = ["fixed", "--j", str(j), "--n", str(n), "--family", columns,
+                "--p", repr(p), f"--q={q!r}"]
+        code = cli.main(argv)
+        assert (code, capsys.readouterr().err) == _row_by_row_failure(j, n, columns, p, q)
+        assert code in (2, 3)
+
+
+def _row_by_row_failure(j, n, columns, p, q):
+    """The exit code and message of the first year, then column, whose value raises."""
+    rate = fixed_rate(j)
+    public = {
+        "level": lambda k: level_due(k, rate),
+        "increasing": lambda k: increasing_due(k, rate),
+        "increasing_sq": lambda k: increasing_squared_due(k, rate),
+        "decreasing": lambda k: decreasing_due(n, k, rate),
+        "arithmetic": lambda k: arithmetic_due(p, q, k, rate),
+        "geometric": lambda k: geometric_due(p, q, k, rate),
+    }
+    names = cli._parse_columns(columns)
+    for k in range(1, n + 1):
+        for name in names:
+            try:
+                public[name](k)
+            except DomainError as exc:
+                return cli.EXIT_INVALID, f"error: {exc}\n"
+            except NumericalFailureError as exc:
+                return cli.EXIT_NUMERICAL, f"numerical failure: {exc}\n"
+    return cli.EXIT_OK, ""

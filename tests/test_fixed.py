@@ -253,7 +253,7 @@ class TestGeometricSingularity:
         calls = []
         monkeypatch.setattr(fixed, "_accumulate", lambda *args: calls.append(args))
         kernel = _geometric(1.0, 1.0, fixed_rate(0.0), "auto", True)
-        table = [kernel(k) for k in range(1, 1001)]
+        table = kernel(range(1, 1001))
         assert calls == []
         assert table[:3] == [1.0, 2.0, 3.0] and table[-1] == 1000.0
 
@@ -272,12 +272,12 @@ class TestBandTables:
             return range(1, h + 1)
 
         increasing = _annuity(rate, "auto", None, payments)
-        table = [increasing(k) for k in range(1, n + 1)]
+        table = increasing(range(1, n + 1))
         assert sum(asked) <= 4 * n
         # each row carries the bits of a recursion run to its horizon alone
         for k in (1, 2, 3, 500, n):
             assert table[k - 1] == increasing_due(k, rate, "recursive")
-        assert increasing(7) == increasing_due(7, rate)
+        assert increasing((7,)) == [increasing_due(7, rate)]
 
 
 class TestSumTables:
@@ -343,6 +343,61 @@ class TestSumTables:
         assert math.isfinite(level_due(1747, rate, mode="closed"))
         with pytest.raises(NumericalFailureError):
             level_due(1748, rate, mode="closed")
+
+    # a table is rounded by float(s) * 2^(1-top) while that is exact, else by
+    # s / 2^(top-1): j near -1 makes the powers subnormal (top > 1023), and
+    # up to 1745, the largest horizon whose increasing value fits at j = 0.5,
+    # float(s) overflows
+    tables = st.one_of(
+        st.tuples(st.floats(min_value=-0.999999, max_value=-0.9), st.integers(1, 400)),
+        st.tuples(st.floats(min_value=-0.5, max_value=3.0), st.integers(1, 300)),
+        st.tuples(st.just(0.5), st.integers(1690, 1745)),
+    )
+
+    @given(tables, st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_entries_are_the_exact_sums_correctly_rounded(self, table, data):
+        j, kmax = table
+        exact = _exact_sum_tables(j, kmax)
+        rate = fixed_rate(j)
+        squares = kmax <= 1500 or j != 0.5  # the squared entries at 0.5 leave double range
+        got = _sum_tables(rate, kmax, squares)
+        assert [list(map(float.hex, c)) for c in got] == [
+            [float(x).hex() for x in c] for c in exact[: len(got)]
+        ]
+        # the dicts of chosen rows hold the same entries
+        rows = data.draw(st.lists(st.integers(0, kmax), min_size=1, max_size=4, unique=True))
+        assert _sum_tables(rate, kmax, squares, rows) == tuple(
+            {k: column[k] for k in rows} for column in got
+        )
+
+    @pytest.mark.parametrize(
+        "j, kmax, route", [(0.07, 50, "product"), (-0.999999, 300, "top"), (0.5, 1700, "float")]
+    )
+    def test_drawn_tables_take_every_rounding_route(self, j, kmax, route):
+        powers = list(itertools.accumulate(itertools.repeat(1.0 + j, kmax), operator.mul))
+        top, _ = fixed._scaled(powers)
+        # the largest increasing entry, as the integer float() would convert
+        largest = _exact_sum_tables(j, kmax)[1][-1] * 2 ** (top - 1)
+        assert largest.denominator == 1
+        if route == "top":
+            assert top > 1023
+        else:
+            assert top <= 1023 and (largest >= 2**1024) == (route == "float")
+
+
+def _exact_sum_tables(j, kmax):
+    """The exact level, increasing and squared-increasing sums for k = 0..kmax, as Fractions."""
+    powers = itertools.accumulate(itertools.repeat(1.0 + j, kmax), operator.mul)
+    level = increasing = squares = Fraction(0)
+    columns = [[level], [increasing], [squares]]
+    for x in map(Fraction, powers):
+        level += x
+        increasing += level
+        squares += 2 * increasing - level
+        for column, value in zip(columns, (level, increasing, squares)):
+            column.append(value)
+    return columns
 
 
 # every accumulator in mode "auto", as a function of (p, q, k, rate)

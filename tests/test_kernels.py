@@ -2,12 +2,13 @@
 
 A builder in fixed (_level, ..., _arithmetic, _geometric) settles the mode,
 the route, the strict rule and every k-free factor once and returns the
-accumulator as a function of k; the CLI's tables and the closed moment
-series call one such function at every k, where a public function builds
-its own at one k.  These properties draw parameters over the whole domain,
-the edges of the singular bands and horizons past double range, and require
-each value to carry the public function's bits, or the call to raise exactly
-what the public function raises.
+accumulator as a function of the years ks, evaluated as one column; the
+CLI's tables and the closed moment series call one such function over all
+their years, where a public function builds its own at one k.  These
+properties draw parameters over the whole domain, the edges of the singular
+bands and horizons past double range, and require each value to carry the
+public function's bits, or the call to raise exactly what the public
+function raises at the first year that fails.
 """
 
 import numpy as np
@@ -43,6 +44,24 @@ def outcome(fn, *args):
     except Exception as exc:  # the comparison is the point: any type counts
         return type(exc), str(exc)
     return float(value).hex()
+
+
+def at(kernel):
+    """The column function kernel as a function of one year."""
+    return lambda k: kernel(range(k, k + 1))[0]
+
+
+def column_outcome(kernel, ks):
+    """The bits of kernel(ks), or the type and message of what it raised."""
+    try:
+        return [float(value).hex() for value in kernel(ks)]
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def first_failure(outcomes):
+    """The first raised outcome among per-year outcomes, else all of them."""
+    return next((o for o in outcomes if isinstance(o, tuple)), outcomes)
 
 
 # rates over the domain, with the edges of |j| < 1e-9 and rates whose
@@ -85,10 +104,14 @@ class TestFixedKernels:
         }
         kernels = cli._fixed_kernels(rate, n, p, q_arith, q_geom, strict)
         assert kernels.keys() == public.keys()
-        # each function is called at two horizons, as a table calls it at many
+        # each function is called at two horizons and over a column of
+        # years ending at k, which raises what the first failing year raises
         for name, kernel in kernels.items():
             for h in (k, 1):
-                assert outcome(kernel, h) == outcome(public[name], h), name
+                assert outcome(at(kernel), h) == outcome(public[name], h), name
+            ks = range(max(1, k - 3), k + 1)
+            expected = first_failure([outcome(public[name], h) for h in ks])
+            assert column_outcome(kernel, ks) == expected, name
 
     @given(st.data(), rates, st.floats(min_value=0.0, max_value=1.0), payments, horizons)
     @settings(max_examples=300, deadline=None)
@@ -103,22 +126,22 @@ class TestFixedKernels:
             # mean is the recursion's row
             # (building the kernel runs the recursion, which may raise)
             row = outcome(lambda k: moments._recursion(geometric, spec, k).mean[-1], k)
-            assert outcome(lambda k: forms.mean(k), k) == row
+            assert outcome(lambda k: at(forms.mean)(k), k) == row
         else:
-            assert outcome(forms.mean, k) == outcome(geometric_due, p, q, k, rj, "auto", False)
-        assert outcome(forms.geometric_r, k) == outcome(
+            assert outcome(at(forms.mean), k) == outcome(geometric_due, p, q, k, rj, "auto", False)
+        assert outcome(at(forms.geometric_r), k) == outcome(
             geometric_due, p, q, k, rr, "auto", False
         )
-        assert outcome(forms.geometric_f, k) == outcome(
+        assert outcome(at(forms.geometric_f), k) == outcome(
             geometric_due, p * p, q * q, k, rf, "auto", False
         )
         q = data.draw(payments)
         kernel = _arithmetic(p, q, rj, "auto", False)
-        assert outcome(kernel, k) == outcome(arithmetic_due, p, q, k, rj, "auto", False)
+        assert outcome(at(kernel), k) == outcome(arithmetic_due, p, q, k, rj, "auto", False)
         strict = _arithmetic(p, q, rj, "auto", True)
-        assert outcome(strict, k) == outcome(arithmetic_due, p, q, k, rj)
+        assert outcome(at(strict), k) == outcome(arithmetic_due, p, q, k, rj)
         strict = _geometric(p, q, rj, "auto", True)
-        assert outcome(strict, k) == outcome(geometric_due, p, q, k, rj)
+        assert outcome(at(strict), k) == outcome(geometric_due, p, q, k, rj)
 
     @given(
         st.sampled_from(["arithmetic", "geometric"]),
@@ -167,7 +190,9 @@ def test_closed_geometric_series_calls_no_public_accumulator(monkeypatch):
 def test_kernel_past_double_range_raises_what_the_accumulator_raises():
     rate = fixed_rate(0.3)
     kernel = _geometric(1.0, 1.5, rate, "auto", False)
-    assert kernel(1745) == geometric_due(1.0, 1.5, 1745, rate)
-    failure = outcome(kernel, 1746)
+    assert kernel((1745,)) == [geometric_due(1.0, 1.5, 1745, rate)]
+    failure = outcome(at(kernel), 1746)
     assert failure == outcome(geometric_due, 1.0, 1.5, 1746, rate)
     assert failure[1].endswith("the largest horizon that fits is 1745")
+    # a column through year 1746 raises the same error
+    assert column_outcome(kernel, range(1, 2001)) == failure

@@ -259,7 +259,7 @@ class TestMomentSeries:
             assert second_moment_diagonal(plan, spec, k) == series.diagonal[i]
             assert second_moment_cross(plan, spec, k) == series.cross[i]
             assert variance_closed(plan, spec, k) == series.variance[i]
-            assert mean_squared_closed(plan, spec, k) == forms.mean_squared(k)
+            assert mean_squared_closed(plan, spec, k) == forms.mean_squared(range(k, k + 1))[0]
 
     @pytest.mark.parametrize("j", [0.05, 0.0, 5e-10])
     def test_closed_arithmetic_series_is_one_pass(self, monkeypatch, j):
@@ -338,6 +338,36 @@ class TestMomentSeries:
                 moment_series(PaymentPlan.geometric(1.3, q, n), spec, "closed")
             assert 0 < calls["_power_diff_quotient"] <= 4 * n, q
             assert calls["_accumulate"] == 0, q
+
+    def test_per_year_closed_functions_evaluate_their_own_years(self, monkeypatch):
+        # a public per-year function evaluates each geometric accumulator at
+        # its year (and 2k), not over every year up to k
+        years = []
+        original = fixed._power_diff_quotient
+
+        def counting(g, q, ks):
+            years.append(len(ks))
+            return original(g, q, ks)
+
+        monkeypatch.setattr(fixed, "_power_diff_quotient", counting)
+        plan = PaymentPlan.geometric(1.0, 1.05, 1000)
+        spec = stochastic_rate(0.07, 0.02)
+        mean_closed(plan, spec, 1000)
+        assert years == [1]
+        years.clear()
+        variance_closed(plan, spec, 1000)
+        assert len(years) <= 4 and sum(years) <= 4
+
+    def test_closed_series_raises_what_the_first_year_to_raise_raises(self):
+        # the closed second moment is inf from year 874, but the accumulator at
+        # f raises at year 876, before any year's inf is reported: as when
+        # each year was evaluated alone, the accumulator's error decides
+        plan = PaymentPlan.geometric(1.0, 1.5, 1300, strict=False)
+        spec = stochastic_rate(0.05, 0.0)
+        with pytest.raises(NumericalFailureError, match="rate 0.10250000000000004 .* fits is 875$"):
+            moment_series(plan, spec, "closed")
+        with pytest.raises(NumericalFailureError, match="second moment leaves double range at year 874"):
+            second_moment_closed(plan, spec, 874)
 
 
 def _counted(calls, name, original, *args):
