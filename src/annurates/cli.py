@@ -331,13 +331,6 @@ def _build_parser() -> argparse.ArgumentParser:
             if opt.metavar:
                 kwargs["metavar"] = opt.metavar
             cmd_parser.add_argument(f"--{opt.name}", type=opt.convert, **kwargs)
-        if command == "identities":
-            cmd_parser.add_argument(
-                "--self-test-corrupt",
-                action="store_true",
-                default=False,
-                help=argparse.SUPPRESS,
-            )
     return parser
 
 
@@ -619,9 +612,9 @@ def cmd_verify(cfg: dict) -> int:
     return EXIT_OK if report.passed else EXIT_VERIFICATION
 
 
-def cmd_identities(cfg: dict, corrupt: bool = False) -> int:
+def cmd_identities(cfg: dict) -> int:
     """Identity grids with per-check counts and worst deviations."""
-    results = run_identity_suites(corrupt=corrupt)
+    results = run_identity_suites()
     header = ["name", "cases", "max_rel_dev", "tol", "passed"]
     table = _Table(header, [[getattr(r, name) for r in results] for name in header])
     _emit(cfg, table, {"checks": table, "passed": all(r.passed for r in results)})
@@ -640,17 +633,18 @@ def cmd_identities(cfg: dict, corrupt: bool = False) -> int:
 # ---------------------------------------------------------------------------
 
 
+_COMMANDS = {
+    "fixed": cmd_fixed,
+    "moments": cmd_moments,
+    "verify": cmd_verify,
+    "identities": cmd_identities,
+}
+
+
 def _run(argv) -> int:
     parser = _build_parser()
     ns = parser.parse_args(argv)
-    cfg = _merge_config(ns.command, ns)
-    if ns.command == "fixed":
-        return cmd_fixed(cfg)
-    if ns.command == "moments":
-        return cmd_moments(cfg)
-    if ns.command == "verify":
-        return cmd_verify(cfg)
-    return cmd_identities(cfg, corrupt=ns.self_test_corrupt)
+    return _COMMANDS[ns.command](_merge_config(ns.command, ns))
 
 
 def main(argv=None) -> int:

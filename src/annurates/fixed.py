@@ -13,10 +13,13 @@ _sum_tables gives the summation values of the level, increasing and
 squared-increasing annuities for every k up to a horizon in one pass.
 
 Each accumulator is written once, as a builder (_level, _increasing,
-_increasing_squared, _decreasing, _arithmetic, _geometric): it settles the
-mode, the route, the strict-payment rule and the k-free factors once and
-returns the accumulator over the years ks as one column, checked once; the
-public function calls it at (k,), a table or moment series over all its years.
+_increasing_squared, _decreasing, _arithmetic, _geometric): it states its
+closed form, its payments and its strict-payment rule, with the k-free
+factors hoisted, and hands them to _annuity, the one place a mode is routed.
+_geometric passes band=False, the only way it differs from the other five.
+The result is the accumulator over the years ks as one column, checked once;
+the public function calls it at (k,), a table or moment series over all its
+years.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import operator
 import sys
 
 from .errors import DomainError, NumericalFailureError, PaymentPositivityError, check_int
-from .rates import FixedRate, fixed_rate, singular
+from .rates import FixedRate, _growth_ratio, fixed_rate, singular
 
 _MODES = ("auto", "closed", "recursive", "sum")
 # increasing_squared_due also accepts the quadratic-denominator relationship
@@ -187,16 +190,6 @@ def _check_geometric(p: float, q: float) -> None:
         )
 
 
-def _growth_ratio(u) -> float:
-    """The payment ratio 1+u of the growth rate u, which must be finite and exceed -1."""
-    u = float(u)
-    if not u > -1.0:
-        raise DomainError(f"growth rate must exceed -1, got {u}")
-    if u == math.inf:
-        raise DomainError(f"growth rate must be finite, got {u}")
-    return 1.0 + u
-
-
 def _sum_tables(rate, kmax: int, squares: bool = True, rows=None) -> tuple:
     """Sum-mode level, increasing and squared-increasing values for k = 0..kmax.
 
@@ -289,13 +282,16 @@ def _level_closed(ks, rate: FixedRate) -> list:
     return [math.expm1(k * growth) / d for k in ks]
 
 
-def _annuity(rate, mode: str, closed, payments, lead=0.0, tail=0, allowed=_MODES, check=None):
+def _annuity(
+    rate, mode: str, closed, payments, lead=0.0, tail=0, allowed=_MODES, check=None, band=True
+):
     """An annuity-due at rate in mode, as a function of the years ks.
 
     closed(ks) is its closed form's column over horizons h >= 1; the
     recursion and the sum run over its payments(h) with lead and tail.
+    Without band the closed form serves every rate, |j| < 1e-9 included.
     """
-    path = _route(mode, singular(rate.j), allowed)
+    path = _route(mode, band and singular(rate.j), allowed)
     g = 1.0 + rate.j
     if path == "recursive":
         values = _recursive(g, payments, lead, tail)
@@ -423,7 +419,6 @@ def _geometric(p, q, rate: FixedRate, mode: str, strict: bool):
     p = float(p)
     q = float(q)
     g = 1.0 + rate.j
-    path = _route(mode, False)
     pg = p * g
 
     # p = 0 pays nothing: its value is zero even where q^i or the quotient
@@ -431,23 +426,19 @@ def _geometric(p, q, rate: FixedRate, mode: str, strict: bool):
     def payments(h):
         if not p:
             return [p] * h
-        if path == "recursive":
+        if mode == "recursive":
             # iterated powers of q, which reach inf where q**i would overflow
             powers = itertools.accumulate(itertools.repeat(q, h - 1), operator.mul, initial=1.0)
         else:
             powers = (q**i for i in range(h))
         return [p * x for x in powers]
 
-    if path == "closed":
-        quotients = lambda ks: [pg * x for x in _power_diff_quotient(g, q, ks)]
-        values = quotients if p else (lambda ks: [pg] * len(ks))
-    elif path == "recursive":
-        values = _recursive(g, payments)
+    if p:
+        closed = lambda ks: [pg * x for x in _power_diff_quotient(g, q, ks)]
     else:
-        values = lambda ks: [_accumulate(g, payments(h)) for h in ks]
-
+        closed = lambda ks: [pg] * len(ks)
     check = (lambda k: _check_geometric(p, q)) if strict else None
-    return _guarded(path, values, rate, mode, check)
+    return _annuity(rate, mode, closed, payments, check=check, band=False)
 
 
 def geometric_due(p, q, k, rate, mode: str = "auto", strict: bool = True) -> float:

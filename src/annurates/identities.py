@@ -3,7 +3,8 @@
 Each check sweeps a parameter grid, evaluates both sides of an identity or
 two independent evaluation paths of the same quantity, and records the worst
 relative deviation.  Each suite declares its checks, with their tolerances,
-in report order.  The CLI and the test suite share these runners.
+in report order.  The CLI and the test suite share these runners, which
+take no arguments: the grids are the module's constants, read at each call.
 """
 
 from __future__ import annotations
@@ -113,10 +114,6 @@ class _Recorder:
         for value, reference in zip(values, references):
             self.record(name, _dev(value, reference))
 
-    def force_breach(self, name: str, dev: float) -> None:
-        entry = self._worst.setdefault(name, [0, 0.0])
-        entry[1] = max(entry[1], dev)
-
     def results(self) -> list[IdentityResult]:
         return [
             IdentityResult(name, *self._worst[name], tol)
@@ -176,12 +173,10 @@ def _fixed_tables(rate) -> tuple:
     return evaluators, specializations
 
 
-def fixed_identity_suite(
-    j_grid=FIXED_J_GRID, k_max: int = FIXED_K_MAX, corrupt: bool = False
-) -> list[IdentityResult]:
+def fixed_identity_suite() -> list[IdentityResult]:
     """Evaluator agreement, shift relations and specializations at fixed rates."""
     rec = _Recorder(_FIXED_CHECKS)
-    for j in j_grid:
+    for j in FIXED_J_GRID:
         rate = fixed_rate(j)
         g = 1.0 + j
         in_band = singular(j)
@@ -189,7 +184,7 @@ def fixed_identity_suite(
             rec.record("discount-identities", _dev(value, reference))
         evaluators, specializations = _fixed_tables(rate)
         modes = ("sum", "recursive") if in_band else ("sum", "recursive", "closed")
-        for k in range(0, k_max + 1):
+        for k in range(0, FIXED_K_MAX + 1):
             for name, evaluate, compared in evaluators:
                 reference = evaluate(k, mode="sum")
                 for m in compared:
@@ -225,10 +220,6 @@ def fixed_identity_suite(
                 [is_2k, -2.0 * (1.0 + k * rate.d) * is_ref, -float(k * k)]
             ) / (rate.d * rate.d)
             rec.record("increasing-squared-identity", _dev(is_ref * is_ref, rhs))
-    if corrupt:
-        # self-test hook: force a visible breach so callers can prove the
-        # harness detects one
-        rec.force_breach("level-evaluators", 1e-6)
     return rec.results()
 
 
@@ -309,9 +300,9 @@ def specialization_suite() -> list[IdentityResult]:
     return rec.results()
 
 
-def run_identity_suites(corrupt: bool = False) -> list[IdentityResult]:
+def run_identity_suites() -> list[IdentityResult]:
     """Everything the identities command reports, in a stable order."""
-    results = fixed_identity_suite(corrupt=corrupt)
+    results = fixed_identity_suite()
     results += stochastic_identity_suite()
     results += specialization_suite()
     return results

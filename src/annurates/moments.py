@@ -54,7 +54,6 @@ from .fixed import (
     _check_arithmetic,
     _check_geometric,
     _geometric,
-    _growth_ratio,
     _sum_tables,
     decreasing_due,
     increasing_due,
@@ -64,6 +63,7 @@ from .fixed import (
 from .rates import (
     GeometricAux,
     StochasticRateSpec,
+    _growth_ratio,
     fixed_rate,
     geometric_aux,
     geometric_singular,
@@ -112,8 +112,10 @@ class PaymentPlan:
 
     def payment(self, i: int) -> float:
         """Payment made at the start of year i, 1 <= i <= n."""
-        if i < 1 or i > self.n:
-            raise DomainError(f"payment index must be in 1..{self.n}, got {i}")
+        return self._payment(check_int(i, "payment index", 1, self.n))
+
+    def _payment(self, i: int) -> float:
+        """payment(i) for an int i the caller keeps in 1..n."""
         if self.family == "arithmetic":
             return self.p + (i - 1) * self.q
         try:
@@ -128,7 +130,7 @@ class PaymentPlan:
 
     def payments(self) -> np.ndarray:
         import numpy as np
-        return np.array([self.payment(i) for i in range(1, self.n + 1)])
+        return np.array([self._payment(i) for i in range(1, self.n + 1)])
 
     @classmethod
     def arithmetic(cls, p, q, n, strict: bool = True) -> "PaymentPlan":
@@ -181,9 +183,7 @@ class MomentSeries:
         return self.plan.n
 
     def _at(self, arr: np.ndarray, k: int) -> float:
-        if k < 1 or k > self.plan.n:
-            raise DomainError(f"k must be in 1..{self.plan.n}, got {k}")
-        return float(arr[k - 1])
+        return float(arr[check_int(k, "k", 1, self.plan.n) - 1])
 
     def mean_at(self, k: int) -> float:
         return self._at(self.mean, k)
@@ -221,7 +221,7 @@ def _recursion(plan: PaymentPlan, spec: StochasticRateSpec, k: int | None = None
     rows = []
     mean = second = var = diag = cross = 0.0
     m, mu, s2 = spec.m, spec.mu, spec.s2
-    for c in map(plan.payment, range(1, (plan.n if k is None else k) + 1)):
+    for c in map(plan._payment, range(1, (plan.n if k is None else k) + 1)):
         step = mean + c
         second = m * (second + 2.0 * c * mean + c * c)
         # s2 * step first: s2 = 0 gives exactly 0.0, and no factor leaves

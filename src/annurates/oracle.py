@@ -203,11 +203,8 @@ def enumerate_series(
         raise EnumerationBudgetError(
             f"exact enumeration supports k <= {ENUMERATION_MAX_HORIZON}, got {k}"
         )
+    RateDistribution.two_point(spec.j, spec.s2)  # checks j - s > -1
     s = math.sqrt(spec.s2)
-    if not spec.j - s > -1.0:
-        raise DomainError(
-            f"two-point support reaches 1+i <= 0 (lowest rate {spec.j - s})"
-        )
     import numpy as np
     means = np.empty(k)
     seconds = np.empty(k)
@@ -221,7 +218,7 @@ def enumerate_series(
     c = np.zeros(1)
     for t in range(1, m + 1):
         # path i's balance is c[i mod 2^t]; bit t-1 of i picks its year-t rate
-        c = np.outer(gross, c + plan.payment(t)).ravel()
+        c = np.outer(gross, c + plan._payment(t)).ravel()
         lanes = np.tile(c, width // len(c)) if len(c) < width else c
         means[t - 1] = lanes.mean()
         seconds[t - 1] = np.mean(lanes * lanes)
@@ -256,7 +253,7 @@ def _walk_subtrees(
 
     def visit(balances: np.ndarray, t: int, index: int) -> None:
         # the float operations of np.outer(gross, balances + payment(t))
-        x = balances + plan.payment(t)
+        x = balances + plan._payment(t)
         row = sums[t - m - 1]
         for bit, g in enumerate(gross):
             child = x * g
@@ -347,7 +344,7 @@ def _simulate_batch(
     sums = np.empty((4, k))
     c = np.zeros(batch_size)
     for t in range(k):
-        c += plan.payment(t + 1)
+        c += plan._payment(t + 1)
         c *= gross[t]
         sums[:, t] = _central_sums(c)
     return sums

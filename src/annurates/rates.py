@@ -98,12 +98,20 @@ def stochastic_rate(j: float, s2: float) -> StochasticRateSpec:
     return StochasticRateSpec(j=j, s2=s2, mu=mu, m=m, f=f, r=r, ell=ell)
 
 
+def _growth_ratio(u) -> float:
+    """The payment ratio 1+u of the growth rate u, which must be finite and exceed -1."""
+    u = float(u)
+    if not u > -1.0:
+        raise DomainError(f"growth rate must exceed -1, got {u}")
+    if u == math.inf:
+        raise DomainError(f"growth rate must be finite, got {u}")
+    return 1.0 + u
+
+
 def geometric_aux(spec: StochasticRateSpec, u: float) -> GeometricAux:
     """Derive the growth-payment auxiliary rates for ratio 1+u > 0."""
+    one_u = _growth_ratio(u)
     u = float(u)
-    if not math.isfinite(u) or not u > -1.0:
-        raise DomainError(f"growth rate must be finite and exceed -1, got {u}")
-    one_u = 1.0 + u
     t = one_u / spec.mu - 1.0
     h = spec.m / (one_u * one_u) - 1.0
     w = spec.m / (spec.mu * spec.mu * (1.0 + t)) - 1.0

@@ -241,11 +241,22 @@ class TestIdentitiesCommand:
         assert all(r[-1] == "true" for r in rows)
         assert len(rows) == 31
 
-    def test_corrupted_formula_fails(self):
+    def test_perturbed_formula_fails(self, perturbed_level, capsys):
+        assert cli.main(["identities"]) == 1
+        out, err = capsys.readouterr()
+        _, rows = csv_rows(out)
+        assert len(rows) == 31
+        assert {r[0] for r in rows if r[-1] == "false"} == {
+            "level-evaluators",
+            "arithmetic-specializations",
+            "geometric-specializations",
+        }
+        assert "3 breaches" in err
+
+    def test_self_test_flag_is_gone(self):
         proc = run_cli("identities", "--self-test-corrupt")
-        assert proc.returncode == 1
-        _, rows = csv_rows(proc.stdout)
-        assert any(r[-1] == "false" for r in rows)
+        assert proc.returncode == 2
+        assert "unrecognized arguments: --self-test-corrupt" in proc.stderr
 
 
 class TestErrorHandling:

@@ -11,6 +11,7 @@ import pytest
 
 from annurates import (
     fixed_identity_suite,
+    identities,
     run_identity_suites,
     specialization_suite,
     stochastic_identity_suite,
@@ -77,16 +78,26 @@ class TestFixedSuite:
         fixed_identity_suite()
         assert time.perf_counter() - start < 2.0
 
-    def test_corruption_is_detected(self):
+    def test_perturbed_formula_is_detected(self, perturbed_level):
         # sanity check on the suite itself: a deliberately perturbed
-        # formula must produce at least one breach
-        breached = [r for r in fixed_identity_suite(corrupt=True) if not r.passed]
-        assert breached
-        assert any(r.max_rel_dev > r.tol for r in breached)
+        # formula must produce a breach in every check that reads it
+        breached = [r for r in fixed_identity_suite() if not r.passed]
+        assert {r.name for r in breached} == {
+            "level-evaluators",
+            "arithmetic-specializations",
+            "geometric-specializations",
+        }
+        for r in breached:
+            assert 5e-7 < r.max_rel_dev < 2e-6, r
 
-    def test_custom_grid(self):
-        results = fixed_identity_suite(j_grid=(0.02, 0.13), k_max=8)
+    def test_custom_grid(self, monkeypatch):
+        monkeypatch.setattr(identities, "FIXED_J_GRID", (0.02, 0.13))
+        monkeypatch.setattr(identities, "FIXED_K_MAX", 8)
+        results = fixed_identity_suite()
         _assert_all_pass(results, FIXED_NAMES)
+        # 2 rates: three discount identities each, one shift case per year 1..8
+        cases = {r.name: r.cases for r in results}
+        assert (cases["discount-identities"], cases["increasing-shift"]) == (2 * 3, 2 * 8)
 
 
 class TestStochasticSuite:
@@ -113,10 +124,10 @@ class TestCombinedRunner:
         )
         assert all(r.passed for r in results)
 
-    def test_corrupt_flag_reaches_fixed_suite(self):
-        results = run_identity_suites(corrupt=True)
+    def test_perturbed_formula_breaches_fixed_checks_only(self, perturbed_level):
+        results = run_identity_suites()
         assert any(not r.passed for r in results)
-        # corruption only touches the fixed-rate formulas
+        # the perturbation only touches the fixed-rate formulas
         for r in results:
             if not r.passed:
                 assert r.name in FIXED_NAMES

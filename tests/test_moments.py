@@ -225,6 +225,27 @@ class TestMomentSeries:
         with pytest.raises(DomainError):
             series.mean_at(9)
 
+    @pytest.mark.parametrize("k", [2.0, 2.5, "2", True, None])
+    @pytest.mark.parametrize("accessor", ["mean_at", "second_moment_at", "variance_at"])
+    def test_accessors_take_integer_years_only(self, accessor, k):
+        # raw IndexError, TypeError or year 1 for True before
+        series = moment_series(PaymentPlan.geometric(1.0, 1.2, 8), SPEC, "recursive")
+        with pytest.raises(DomainError, match="k must be an integer"):
+            getattr(series, accessor)(k)
+
+    @pytest.mark.parametrize("k", [0, 9, -1])
+    def test_accessor_range_message(self, k):
+        series = moment_series(PaymentPlan.level(8), SPEC, "recursive")
+        with pytest.raises(DomainError, match=f"^k must be in 1..8, got {k}$"):
+            series.variance_at(k)
+
+    def test_accessors_read_the_arrays(self):
+        series = moment_series(PaymentPlan.arithmetic(1.0, 0.5, 6), SPEC, "closed")
+        for k in range(1, 7):
+            for name in ("mean", "second_moment", "variance"):
+                value = getattr(series, f"{name}_at")(np.int64(k))
+                assert value.hex() == float(getattr(series, name)[k - 1]).hex()
+
     def test_closed_and_recursive_methods_agree(self):
         plan = PaymentPlan.arithmetic(1.0, 0.5, 20)
         closed = moment_series(plan, SPEC, "closed")
@@ -525,6 +546,17 @@ class TestPaymentPlan:
             mean_closed(plan, SPEC, 6)
         with pytest.raises(DomainError):
             variance_closed(plan, SPEC, -1)
+
+    @pytest.mark.parametrize("i", [2.0, 2.5, "2", True, None])
+    def test_payment_takes_integer_indices_only(self, i):
+        # payment(2.5) was p + 1.5q and payment(True) year 1's payment
+        with pytest.raises(DomainError, match="payment index must be an integer"):
+            PaymentPlan.arithmetic(1.0, 2.0, 4).payment(i)
+
+    @pytest.mark.parametrize("i", [0, 5])
+    def test_payment_range_message(self, i):
+        with pytest.raises(DomainError, match=f"^payment index must be in 1..4, got {i}$"):
+            PaymentPlan.geometric(1.0, 1.5, 4).payment(i)
 
     def test_payment_past_double_range_is_numerical_failure(self):
         # q^(i-1) raised a raw OverflowError here

@@ -76,6 +76,14 @@ class TestEnumeration:
         wide = stochastic_rate(0.1, 1.44)  # j - s = -1.1
         with pytest.raises(DomainError):
             enumerate_exact(plan, wide, 4)
+        # the rule and its message are RateDistribution's
+        edge = stochastic_rate(0.0, 1.0)  # j - s = -1 exactly
+        with pytest.raises(DomainError) as raised:
+            enumerate_exact(plan, edge, 4)
+        with pytest.raises(DomainError) as direct:
+            RateDistribution.two_point(0.0, 1.0)
+        assert str(raised.value) == str(direct.value)
+        assert str(raised.value).endswith("(lowest rate -1.0); reduce s2")
 
 
 def _plans(k):

@@ -15,6 +15,7 @@ from annurates import (
     fixed_rate,
     geometric_aux,
     geometric_due,
+    growth_due,
     level_due,
     stochastic_rate,
 )
@@ -127,6 +128,25 @@ class TestGeometricAux:
         spec = stochastic_rate(0.1, 0.04)
         with pytest.raises(DomainError):
             geometric_aux(spec, -1.0)
+
+    @pytest.mark.parametrize(
+        "u, message",
+        [
+            (-1.0, "growth rate must exceed -1, got -1.0"),
+            (float("-inf"), "growth rate must exceed -1, got -inf"),
+            (float("nan"), "growth rate must exceed -1, got nan"),
+            (float("inf"), "growth rate must be finite, got inf"),
+        ],
+    )
+    def test_bad_growth_reported_as_growth_due_reports_it(self, u, message):
+        spec = stochastic_rate(0.1, 0.04)
+        for call in (
+            lambda: geometric_aux(spec, u),
+            lambda: growth_due(u, 3, 0.1),
+            lambda: PaymentPlan.growth(u, 3),
+        ):
+            with pytest.raises(DomainError, match=f"^{message}$"):
+                call()
 
     @given(
         st.floats(min_value=-0.6, max_value=1.0),
