@@ -17,7 +17,7 @@ replaced by it; _audit raises FormulaAuditError where a specialized family
 or the arithmetic diagonal part drifts from its reference.
 
 Both paths of moment_series run in time linear in n.  The arithmetic closed
-forms read their annuity values at f, r and j from fixed._sum_tables, exact
+forms read their annuity values at f and r from fixed._sum_tables, exact
 prefix sums rounded once; inside the singular band, and for a geometric plan
 with p = 0, every closed moment is the row of one recursion pass.  Each
 closed quantity is a kernel (_ClosedForms) that evaluates a whole column of
@@ -38,7 +38,6 @@ numpy, when they are called; the CLI's tables read _series_columns.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import TYPE_CHECKING, NamedTuple
@@ -164,9 +163,9 @@ class MomentSeries:
     """Moments of the accumulated value for every horizon 1..n.
 
     Arrays are indexed by k-1.  variance is 0.0 where s2 = 0; otherwise it is
-    the variance's own recursion (recursive) or the closed second moment
-    minus the closed squared mean, settled to that recursion (closed), so it
-    need not equal second_moment - mean**2 of these arrays.
+    the variance's own recursion (recursive) or second_moment - mean**2 of
+    these arrays settled to that recursion (closed), so in either case it
+    need not equal second_moment - mean**2.
     """
 
     plan: PaymentPlan
@@ -281,13 +280,14 @@ def _rows(column: tuple):
 class _ClosedForms:
     """The closed forms of one plan and rate at the years ks = first..kmax.
 
-    Each of mean, second, diagonal, cross and mean_squared is a kernel, built
-    on first use, that maps a range of years to its values in one pass, with
-    the route, accumulators, coefficients (left-associated prefixes of the
-    written products, so each term rounds as written) and tables (rows of
+    Each of mean, second, diagonal and cross is a kernel, built on first use,
+    that maps a range of years to its values in one pass, with the route,
+    accumulators, coefficients (left-associated prefixes of the written
+    products, so each term rounds as written) and tables (rows of
     fixed._sum_tables that ks reads, or of the recursion pass every closed
-    variance is settled against) settled once.  moment_series takes ks = 1..n
-    and a per-year function ks = k..k, both through column: they agree bit for bit.
+    variance is settled against) settled once; mean_squared squares the mean.
+    moment_series takes ks = 1..n and a per-year function ks = k..k, both
+    through column: they agree bit for bit.
     """
 
     def __init__(self, plan: PaymentPlan, spec: StochasticRateSpec, kmax: int, first: int = 1):
@@ -311,27 +311,21 @@ class _ClosedForms:
     def ref(self) -> _Moments:
         return _recursion(self.plan, self.spec, self.kmax)
 
-    def _table(self, rate, kmax: int, rows, squares: bool = False) -> tuple:
+    def _table(self, rate, rows, squares: bool = False) -> tuple:
         """fixed._sum_tables at rate up to kmax, rounded at rows unless ks starts at year 1."""
-        return _sum_tables(rate, kmax, squares, None if self.ks.start == 1 else rows)
+        return _sum_tables(rate, self.kmax, squares, None if self.ks.start == 1 else rows)
 
     @cached_property
     def at_f(self) -> tuple:
         # the diagonal part reads year k-1 too
-        return self._table(self.rf, self.kmax, range(self.ks.start - 1, self.kmax + 1), True)
+        return self._table(self.rf, range(self.ks.start - 1, self.kmax + 1), True)
 
-    # no closed form reads a squared-increasing value at r or j, and those
-    # entries leave double range first
+    # no closed form reads a squared-increasing value at r, and those entries
+    # leave double range first
 
     @cached_property
     def at_r(self) -> tuple:
-        return self._table(self.rr, self.kmax, self.ks)
-
-    @cached_property
-    def at_j(self) -> tuple:
-        # the squared mean reads years k and 2k
-        ks = self.ks
-        return self._table(self.rj, 2 * self.kmax, [*ks, *range(2 * ks[0], 2 * ks[-1] + 1, 2)])
+        return self._table(self.rr, self.ks)
 
     # the geometric sums with parameters (p, q) at r and (p^2, q^2) at f;
     # strict=False because plan construction already enforced positivity.
@@ -356,8 +350,7 @@ class _ClosedForms:
             return _rows(self.ref.mean)
         p, q = self.plan.p, self.plan.q
         if self.plan.family == "geometric":
-            # cached: mean_squared reads it again at ks
-            return cache(_geometric(p, q, self.rj, "auto", False))
+            return _geometric(p, q, self.rj, "auto", False)
         return _arithmetic(p, q, self.rj, "auto", False)
 
     @cached_property
@@ -442,38 +435,14 @@ class _ClosedForms:
             for k, gk in zip(ks, [g**k for k in ks])
         ]
 
-    @cached_property
-    def mean_squared(self):
-        if self.singular:
-            mean = self.mean
-            return lambda ks: [x**2 for x in mean(ks)]
-        p, q = self.plan.p, self.plan.q
-        if self.plan.family == "geometric":
-            g = self.spec.mu
-            at_j = self.mean
-            lead = p * g / (g - q)
-            return lambda ks: [
-                lead * (sg_2k - 2.0 * q**k * sg_k)
-                for k, sg_k, sg_2k in zip(ks, at_j(ks), at_j(range(2 * ks[0], 2 * ks[-1] + 1, 2)))
-            ]
-        d = self.rj.d
-        pq = p - q
-        s_j, is_j = self.at_j
-        qd = q / d
-        lead = pq / d * (pq + 2.0 * qd)
-        c_s_k, c_k_s_k = -2.0 * lead, -2.0 * q * pq
-        c_is_2k, c_is_k, c_kk = qd * qd, -2.0 * qd * qd, -qd * qd
-        return lambda ks: [
-            math.fsum([lead * s_j[2 * k], c_s_k * s_j[k], c_k_s_k * k / d * s_j[k],
-                       c_is_2k * is_j[2 * k], c_is_k * (1.0 + k * d) * is_j[k], c_kk * k * k])
-            for k in ks
-        ]
+    def mean_squared(self, ks) -> list:
+        return [x**2 for x in self.mean(ks)]
 
-    def variance(self, ks, second) -> list:
-        """second - mean_squared at each year of ks, settled against the recursion."""
+    def variance(self, ks, mean, second) -> list:
+        """second - mean**2 at each year of ks, settled against the recursion."""
         if self.spec.s2 == 0.0:
             return [0.0] * len(ks)
-        candidates = map(operator.sub, second, self.mean_squared(ks))
+        candidates = [m2 - x**2 for x, m2 in zip(mean, second)]
         return _settle_variance(candidates, _variances(self.ref, ks))
 
     # what each kernel computes, for the error that names it
@@ -483,9 +452,9 @@ class _ClosedForms:
     def column(self, name: str, *rows) -> list:
         """The kernel name over ks, passed those years' entries of rows, checked once.
 
-        Else the years run alone until one raises, which passes through, but
-        an OverflowError or ValueError, like an inf or NaN value, raises
-        NumericalFailureError naming the first such year.
+        Else the years run alone, in order, until one raises or is not finite:
+        its error passes through, but an OverflowError or ValueError, like an
+        inf or NaN value, raises NumericalFailureError naming that year.
         """
         try:
             values = getattr(self, name)(self.ks, *rows)
@@ -502,20 +471,18 @@ class _ClosedForms:
                 raise
             except (OverflowError, ValueError):
                 values.append(math.nan)
-                break
-        year = next((k for k, value in zip(self.ks, values) if not math.isfinite(value)), None)
-        if year is None:
-            return values
-        raise NumericalFailureError(
-            f"closed {self._QUANTITY[name]} leaves double range at year {year}"
-        )
+            if not math.isfinite(values[-1]):
+                raise NumericalFailureError(
+                    f"closed {self._QUANTITY[name]} leaves double range at year {k}"
+                )
+        return values
 
     def series(self, parts: int = 5) -> tuple:
         """The first parts of (mean, second moment, variance, diagonal, cross) lists over ks."""
         # evaluated in this order, which decides the error an overflow raises
         mean, second = self.column("mean"), self.column("second")
         rest = [self.column("diagonal"), self.column("cross")] if parts > 3 else []
-        return (mean, second, self.column("variance", second), *rest)[:parts]
+        return (mean, second, self.column("variance", mean, second), *rest)[:parts]
 
 
 def _closed_at(plan: PaymentPlan, spec: StochasticRateSpec, k, name: str) -> float:
@@ -550,7 +517,7 @@ def second_moment_closed(plan: PaymentPlan, spec: StochasticRateSpec, k) -> floa
 
 
 def mean_squared_closed(plan: PaymentPlan, spec: StochasticRateSpec, k) -> float:
-    """Closed form of the squared mean, written in annuity values at rate j."""
+    """Squared mean: the square of mean_closed, bit for bit."""
     return _closed_at(plan, spec, k, "mean_squared")
 
 
@@ -559,8 +526,7 @@ def variance_closed(plan: PaymentPlan, spec: StochasticRateSpec, k) -> float:
     k = check_int(k, "k", 0, plan.n)
     if k == 0 or spec.s2 == 0.0:
         return 0.0
-    closed = _ClosedForms(plan, spec, k, k)
-    return closed.column("variance", closed.column("second"))[0]
+    return _ClosedForms(plan, spec, k, k).series(3)[2][0]
 
 
 def _series_columns(plan: PaymentPlan, spec: StochasticRateSpec, method: str, parts=5) -> tuple:

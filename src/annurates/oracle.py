@@ -12,7 +12,7 @@ order, so estimates are bit-identical for any worker count.
 
 Both oracles import numpy when they are called, and simulate imports its
 thread pool only for more than one worker, so importing the package loads
-neither.
+neither.  Sums past double range raise NumericalFailureError, not warnings.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import DomainError, EnumerationBudgetError, ShapeMismatchError, check_int
+from .errors import (DomainError, EnumerationBudgetError, NumericalFailureError,
+                     ShapeMismatchError, check_int)
 from .moments import MomentSeries, PaymentPlan
 from .rates import StochasticRateSpec, stochastic_rate
 
@@ -216,15 +217,17 @@ def enumerate_series(
     # for bit, once a copy is a block wide; a narrower copy is tiled first
     width = min(len(gross) ** k, 128)
     c = np.zeros(1)
-    for t in range(1, m + 1):
-        # path i's balance is c[i mod 2^t]; bit t-1 of i picks its year-t rate
-        c = np.outer(gross, c + plan._payment(t)).ravel()
-        lanes = np.tile(c, width // len(c)) if len(c) < width else c
-        means[t - 1] = lanes.mean()
-        seconds[t - 1] = np.mean(lanes * lanes)
-    if m < k:
-        _walk_subtrees(plan, gross, c, m, k, means, seconds)
-    variance = np.maximum(seconds - means * means, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # _check_finite reports overflow
+        for t in range(1, m + 1):
+            # path i's balance is c[i mod 2^t]; bit t-1 of i picks its year-t rate
+            c = np.outer(gross, c + plan._payment(t)).ravel()
+            lanes = np.tile(c, width // len(c)) if len(c) < width else c
+            means[t - 1] = lanes.mean()
+            seconds[t - 1] = np.mean(lanes * lanes)
+        if m < k:
+            _walk_subtrees(plan, gross, c, m, k, means, seconds)
+        _check_finite("exact enumeration", {"second moment": seconds})  # bounds the mean
+        variance = np.maximum(seconds - means * means, 0.0)
     return EnumerationResult(
         horizon=k,
         mean=tuple(float(x) for x in means),
@@ -270,16 +273,20 @@ def _walk_subtrees(
         means[t - 1], seconds[t - 1] = row[:, 0] / 2.0**t
 
 
+def _check_finite(oracle: str, columns: dict) -> None:
+    """Raise NumericalFailureError at the first year, and column (name -> values), not finite."""
+    for year, row in enumerate(zip(*columns.values()), 1):
+        for name, value in zip(columns, row):
+            if not math.isfinite(value):
+                raise NumericalFailureError(f"{oracle} {name} leaves double range at year {year}")
+
+
 def enumerate_exact(
     plan: PaymentPlan, spec: StochasticRateSpec, k
 ) -> tuple[float, float, float]:
     """Exact (mean, second moment, variance) of C_k over all 2^k paths."""
     result = enumerate_series(plan, spec, k)
-    return (
-        result.mean[-1],
-        result.second_moment[-1],
-        result.variance[-1],
-    )
+    return result.mean[-1], result.second_moment[-1], result.variance[-1]
 
 
 def _batch_generator(seed: int, batch_index: int) -> np.random.Generator:
@@ -343,10 +350,11 @@ def _simulate_batch(
     gross = distribution.sample_gross(rng, (k, batch_size))
     sums = np.empty((4, k))
     c = np.zeros(batch_size)
-    for t in range(k):
-        c += plan._payment(t + 1)
-        c *= gross[t]
-        sums[:, t] = _central_sums(c)
+    with np.errstate(over="ignore", invalid="ignore"):  # per thread; simulate checks
+        for t in range(k):
+            c += plan._payment(t + 1)
+            c *= gross[t]
+            sums[:, t] = _central_sums(c)
     return sums
 
 
@@ -381,24 +389,27 @@ def simulate(
     else:
         batch_sums = [run(b) for b in range(n_batches)]
 
-    # a fixed merge order keeps results deterministic; every block before
-    # the last is full
-    totals = batch_sums[0]
-    for b in range(1, n_batches):
-        totals = _merge_central(totals, b * _BATCH_PATHS, batch_sums[b], size(b))
+    with np.errstate(over="ignore", invalid="ignore"):
+        # a fixed merge order keeps results deterministic; every block before
+        # the last is full
+        totals = batch_sums[0]
+        for b in range(1, n_batches):
+            totals = _merge_central(totals, b * _BATCH_PATHS, batch_sums[b], size(b))
 
-    mean, m2, _, m4 = totals
-    var = m2 / (n - 1)
-    m4 = m4 / n
-    se_mean = np.sqrt(var / n)
-    # Var(s^2) = (m4 - var^2)/n + 2 var^2/(n(n-1)), written so the second
-    # term survives plug-in estimation: for the two-point rate at k = 1
-    # the sample m4 tracks var^2 to O(1/n^2) and the difference alone
-    # collapses to noise while the sample variance still fluctuates
-    se_var = np.sqrt(
-        np.maximum(m4 - var * var, 0.0) / n
-        + 2.0 * var * var / (n * (n - 1.0))
-    )
+        mean, m2, _, m4 = totals
+        var = m2 / (n - 1)
+        m4 = m4 / n
+        se_mean = np.sqrt(var / n)
+        # Var(s^2) = (m4 - var^2)/n + 2 var^2/(n(n-1)), written so the second
+        # term survives plug-in estimation: for the two-point rate at k = 1
+        # the sample m4 tracks var^2 to O(1/n^2) and the difference alone
+        # collapses to noise while the sample variance still fluctuates
+        se_var = np.sqrt(
+            np.maximum(m4 - var * var, 0.0) / n
+            + 2.0 * var * var / (n * (n - 1.0))
+        )
+    columns = {"mean": mean, "variance": var, "variance's standard error": se_var}
+    _check_finite(f"Monte Carlo ({distribution.kind})", columns)
     return SimulationResult(
         kind=distribution.kind,
         paths=n,
@@ -470,17 +481,13 @@ def _compare_simulation(
             z = 0.0
             mean_ok = _rel_dev(a_mean, o_mean) <= ENUM_REL_TOL
         if a_var <= 1e-12 and o_var <= 1e-12:
-            ratio = 1.0
-            se_rel = 0.0
-            var_ok = True
+            ratio, se_rel, var_ok = 1.0, 0.0, True
         elif a_var > 0.0:
             ratio = o_var / a_var
             se_rel = oracle.se_variance[k - 1] / a_var
             var_ok = abs(ratio - 1.0) <= VAR_BAND_SE_MULTIPLE * se_rel
         else:
-            ratio = math.inf
-            se_rel = math.inf
-            var_ok = False
+            ratio, se_rel, var_ok = math.inf, math.inf, False
         out.append(
             _comparison(
                 f"mc-{oracle.kind}", k, a_mean, o_mean, a_var, o_var, mean_ok and var_ok,

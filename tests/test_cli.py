@@ -207,6 +207,39 @@ class TestVerifyCommand:
         assert proc.returncode == 0, proc.stderr
         assert "80 comparisons, 0 failed" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "args, cause",
+        [
+            (
+                # the analytic variance is 1.0e166, but the fourth central sums
+                # leave double range: se_variance was NaN, with exit 1
+                "--family geometric --p 1 --q 1e12 --n 8 --j 0.05 --s2 0.01 --paths 2000",
+                "Monte Carlo (two-point) variance's standard error leaves double range at year 8",
+            ),
+            (
+                # the same in the thread pool, whose workers do not share
+                # the caller's numpy error state
+                "--family geometric --p 1 --q 1e12 --n 8 --j 0.05 --s2 0.01 --paths 40000"
+                " --workers 2",
+                "Monte Carlo (two-point) variance's standard error leaves double range at year 8",
+            ),
+            (
+                # the sum of squared balances overflows: oracle_variance was
+                # Infinity and var_rel_dev NaN
+                "--family arithmetic --p 1e154 --q 2 --n 1 --j 0 --s2 1e-300 --no-strict"
+                " --paths 2000",
+                "exact enumeration second moment leaves double range at year 1",
+            ),
+        ],
+        ids=["simulate", "simulate-two-workers", "enumerate"],
+    )
+    def test_oracle_overflow_is_numerical_failure(self, args, cause, capsys):
+        # pytest turns a leaked RuntimeWarning into an error
+        assert cli.main(["verify", *args.split()]) == cli.EXIT_NUMERICAL
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"numerical failure: {cause}\n"
+
     def test_single_distribution(self):
         proc = run_cli(
             "verify", "--family", "level", "--n", "3", "--j", "0.1",

@@ -141,6 +141,29 @@ second_moment_diagonal and 10 moment_series lines, all at horizons up to
 347, rise from at most 2.94 to at most 3.42.  Against the exact moment
 recursion, where rounding q*q and 1 + f dominates, the moved diagonal values'
 worst goes from 308.8 to 310.4.
+
+Nine digests were re-recorded when the closed squared mean became the closed
+mean squared.  Before, arithmetic plans summed six terms over annuity values
+at j up to year 2k, and geometric plans divided by 1+j-q a form that read
+the mean at years k and 2k.  The nine are the increasing, arithmetic,
+decreasing and growth moments tables, both verify reports, both identities
+reports and LIBRARY_GRID_DIGEST.  In the moments and verify reports only the
+closed variance and the fields computed from it moved; no mean or second
+moment did.  Worst relative error of the closed variance column against the
+exact rational recursion, before and after: increasing, 30 of 30 rows moved
+(1.26e-12 to 8.32e-13); arithmetic, 60 of 60 (1.58e-11 to 6.55e-12);
+decreasing, 22 of 25 (3.27e-12 to 3.64e-12); growth, 24 of 25 (5.27e-12 to
+6.97e-12); and the verify reports' 8 of 8 (1.26e-12 to 8.32e-13).  1,007 of
+the grid's 24,982 lines moved, none from a value to a raise or back.  Per
+function, with the worst relative error of the moved values against the
+exact rational recursion, before and after: mean_squared_closed 658
+(1.31e-4 to 3.65e-11), variance_closed 230 (2.37e-11 to 2.33e-11) and
+moment_series 119, only its closed variance column (2.50e-11 to 2.43e-11).
+Two worst deviations of the identities reports moved, with every case count
+and tolerance unchanged: arithmetic-variance-closed-vs-recursive
+2.4882951066224994e-11 to 2.450771822134345e-11 and
+geometric-variance-closed-vs-recursive 1.1573281270147536e-11 to
+8.881118063186477e-12.  No other identity row moved.
 """
 
 import hashlib
@@ -155,13 +178,13 @@ from annurates.cli import main
 GOLDEN = [
     (
         "moments --family increasing --n 30 --j 0.1 --s2 0.04",
-        "03b3b7ac7214fe832869907c5500778393b26c3e77b5948ea192b9b7b21bfa22",
+        "6ca7c6f705308423b7868c41f428216718503953513dd4cfe304be915386416c",
         0,
     ),
     (
         "moments --family arithmetic --p 2 --q 0.3 --n 60 --j 0.05 --s2 0.0025"
         " --method both --output json",
-        "c115bf55910307df2b5743218bc153dcadc9b5a7f309e433e811d6484c48149c",
+        "ec415f44897d3fecb63f698dc8f98340493bdf3358dd92cfb87d3507efb70ea7",
         0,
     ),
     (
@@ -176,12 +199,12 @@ GOLDEN = [
     ),
     (
         "moments --family decreasing --n 25 --j 0.07 --s2 0.001",
-        "d6dc3c9f56d246106e0c6aab1564b2457c7bab8686a0071a930e1ae3820abfbd",
+        "1ef68163d8527c0d6526f2af155d4de06c9e2ae41c75d0a1792bbcc8cf7c030a",
         0,
     ),
     (
         "moments --family growth --u 0.03 --n 25 --j 0.07 --s2 0.001 --output json",
-        "8eb6980fdb4ad2a80e6a4942b55c96182a94692be74ac8d1c9c37f3b1e9e97e3",
+        "b09a50b0d149f66c2cc01a4cf1cd39bbaf02610d2a48e723e761b7d318fbae30",
         0,
     ),
     (
@@ -191,12 +214,12 @@ GOLDEN = [
     ),
     (
         "verify --family increasing --n 8 --j 0.1 --s2 0.04 --paths 2e4",
-        "7d0e5ccc4e3b2f78f0b25676c89e0be150f40b7af194af98de794aa95483540e",
+        "d22604a513ab6b8eade3c946edd3564ace41ff9873d1e518e935a8141196fd59",
         0,
     ),
     (
         "identities",
-        "f2c73e1744d017abbad2312beced68d33d6482bef9d0f5cc497566b8786bfe57",
+        "d3b8138e8e57e207f7fdcb24383e5f1bee6b4dca16dca0adf99481baa993335d",
         0,
     ),
     (
@@ -211,18 +234,18 @@ GOLDEN = [
     ),
     (
         "verify --family increasing --n 8 --j 0.1 --s2 0.04 --paths 2e4 --output csv",
-        "63a4a2d2f7572fae7628f2f7b65f85c017737dedd9ca4ef437adcaee9f61eb44",
+        "057cc68a9d0ea6d0cd98318add5ed9c9101da6c3109412537eaa5c6f1b0b50e6",
         0,
     ),
     (
         "identities --output json",
-        "7adf8824f0083334996645c2ddfa41e4bd9c8a07ca6f66c25b2dbf017641ed0e",
+        "32491b37953b0b10f4a5ee9570343228d1caf9d4c7173fa9b5cad072fd169b38",
         0,
     ),
 ]
 
 
-LIBRARY_GRID_DIGEST = "68edc6d0275aa88570b3298f767a121f13fd4bd4ade1f63c3605c1033d0468e3"
+LIBRARY_GRID_DIGEST = "b445c4a17cbcf6d7d70a8841065b66dc76c1871bb4dd38402933c460a1681ac0"
 
 EDGE_GRID_DIGEST = "accd8f5e1e938a16f67cdb134d125bdfe7c660b660fe702dd763a92dc6dd8677"
 
