@@ -62,13 +62,14 @@ def _route(mode: str, singular: bool, allowed=_MODES):
     return mode
 
 
-def _recursive(g: float, payments, lead=0.0, tail=0):
-    """value = g*(value + lead + c + tail) over payments(h), at each horizon h of ks.
+def _recursive(g: float, payments):
+    """value = g*(value + c) over the payments c of payments(h), at each horizon h of ks.
 
-    Payment i is made at the start of year i; adding left to right, the split
-    of c fixes how the recursion rounds.  The values of one pass are kept for
-    every horizon, and extended to at least twice as many when a later h is
-    asked for, so a table of n horizons runs over O(n) payments.
+    Payment i is made at the start of year i.  Each step is the mean step of
+    moments._recursion, so over a plan's payments the two agree bit for bit.
+    The values of one pass are kept for every horizon, and extended to at
+    least twice as many when a later h is asked for, so a table of n
+    horizons runs over O(n) payments.
     """
     rows = [0.0]
 
@@ -76,21 +77,19 @@ def _recursive(g: float, payments, lead=0.0, tail=0):
         if h >= len(rows):
             x = rows[-1]
             for c in itertools.islice(payments(max(h, 2 * len(rows))), len(rows) - 1, None):
-                x = g * (x + lead + c + tail)
+                x = g * (x + c)
                 rows.append(x)
         return rows[h]
 
     return lambda ks: list(map(value, ks))
 
 
-def _accumulate(g: float, payments, lead=0.0, tail=0) -> float:
-    """Sum of c_i g^(k-i+1) over payments c_i = lead + payments[i] + tail, i = 1..k.
+def _accumulate(g: float, payments) -> float:
+    """Sum of c_i g^(k-i+1) over the payments c_i, i = 1..k.
 
     The terms are added with a single rounding, leaving out each zero
     payment, which adds nothing even where its g^(k-i+1) is inf.
     """
-    if lead or tail:
-        payments = [lead + c + tail for c in payments]
     terms = []
     x = 1.0
     for c in reversed(payments):
@@ -282,21 +281,20 @@ def _level_closed(ks, rate: FixedRate) -> list:
     return [math.expm1(k * growth) / d for k in ks]
 
 
-def _annuity(
-    rate, mode: str, closed, payments, lead=0.0, tail=0, allowed=_MODES, check=None, band=True
-):
+def _annuity(rate, mode: str, closed, payments, allowed=_MODES, check=None, band=True):
     """An annuity-due at rate in mode, as a function of the years ks.
 
     closed(ks) is its closed form's column over horizons h >= 1; the
-    recursion and the sum run over its payments(h) with lead and tail.
-    Without band the closed form serves every rate, |j| < 1e-9 included.
+    recursion and the sum run over payments(h), the first h payments
+    themselves.  Without band the closed form serves every rate, |j| < 1e-9
+    included.
     """
     path = _route(mode, band and singular(rate.j), allowed)
     g = 1.0 + rate.j
     if path == "recursive":
-        values = _recursive(g, payments, lead, tail)
+        values = _recursive(g, payments)
     elif path == "sum":
-        values = lambda ks: [_accumulate(g, payments(h), lead, tail) for h in ks]
+        values = lambda ks: [_accumulate(g, payments(h)) for h in ks]
     else:  # "closed", "relation", or the DomainError _guarded raises
         values = closed
     return _guarded(path, values, rate, mode, check)
@@ -363,7 +361,7 @@ def _decreasing(n: int, rate: FixedRate, mode: str):
     """decreasing_due with n payments at rate in mode, as a function of the years ks <= n."""
     d = rate.d
     closed = lambda ks: [(n + 1) * s - (s - h) / d for h, s in zip(ks, _level_closed(ks, rate))]
-    return _annuity(rate, mode, closed, lambda h: [-i for i in range(1, h + 1)], n, 1)
+    return _annuity(rate, mode, closed, lambda h: [n - i for i in range(h)])
 
 
 def decreasing_due(n, k, rate, mode: str = "auto") -> float:
@@ -400,7 +398,7 @@ def _arithmetic(p, q, rate: FixedRate, mode: str, strict: bool):
         ]
 
     check = functools.partial(_check_arithmetic, p, q) if strict else None
-    return _annuity(rate, mode, closed, lambda h: [i * q for i in range(h)], p, check=check)
+    return _annuity(rate, mode, closed, lambda h: [p + i * q for i in range(h)], check=check)
 
 
 def arithmetic_due(p, q, k, rate, mode: str = "auto", strict: bool = True) -> float:

@@ -19,7 +19,8 @@ or the arithmetic diagonal part drifts from its reference.
 Both paths of moment_series run in time linear in n.  The arithmetic closed
 forms read their annuity values at f and r from fixed._sum_tables, exact
 prefix sums rounded once; inside the singular band, and for a geometric plan
-with p = 0, every closed moment is the row of one recursion pass.  Each
+with p = 0, every closed moment but the mean is the row of one recursion
+pass.  The closed mean is the fixed accumulator at j for every plan.  Each
 closed quantity is a kernel (_ClosedForms) that evaluates a whole column of
 years in one pass.  A moment that leaves double range raises
 NumericalFailureError: naming the largest horizon that fits, from the
@@ -37,6 +38,7 @@ numpy, when they are called; the CLI's tables read _series_columns.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -286,6 +288,8 @@ class _ClosedForms:
     products, so each term rounds as written) and tables (rows of
     fixed._sum_tables that ks reads, or of the recursion pass every closed
     variance is settled against) settled once; mean_squared squares the mean.
+    The mean is arithmetic_due or geometric_due at j, in every band too (the
+    arithmetic band route is the moment recursion's mean step).
     moment_series takes ks = 1..n and a per-year function ks = k..k, both
     through column: they agree bit for bit.
     """
@@ -295,17 +299,15 @@ class _ClosedForms:
         self.spec = spec
         self.kmax = kmax
         self.ks = range(first, kmax + 1)
-        # whether the closed forms' denominator (d, or 1+j-q for geometric
-        # plans) vanishes; a geometric plan that pays nothing reads the
-        # recursion too: its moments are zero, while q^k or (1+j)^k alone may
-        # leave double range
+        # whether the closed second moment and cross part divide by a vanishing
+        # d, or 1+j-q for geometric plans, and read the recursion's rows; a
+        # geometric plan that pays nothing reads them too: its moments are
+        # zero, while q^k or (1+j)^k alone may leave double range
         if plan.family == "geometric":
             self.singular = geometric_singular(spec.mu, plan.q) or not plan.p
         else:
             self.singular = singular(spec.j)
-        self.rj = fixed_rate(spec.j)
-        self.rf = fixed_rate(spec.f)
-        self.rr = fixed_rate(spec.r)
+        self.rj, self.rf, self.rr = map(fixed_rate, (spec.j, spec.f, spec.r))
 
     @cached_property
     def ref(self) -> _Moments:
@@ -343,15 +345,8 @@ class _ClosedForms:
 
     @cached_property
     def mean(self):
-        if self.singular:
-            # the band's second and cross rows come from the moment
-            # recursion, so its mean does too; arithmetic_due's recursion
-            # would round (v + p) + (i-1)q, not the moment recursion's sum
-            return _rows(self.ref.mean)
-        p, q = self.plan.p, self.plan.q
-        if self.plan.family == "geometric":
-            return _geometric(p, q, self.rj, "auto", False)
-        return _arithmetic(p, q, self.rj, "auto", False)
+        build = _geometric if self.plan.family == "geometric" else _arithmetic
+        return build(self.plan.p, self.plan.q, self.rj, "auto", False)
 
     @cached_property
     def second(self):
@@ -399,7 +394,7 @@ class _ClosedForms:
                 terms = [c_s * s_f[k], c_is * is_f[k], c_i2 * i2_f[k]]
                 offset = [o_s * s_f[k], o_is * is_f[k - 1], c_i2 * i2_f[k - 1]]
                 values.append(math.fsum(terms))
-                _audit("diagonal part", values[-1], math.fsum(offset), _term_scale(terms + offset))
+                _audit("diagonal part", values[-1], math.fsum(offset), terms + offset)
             return values
 
         return diagonal
@@ -581,19 +576,14 @@ class GrowthMoments(NamedTuple):
     variance: float
 
 
-def _term_scale(terms) -> float:
-    """Largest intermediate magnitude, for sizing roundoff allowances."""
-    return max(map(abs, terms))
-
-
-def _audit(label: str, specialized: float, reference: float, scale: float) -> None:
+def _audit(label: str, specialized: float, reference: float, terms) -> None:
     """Raise if a specialized closed form drifts from its reference path.
 
-    scale is the largest intermediate term of the specialized expression;
-    the allowance it buys covers cancellation roundoff with orders of
+    The allowance that the largest of terms, the specialized expression's
+    intermediate terms, buys covers cancellation roundoff with orders of
     magnitude to spare while staying far below any formula-level error.
     """
-    tol = 1e-8 * max(1.0, abs(reference)) + 1e-11 * abs(scale)
+    tol = 1e-8 * max(1.0, abs(reference)) + 1e-11 * max(map(abs, terms))
     if abs(specialized - reference) > tol:
         raise FormulaAuditError(
             f"{label} disagrees with the reference path: "
@@ -607,18 +597,35 @@ def _settle_variance(candidates, references) -> list:
     return [c if c >= 0.0 and abs(c - r) <= rel * r else r for c, r in zip(candidates, references)]
 
 
+@contextlib.contextmanager
+def _closed_range(quantity: str, k: int):
+    """Guard a specialized family's closed terms at year k.
+
+    An OverflowError (of **) or ValueError (of an fsum over infinities)
+    raises the yielded NumericalFailureError, in _ClosedForms.column's
+    wording; the block raises it itself for a value no settlement replaces.
+    """
+    error = NumericalFailureError(f"closed {quantity} leaves double range at year {k}")
+    try:
+        yield error
+    except DomainError:
+        raise
+    except (OverflowError, ValueError):
+        raise error from None
+
+
 def _special_variance(
     label: str, terms: list, plan: PaymentPlan, spec: StochasticRateSpec, k: int
 ) -> float:
     """A specialized family's variance fsum(terms), audited and settled against the recursion."""
     var = math.fsum(terms)
     _, var_r, *_ = _general_reference(plan, spec, k)
-    _audit(label, var, var_r, scale=_term_scale(terms))
+    _audit(label, var, var_r, terms)
     return _settle_variance([var], [var_r])[0]
 
 
 def level_moments(spec: StochasticRateSpec, k) -> LevelMoments:
-    """Mean and variance of a level annuity-due of 1 per year."""
+    """Mean and variance of a level annuity-due of 1 per year; variance = m_k - mean^2."""
     k = check_int(k, "k", 0)
     if k == 0:
         return LevelMoments(0.0, 0.0)
@@ -626,22 +633,19 @@ def level_moments(spec: StochasticRateSpec, k) -> LevelMoments:
     if singular(spec.j):
         mean_r, var_r, *_ = _general_reference(plan, spec, k)
         return LevelMoments(mean_r, var_r)
-    rj = fixed_rate(spec.j)
-    rr = fixed_rate(spec.r)
-    rf = fixed_rate(spec.f)
-    mean = level_due(k, rj)
+    mean = level_due(k, fixed_rate(spec.j))
     g = spec.mu
-    terms = [
-        2.0 * g ** (k + 1) * level_due(k, rr, mode="sum") / spec.j,
-        -(2.0 + spec.j) * level_due(k, rf, mode="sum") / spec.j,
-        -g * level_due(2 * k, rj, mode="sum") / spec.j,
-        2.0 * g * level_due(k, rj, mode="sum") / spec.j,
-    ]
-    return LevelMoments(mean, _special_variance("level variance", terms, plan, spec, k))
+    with _closed_range("level variance", k):
+        terms = [
+            2.0 * g ** (k + 1) * level_due(k, fixed_rate(spec.r), mode="sum") / spec.j,
+            -(2.0 + spec.j) * level_due(k, fixed_rate(spec.f), mode="sum") / spec.j,
+            -mean * mean,
+        ]
+        return LevelMoments(mean, _special_variance("level variance", terms, plan, spec, k))
 
 
 def increasing_moments(spec: StochasticRateSpec, k) -> IncreasingMoments:
-    """Moments of the increasing annuity-due paying 1, 2, ..., k."""
+    """Moments of the increasing annuity-due paying 1, 2, ..., k; variance = m_k - mean^2."""
     k = check_int(k, "k", 0)
     if k == 0:
         return IncreasingMoments(0.0, 0.0, 0.0, 0.0, 0.0)
@@ -649,36 +653,28 @@ def increasing_moments(spec: StochasticRateSpec, k) -> IncreasingMoments:
     if singular(spec.j):
         mean, var, _, diag, cross = _general_reference(plan, spec, k)
         return IncreasingMoments(mean, diag, cross, diag + 2.0 * cross, var)
-    j = spec.j
-    g = spec.mu
-    rj = fixed_rate(j)
-    rr = fixed_rate(spec.r)
-    rf = fixed_rate(spec.f)
-    mean = increasing_due(k, rj)
+    j, g, rf = spec.j, spec.mu, fixed_rate(spec.f)
+    mean = increasing_due(k, fixed_rate(j))
     diag = increasing_squared_due(k, rf, mode="sum")
-    is_r = increasing_due(k, rr, mode="sum")
+    is_r = increasing_due(k, fixed_rate(spec.r), mode="sum")
     is_f = increasing_due(k, rf, mode="sum")
-    cross = math.fsum(
-        [g ** (k + 2) * is_r, -g * is_f, -j * g * diag]
-    ) / (j * j)
-    m2_terms = [
-        2.0 * g ** (k + 2) * is_r / (j * j),
-        -2.0 * g * is_f / (j * j),
-        -(2.0 + j) * diag / j,
-    ]
-    m2 = math.fsum(m2_terms)
-    d = rj.d
-    sq_terms = [
-        increasing_due(2 * k, rj, mode="sum") / (d * d),
-        -2.0 * (1.0 + k * d) * increasing_due(k, rj, mode="sum") / (d * d),
-        -float(k * k) / (d * d),
-    ]
-    var = math.fsum(m2_terms + [-t for t in sq_terms])
+    with _closed_range("increasing second moment", k) as error:
+        # the exact cross part at year 1 is 0, as _ClosedForms.cross gives it
+        cross = 0.0 if k == 1 else math.fsum(
+            [g ** (k + 2) * is_r, -g * is_f, -j * g * diag]) / (j * j)
+        m2_terms = [
+            2.0 * g ** (k + 2) * is_r / (j * j),
+            -2.0 * g * is_f / (j * j),
+            -(2.0 + j) * diag / j,
+        ]
+        m2 = math.fsum(m2_terms)
+        var_terms = m2_terms + [-mean * mean]
+        var = math.fsum(var_terms)
+        if not all(map(math.isfinite, (m2, cross))):
+            raise error
     _, var_r, m2_r, *_ = _general_reference(plan, spec, k)
-    _audit("increasing second moment", m2, m2_r, scale=_term_scale(m2_terms))
-    _audit(
-        "increasing variance", var, var_r, scale=_term_scale(m2_terms + sq_terms)
-    )
+    _audit("increasing second moment", m2, m2_r, m2_terms)
+    _audit("increasing variance", var, var_r, var_terms)
     var = _settle_variance([var], [var_r])[0]
     return IncreasingMoments(mean, diag, cross, m2, var)
 
@@ -694,33 +690,30 @@ def decreasing_moments(spec: StochasticRateSpec, n, k) -> DecreasingMoments:
         # the ell-form needs j away from 0 and a genuinely random rate
         mean_r, var_r, *_ = _general_reference(plan, spec, k)
         return DecreasingMoments(mean_r, var_r)
-    j = spec.j
-    g = spec.mu
-    rj = fixed_rate(j)
-    rl = fixed_rate(spec.ell)
-    rr = fixed_rate(spec.r)
-    rf = fixed_rate(spec.f)
+    j, g = spec.j, spec.mu
+    rj, rl, rr, rf = map(fixed_rate, (j, spec.ell, spec.r, spec.f))
     mean = decreasing_due(n, k, rj)
     a = n - 1.0 / j
     lead = spec.ell / (rj.d * rj.d)
-    terms = [
-        lead * a * a * g ** (2 * k) * level_due(k, rl, mode="sum") / (1.0 + spec.ell),
-        -2.0 * lead * a * a * g**k * level_due(k, rr, mode="sum") / (1.0 + spec.r),
-        lead * a * a * level_due(k, rf, mode="sum") / (1.0 + spec.f),
-        2.0 * lead * a * g**k * increasing_due(k, rr, mode="sum") / (1.0 + spec.r),
-        -2.0 * lead * a * increasing_due(k, rf, mode="sum") / (1.0 + spec.f),
-        lead * increasing_squared_due(k, rf, mode="sum") / (1.0 + spec.f),
-    ]
-    return DecreasingMoments(mean, _special_variance("decreasing variance", terms, plan, spec, k))
+    with _closed_range("decreasing variance", k):
+        terms = [
+            lead * a * a * g ** (2 * k) * level_due(k, rl, mode="sum") / (1.0 + spec.ell),
+            -2.0 * lead * a * a * g**k * level_due(k, rr, mode="sum") / (1.0 + spec.r),
+            lead * a * a * level_due(k, rf, mode="sum") / (1.0 + spec.f),
+            2.0 * lead * a * g**k * increasing_due(k, rr, mode="sum") / (1.0 + spec.r),
+            -2.0 * lead * a * increasing_due(k, rf, mode="sum") / (1.0 + spec.f),
+            lead * increasing_squared_due(k, rf, mode="sum") / (1.0 + spec.f),
+        ]
+        var = _special_variance("decreasing variance", terms, plan, spec, k)
+    return DecreasingMoments(mean, var)
 
 
 def growth_moments(spec: StochasticRateSpec, aux: GeometricAux, k) -> GrowthMoments:
-    """Moments of the annuity-due whose payments grow at rate u per year."""
+    """Moments of the annuity-due with payments growing at rate u; variance = m_k - mean^2."""
     k = check_int(k, "k", 0)
     expected = geometric_aux(spec, aux.u)
     for name in ("t", "h", "w"):
-        got = getattr(aux, name)
-        want = getattr(expected, name)
+        got, want = getattr(aux, name), getattr(expected, name)
         if abs(got - want) > 1e-12 * max(1.0, abs(want)):
             raise DomainError(
                 f"auxiliary rate {name}={got} inconsistent with the rate "
@@ -732,17 +725,14 @@ def growth_moments(spec: StochasticRateSpec, aux: GeometricAux, k) -> GrowthMome
     if singular(aux.t):
         mean_r, var_r, *_ = _general_reference(plan, spec, k)
         return GrowthMoments(mean_r, var_r)
-    g = spec.mu
-    one_u = 1.0 + aux.u
-    one_t = 1.0 + aux.t
-    rt = fixed_rate(aux.t)
-    rh = fixed_rate(aux.h)
-    rw = fixed_rate(aux.w)
-    mean = g**k * level_due(k, rt) / one_t
-    terms = [
-        one_u ** (2 * k) * (2.0 + aux.t) * level_due(k, rh, mode="sum") / aux.t,
-        -2.0 * g ** (2 * k) * one_t**k * level_due(k, rw, mode="sum") / aux.t,
-        -g ** (2 * k) * level_due(2 * k, rt, mode="sum") / (aux.t * one_t),
-        2.0 * g ** (2 * k) * level_due(k, rt, mode="sum") / (aux.t * one_t),
-    ]
-    return GrowthMoments(mean, _special_variance("growth variance", terms, plan, spec, k))
+    g, one_u, one_t = spec.mu, 1.0 + aux.u, 1.0 + aux.t
+    rt, rh, rw = map(fixed_rate, (aux.t, aux.h, aux.w))
+    with _closed_range("growth mean", k):
+        mean = g**k * level_due(k, rt) / one_t
+    with _closed_range("growth variance", k):
+        terms = [
+            one_u ** (2 * k) * (2.0 + aux.t) * level_due(k, rh, mode="sum") / aux.t,
+            -2.0 * g ** (2 * k) * one_t**k * level_due(k, rw, mode="sum") / aux.t,
+            -mean * mean,
+        ]
+        return GrowthMoments(mean, _special_variance("growth variance", terms, plan, spec, k))

@@ -34,7 +34,7 @@ from annurates import (
 )
 from annurates import cli, fixed, moments
 from annurates.fixed import _arithmetic, _geometric
-from annurates.rates import SINGULARITY_EPS, geometric_singular
+from annurates.rates import SINGULARITY_EPS
 
 
 def outcome(fn, *args):
@@ -121,14 +121,9 @@ class TestFixedKernels:
         q = ratio(data, spec.mu)
         geometric = PaymentPlan(family="geometric", p=p, q=q, n=k, strict=False)
         forms = moments._ClosedForms(geometric, spec, k)
-        if geometric_singular(spec.mu, q) or not p:
-            # inside the band, and for a plan that pays nothing, the closed
-            # mean is the recursion's row
-            # (building the kernel runs the recursion, which may raise)
-            row = outcome(lambda k: moments._recursion(geometric, spec, k).mean[-1], k)
-            assert outcome(lambda k: at(forms.mean)(k), k) == row
-        else:
-            assert outcome(at(forms.mean), k) == outcome(geometric_due, p, q, k, rj, "auto", False)
+        # inside the band too, and for a plan that pays nothing, the closed
+        # mean is geometric_due's closed quotient
+        assert outcome(at(forms.mean), k) == outcome(geometric_due, p, q, k, rj, "auto", False)
         assert outcome(at(forms.geometric_r), k) == outcome(
             geometric_due, p, q, k, rr, "auto", False
         )
@@ -142,6 +137,24 @@ class TestFixedKernels:
         assert outcome(at(strict), k) == outcome(arithmetic_due, p, q, k, rj)
         strict = _geometric(p, q, rj, "auto", True)
         assert outcome(at(strict), k) == outcome(geometric_due, p, q, k, rj)
+
+    @given(
+        st.floats(min_value=-1.0, max_value=1.0, exclude_min=True),
+        payments,
+        payments,
+        st.integers(min_value=1, max_value=300),
+        st.integers(min_value=0, max_value=3),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_fixed_recursion_is_the_moment_recursions_mean(self, j, p, q, k, extra):
+        # both step value = (1+j)(value + c) over the same payments c
+        spec = stochastic_rate(j, 0.0)
+        arithmetic = PaymentPlan.arithmetic(p, q, k, strict=False)
+        mean = moments._recursion(arithmetic, spec).mean[k - 1]
+        assert arithmetic_due(p, q, k, j, "recursive", strict=False) == mean
+        n = k + extra
+        mean = moments._recursion(PaymentPlan.decreasing(n), spec, k).mean[k - 1]
+        assert decreasing_due(n, k, j, "recursive") == mean
 
     @given(
         st.sampled_from(["arithmetic", "geometric"]),

@@ -21,8 +21,10 @@ from annurates import (
     NumericalFailureError,
     PaymentPlan,
     PaymentPositivityError,
+    arithmetic_due,
     decreasing_moments,
     geometric_aux,
+    geometric_due,
     growth_moments,
     increasing_moments,
     level_moments,
@@ -40,6 +42,7 @@ from annurates import (
 )
 
 SPEC = stochastic_rate(0.1, 0.04)
+SPEC_GROWTH = stochastic_rate(0.5, 0.01)
 
 
 def _assert_moments(plan, k, mean, second, var, rel=1e-12):
@@ -298,7 +301,8 @@ class TestMomentSeries:
     @pytest.mark.parametrize("j", [0.05, 0.0, 5e-10])
     def test_closed_arithmetic_series_is_one_pass(self, monkeypatch, j):
         # annuity values come from the tables, and one recursion pass settles
-        # the variances and, inside the singular band, gives the moments
+        # the variances and, inside the singular band, gives the second moment
+        # and cross part; the band mean is arithmetic_due's recursion
         calls = {"_accumulate": 0, "_recursion": 0}
 
         def counting(module, name):
@@ -329,19 +333,19 @@ class TestMomentSeries:
     )
     @pytest.mark.parametrize("j", [0.0, 1e-10, -5e-10])
     def test_singular_band_means_agree_exactly(self, p, q, j):
-        # inside |j| < 1e-9 the closed mean is the moment recursion's, not
-        # arithmetic_due's, whose recursion adds p and (i-1)q separately
         plan = PaymentPlan.arithmetic(p, q, 30, strict=False)
         for s2 in (0.0, 0.04):
             spec = stochastic_rate(j, s2)
             closed = moment_series(plan, spec, "closed")
             recursive = moment_series(plan, spec, "recursive")
             assert np.array_equal(closed.mean, recursive.mean)
+            for k in (1, 17, 30):
+                assert arithmetic_due(p, q, k, j, strict=False) == mean_closed(plan, spec, k)
 
     @pytest.mark.parametrize("j", [0.05, 0.0, -0.1])
     def test_closed_geometric_series_in_the_band_is_one_pass(self, monkeypatch, j):
-        # inside the band q = 1+j the closed mean is the recursion's row,
-        # not a fresh sum from year 1 at every k
+        # inside the band q = 1+j the closed mean is geometric_due's closed
+        # quotient, not a fresh sum from year 1 at every k
         calls = []
         original = fixed._accumulate
 
@@ -354,7 +358,7 @@ class TestMomentSeries:
         plan = PaymentPlan.geometric(1.0, spec.mu, 200)
         closed = moment_series(plan, spec, "closed")
         assert calls == []
-        assert closed.mean.tolist() == moment_series(plan, spec, "recursive").mean.tolist()
+        assert closed.mean.tolist() == [geometric_due(1.0, spec.mu, k, j) for k in range(1, 201)]
 
     def test_closed_geometric_series_takes_each_quotient_once_per_year(self, monkeypatch):
         # mean, second, diagonal and cross share one value of each accumulator
@@ -520,6 +524,52 @@ class TestSpecializedFamilies:
         assert level_moments(SPEC, 0).mean == 0.0
         assert increasing_moments(SPEC, 0).variance == 0.0
         assert decreasing_moments(SPEC, 5, 0).mean == 0.0
+
+    @pytest.mark.parametrize("j, s2", [(0.05, 0.01), (0.1, 0.04), (0.05, 0.0)])
+    def test_increasing_cross_part_at_year_one_is_zero(self, j, s2):
+        # the cross part sums c_i mu_{i-1} m^{k-i+1}, and mu_0 = 0
+        spec = stochastic_rate(j, s2)
+        assert increasing_moments(spec, 1).cross == 0.0
+        assert second_moment_cross(PaymentPlan.increasing(1), spec, 1) == 0.0
+
+    @pytest.mark.parametrize(
+        "family, args",
+        [
+            (level_moments, (stochastic_rate(9.0, 0.0), 308)),
+            (decreasing_moments, (stochastic_rate(1.0, 1e-4), 520, 520)),
+            (growth_moments, (SPEC_GROWTH, geometric_aux(SPEC_GROWTH, 0.3), 900)),
+        ],
+        ids=["level", "decreasing", "growth"],
+    )
+    def test_power_overflow_is_numerical_failure(self, family, args):
+        # each raised a raw OverflowError from g ** (...)
+        quantity = family.__name__.replace("_moments", " variance")
+        message = f"^closed {quantity} leaves double range at year {args[-1]}$"
+        with pytest.raises(NumericalFailureError, match=message):
+            family(*args)
+
+    @given(
+        st.floats(min_value=-1.0, max_value=20.0, exclude_min=True),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.integers(min_value=0, max_value=3000),
+        st.integers(min_value=0, max_value=3),
+        st.floats(min_value=-1.0, max_value=5.0, exclude_min=True),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_fields_are_finite_or_a_documented_error(self, j, s2, k, extra, u):
+        spec = stochastic_rate(j, s2)
+        calls = [
+            lambda: level_moments(spec, k),
+            lambda: increasing_moments(spec, k),
+            lambda: decreasing_moments(spec, k + extra, k),
+            lambda: growth_moments(spec, geometric_aux(spec, u), k),
+        ]
+        for call in calls:
+            try:
+                fields = call()
+            except (DomainError, NumericalFailureError):
+                continue
+            assert all(map(math.isfinite, fields)), fields
 
 
 class TestPaymentPlan:
