@@ -8,7 +8,9 @@ paths depth first.  Monte Carlo simulates the same
 accumulation under a chosen rate distribution in fixed-size blocks of paths.
 Block b draws from its own SFC64 stream, seeded by SeedSequence(seed,
 spawn_key=(b,)), and the blocks' means and central sums are merged in block
-order, so estimates are bit-identical for any worker count.
+order, so estimates are bit-identical for any worker count.  A block draws
+and accumulates one year at a time, so it holds a few arrays of its paths
+whatever the horizon.
 
 Both oracles import numpy when they are called, and simulate imports its
 thread pool only for more than one worker, so importing the package loads
@@ -18,6 +20,7 @@ neither.  Sums past double range raise NumericalFailureError, not warnings.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -27,6 +30,8 @@ from .moments import MomentSeries, PaymentPlan
 from .rates import StochasticRateSpec, stochastic_rate
 
 if TYPE_CHECKING:
+    from collections.abc import Iterator
+
     import numpy as np
 
 ENUMERATION_MAX_HORIZON = 24
@@ -94,31 +99,46 @@ class RateDistribution:
         """1 + i lognormal, moment-matched to mean 1+j and variance s2."""
         return cls(kind="lognormal", j=float(j), s2=float(s2))
 
-    def sample_gross(self, rng: np.random.Generator, shape) -> np.ndarray:
-        """Draw 1 + i with the requested shape.
+    def gross_rows(self, rng: np.random.Generator, k: int, size: int) -> Iterator[np.ndarray]:
+        """Yield k fresh rows of size draws of 1 + i, one per year, lazily.
 
-        A two-point draw takes one random bit, unpacked from whole random
-        bytes, and is exactly 1+j-s or 1+j+s.
+        The rows are bit for bit those of one year-major (k, size) draw from
+        rng, so a block holds one row at a time, not k.  A two-point draw
+        takes one random bit and is exactly 1+j-s or 1+j+s; the bytes of all
+        k * size bits are drawn at the first row, and row t unpacks its bits
+        from bit t * size of them.
         """
         import numpy as np
         mu = 1.0 + self.j
         if self.kind == "two-point":
             s = math.sqrt(self.s2)
-            count = int(np.prod(shape))
-            packed = rng.integers(0, 256, size=(count + 7) // 8, dtype=np.uint8)
-            bits = np.unpackbits(packed, count=count).reshape(shape)
+            packed = rng.integers(0, 256, size=(k * size + 7) // 8, dtype=np.uint8)
             # pick a support value by its bit pattern, low + bit * (high - low)
             # in integers: exact, and faster than np.where on two scalars
             low, high = np.array([mu - s, mu + s]).view(np.uint64)
-            patterns = np.multiply(bits, high - low, dtype=np.uint64)
-            patterns += low
-            return patterns.view(np.float64)
-        if self.kind == "uniform":
+            for start in range(0, k * size, size):
+                skip = start % 8
+                row_bytes = packed[start // 8:(start + size + 7) // 8]
+                bits = np.unpackbits(row_bytes, count=skip + size)[skip:]
+                patterns = np.multiply(bits, high - low, dtype=np.uint64)
+                patterns += low
+                yield patterns.view(np.float64)
+        elif self.kind == "uniform":
             hw = math.sqrt(3.0 * self.s2)
-            return mu + hw * (2.0 * rng.random(size=shape) - 1.0)
-        sigma2 = math.log1p(self.s2 / (mu * mu))
-        m_ln = math.log(mu) - 0.5 * sigma2
-        return rng.lognormal(mean=m_ln, sigma=math.sqrt(sigma2), size=shape)
+            for _ in range(k):
+                # mu + hw * (2 r - 1), in place
+                row = rng.random(size)
+                row *= 2.0
+                row -= 1.0
+                row *= hw
+                row += mu
+                yield row
+        else:
+            sigma2 = math.log1p(self.s2 / (mu * mu))
+            m_ln = math.log(mu) - 0.5 * sigma2
+            sigma = math.sqrt(sigma2)
+            for _ in range(k):
+                yield rng.lognormal(mean=m_ln, sigma=sigma, size=size)
 
 
 @dataclass(frozen=True)
@@ -296,13 +316,19 @@ def _batch_generator(seed: int, batch_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(sequence))
 
 
-def _central_sums(c: np.ndarray) -> tuple[float, float, float, float]:
-    """Mean and central sums M2, M3, M4 of c, in two passes."""
+def _central_sums(
+    c: np.ndarray, d: np.ndarray, d2: np.ndarray
+) -> tuple[float, float, float, float]:
+    """Mean and central sums M2, M3, M4 of c, in two passes through scratch d and d2."""
     import numpy as np
     mean = c.mean()
-    d = c - mean
-    d2 = np.square(d)  # as d * d, bit for bit, but reads one operand
-    return mean, d2.sum(), (d2 * d).sum(), np.square(d2).sum()
+    np.subtract(c, mean, out=d)
+    np.square(d, out=d2)  # as d * d, bit for bit, but reads one operand
+    m2 = d2.sum()
+    d *= d2  # d2 * d, bit for bit
+    m3 = d.sum()
+    np.square(d2, out=d2)
+    return mean, m2, m3, d2.sum()
 
 
 def _merge_central(a: np.ndarray, n_a: int, b: np.ndarray, n_b: int) -> np.ndarray:
@@ -337,24 +363,26 @@ def _simulate_batch(
     distribution: RateDistribution,
     seed: int,
     batch_index: int,
-    batch_size: int,
     k: int,
+    scratch: np.ndarray,
 ) -> np.ndarray:
     """Per-year mean and central sums M2-M4 of the accumulated value over one block.
 
-    Rates are drawn year-major, one contiguous row of the block's paths per
-    year, and each year updates the balances in place.
+    scratch holds three rows of the block's size, for the balances and the
+    two rows _central_sums writes.  Each year draws one row of the block's
+    rates, updates the balances in place and reduces them, so a block holds
+    a few rows of its paths whatever k is.
     """
     import numpy as np
     rng = _batch_generator(seed, batch_index)
-    gross = distribution.sample_gross(rng, (k, batch_size))
     sums = np.empty((4, k))
-    c = np.zeros(batch_size)
+    c, d, d2 = scratch
+    c.fill(0.0)
     with np.errstate(over="ignore", invalid="ignore"):  # per thread; simulate checks
-        for t in range(k):
+        for t, gross in enumerate(distribution.gross_rows(rng, k, len(c))):
             c += plan._payment(t + 1)
-            c *= gross[t]
-            sums[:, t] = _central_sums(c)
+            c *= gross
+            sums[:, t] = _central_sums(c, d, d2)
     return sums
 
 
@@ -379,8 +407,14 @@ def simulate(
     def size(b: int) -> int:
         return min(_BATCH_PATHS, n - b * _BATCH_PATHS)
 
+    # each thread keeps one scratch for all its blocks: a scratch allocated
+    # per block makes malloc return and refault its pages block after block
+    local = threading.local()
+
     def run(b: int) -> np.ndarray:
-        return _simulate_batch(plan, distribution, config.seed, b, size(b), k)
+        if not hasattr(local, "scratch"):
+            local.scratch = np.empty((3, min(n, _BATCH_PATHS)))
+        return _simulate_batch(plan, distribution, config.seed, b, k, local.scratch[:, :size(b)])
 
     if config.workers > 1 and n_batches > 1:
         from concurrent.futures import ThreadPoolExecutor

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, NumericalFailureError
 
 # the half-width of the singular bands
 SINGULARITY_EPS = 1e-9
@@ -109,10 +109,19 @@ def _growth_ratio(u) -> float:
 
 
 def geometric_aux(spec: StochasticRateSpec, u: float) -> GeometricAux:
-    """Derive the growth-payment auxiliary rates for ratio 1+u > 0."""
+    """Derive the growth-payment auxiliary rates for ratio 1+u > 0.
+
+    Raises NumericalFailureError where 1+u is so small against 1+j that
+    t rounds to -1, since w divides by 1+t.
+    """
     one_u = _growth_ratio(u)
     u = float(u)
     t = one_u / spec.mu - 1.0
+    if t == -1.0:
+        raise NumericalFailureError(
+            f"deflated growth rate t = (1+u)/(1+j) - 1 rounds to -1 "
+            f"at 1+u = {one_u!r} and 1+j = {spec.mu!r}"
+        )
     h = spec.m / (one_u * one_u) - 1.0
     w = spec.m / (spec.mu * spec.mu * (1.0 + t)) - 1.0
     return GeometricAux(u=u, t=t, h=h, w=w)

@@ -209,6 +209,11 @@ increasing-special-vs-general 2.254646464631249e-11 to
 2.0625877146900713e-11 and growth-special-vs-general 6.883382752675971e-13
 to 5.74651437545981e-13.  A geometric plan with p = -0.0 now has a closed
 mean of -0.0, geometric_due's value, where the recursion's row is +0.0.
+
+No digest moved when each Monte Carlo block began to draw and accumulate
+one year row at a time, through RateDistribution.gross_rows, instead of
+drawing its whole (k, 16,384) block of rates first, nor when
+geometric_aux began to raise NumericalFailureError where t rounds to -1.
 """
 
 import hashlib

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -555,6 +555,11 @@ class TestSpecializedFamilies:
         st.integers(min_value=0, max_value=3),
         st.floats(min_value=-1.0, max_value=5.0, exclude_min=True),
     )
+    # 1+u a few ulps above 0 rounded geometric_aux's t to -1, and its w
+    # raised a raw ZeroDivisionError
+    @example(j=3.0, s2=0.0, k=1, extra=0, u=-0.9999999999999998)
+    @example(j=1.0, s2=0.0, k=1, extra=0, u=-0.9999999999999999)
+    @example(j=19.0, s2=0.0, k=1, extra=0, u=-1.0 + 2.0**-50)
     @settings(max_examples=300, deadline=None)
     def test_fields_are_finite_or_a_documented_error(self, j, s2, k, extra, u):
         spec = stochastic_rate(j, s2)

@@ -184,6 +184,15 @@ class TestEnumerationLoop:
             assert np.allclose(got, ref, rtol=ENUM_REL_TOL, atol=0.0)
 
 
+def _year_major(dist, rng, k, size):
+    """The sampler's k rows of size draws, stacked year-major."""
+    return np.stack(list(dist.gross_rows(rng, k, size)))
+
+
+def _sums(block):
+    return np.array(_central_sums(block, np.empty_like(block), np.empty_like(block)))
+
+
 class TestRateDistribution:
     def test_support_rules(self):
         RateDistribution.two_point(0.1, 0.04)
@@ -212,7 +221,7 @@ class TestRateDistribution:
         # each distribution must hit the requested mean and variance, drawn
         # year-major through the generator simulate uses
         dist = RateDistribution(kind=kind, j=0.07, s2=0.03)
-        draws = dist.sample_gross(_batch_generator(99, 0), (20, 20_000))
+        draws = _year_major(dist, _batch_generator(99, 0), 20, 20_000)
         assert draws.shape == (20, 20_000)
         assert draws.min() > 0.0
         assert draws.mean() == pytest.approx(1.07, abs=6 * np.sqrt(0.03 / 400_000))
@@ -222,11 +231,35 @@ class TestRateDistribution:
         # 400,003 draws: the last byte's unpacked bits are cut at the count
         dist = RateDistribution.two_point(0.07, 0.03)
         low, high = 1.07 - math.sqrt(0.03), 1.07 + math.sqrt(0.03)
-        draws = dist.sample_gross(_batch_generator(99, 0), (7, 57_143))
+        draws = _year_major(dist, _batch_generator(99, 0), 7, 57_143)
         values, counts = np.unique(draws, return_counts=True)
         assert values.tolist() == [low, high]
         # a fair coin's share of highs is within 6 standard errors of 1/2
         assert abs(counts[1] / draws.size - 0.5) <= 6 * 0.5 / math.sqrt(draws.size)
+
+    @pytest.mark.parametrize("kind", ["two-point", "uniform", "lognormal"])
+    @pytest.mark.parametrize("size", [3, 8, 1696, 16384])
+    @pytest.mark.parametrize("k", [1, 7, 20])
+    def test_rows_are_one_year_major_draw(self, kind, size, k):
+        # the rows, stacked, are one (k, size) draw built here from numpy's
+        # samplers alone; a size that is not a multiple of 8 starts rows
+        # inside a random byte
+        dist = RateDistribution(kind=kind, j=0.07, s2=0.03)
+        rng = _batch_generator(5, 2)
+        mu, shape = 1.0 + 0.07, (k, size)
+        if kind == "two-point":
+            packed = rng.integers(0, 256, size=(k * size + 7) // 8, dtype=np.uint8)
+            bits = np.unpackbits(packed, count=k * size).reshape(shape)
+            s = math.sqrt(0.03)
+            want = np.where(bits == 1, mu + s, mu - s)
+        elif kind == "uniform":
+            want = mu + math.sqrt(3.0 * 0.03) * (2.0 * rng.random(size=shape) - 1.0)
+        else:
+            sigma2 = math.log1p(0.03 / (mu * mu))
+            want = rng.lognormal(mean=math.log(mu) - 0.5 * sigma2, sigma=math.sqrt(sigma2), size=shape)
+        rows = list(dist.gross_rows(_batch_generator(5, 2), k, size))
+        assert all(row.dtype == np.float64 and row.shape == (size,) for row in rows)
+        assert np.array_equal(np.stack(rows).view(np.uint64), want.view(np.uint64))
 
 
 def _finite(low, high):
@@ -248,9 +281,9 @@ class TestCentralSums:
     @settings(max_examples=300, deadline=None)
     def test_merged_blocks_match_one_two_pass_sum(self, blocks, loc, spread):
         blocks = [loc + spread * np.array(block) for block in blocks]
-        merged, count = np.array(_central_sums(blocks[0])), len(blocks[0])
+        merged, count = _sums(blocks[0]), len(blocks[0])
         for block in blocks[1:]:
-            merged = _merge_central(merged, count, np.array(_central_sums(block)), len(block))
+            merged = _merge_central(merged, count, _sums(block), len(block))
             count += len(block)
         # the reference: two passes over all paths with exactly rounded sums
         x = np.concatenate(blocks)
@@ -290,12 +323,30 @@ class TestSimulate:
         dist = RateDistribution.lognormal(0.1, 0.04)
         paths = 1000
         result = simulate(PLAN, dist, SimConfig(paths=paths, seed=8), 10)
-        gross = dist.sample_gross(_batch_generator(8, 0), (10, paths))
+        gross = _year_major(dist, _batch_generator(8, 0), 10, paths)
         c = np.zeros(paths)
         for t in range(10):
             c = (c + PLAN.payment(t + 1)) * gross[t]
             assert result.mean[t] == pytest.approx(c.mean(), rel=1e-14)
             assert result.variance[t] == pytest.approx(c.var(ddof=1), rel=1e-12)
+
+    @pytest.mark.parametrize("kind", ["two-point", "uniform", "lognormal"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_memory_does_not_grow_with_the_horizon(self, kind, workers):
+        # each block draws and reduces one year row at a time, so it holds a
+        # few rows of 2^14 doubles at any horizon; drawing a whole (k, 2^14)
+        # block first peaked at 13-29 MiB here
+        plan = PaymentPlan.level(100)
+        dist = RateDistribution(kind=kind, j=0.05, s2=0.01)
+        config = SimConfig(paths=10**5, seed=3, workers=workers)
+        simulate(plan, dist, SimConfig(paths=20, seed=3), 2)  # imports numpy.random
+        tracemalloc.start()
+        try:
+            simulate(plan, dist, config, 100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**22
 
     def test_seed_changes_results(self):
         dist = RateDistribution.uniform(0.1, 0.04)

@@ -11,6 +11,7 @@ import oracles
 from annurates import (
     SINGULARITY_EPS,
     DomainError,
+    NumericalFailureError,
     PaymentPlan,
     fixed_rate,
     geometric_aux,
@@ -147,6 +148,14 @@ class TestGeometricAux:
         ):
             with pytest.raises(DomainError, match=f"^{message}$"):
                 call()
+
+    @pytest.mark.parametrize(
+        "j, u", [(3.0, -0.9999999999999998), (1.0, -0.9999999999999999), (19.0, -1.0 + 2.0**-50)]
+    )
+    def test_t_rounded_to_minus_one_is_a_numerical_failure(self, j, u):
+        # (1+u)/(1+j) is so small that t = (1+u)/(1+j) - 1 rounds to -1, and w divides by 1+t
+        with pytest.raises(NumericalFailureError, match="^deflated growth rate t = .* rounds to -1"):
+            geometric_aux(stochastic_rate(j, 0.0), u)
 
     @given(
         st.floats(min_value=-0.6, max_value=1.0),
