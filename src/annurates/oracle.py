@@ -8,8 +8,9 @@ paths depth first.  Monte Carlo simulates the same
 accumulation under a chosen rate distribution in fixed-size blocks of paths.
 Block b draws from its own SFC64 stream, seeded by SeedSequence(seed,
 spawn_key=(b,)), and the blocks' means and central sums are merged in block
-order, so estimates are bit-identical for any worker count.  A block draws
-and accumulates one year at a time, so it holds a few arrays of its paths
+order, so estimates are bit-identical for any worker count.  A worker
+advances a contiguous group of up to three blocks as one array, drawing and
+accumulating one year at a time, so it holds a few arrays of its paths
 whatever the horizon.
 
 Both oracles import numpy when they are called, and simulate imports its
@@ -20,7 +21,6 @@ neither.  Sums past double range raise NumericalFailureError, not warnings.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -30,7 +30,7 @@ from .moments import MomentSeries, PaymentPlan
 from .rates import StochasticRateSpec, stochastic_rate
 
 if TYPE_CHECKING:
-    from collections.abc import Iterator
+    from collections.abc import Iterator, Sequence
 
     import numpy as np
 
@@ -52,6 +52,14 @@ VAR_BAND_SE_MULTIPLE = 6.0
 # that depends only on (seed, b), so path i's rates depend only on (seed, i)
 # and never on the worker count.
 _BATCH_PATHS = 1 << 14
+
+# A worker advances up to this many contiguous blocks as one (blocks, 2^14)
+# array, so each year costs one numpy call per operation for the group, not
+# one per block.  numpy releases the interpreter lock around each call, and
+# two threads making calls on one block's rows (8-14 us each) spend most of
+# their time handing the lock over.  3 scratch rows x 3 blocks x 128 KiB is
+# about 1.1 MiB per worker, which fits a 2 MiB L2 cache.
+_GROUP_BLOCKS = 3
 
 _KINDS = ("two-point", "uniform", "lognormal")
 
@@ -99,46 +107,73 @@ class RateDistribution:
         """1 + i lognormal, moment-matched to mean 1+j and variance s2."""
         return cls(kind="lognormal", j=float(j), s2=float(s2))
 
-    def gross_rows(self, rng: np.random.Generator, k: int, size: int) -> Iterator[np.ndarray]:
-        """Yield k fresh rows of size draws of 1 + i, one per year, lazily.
+    def gross_rows(
+        self, rngs: Sequence[np.random.Generator], k: int, out: np.ndarray
+    ) -> Iterator[np.ndarray]:
+        """Fill out with each year's draws of 1 + i and yield it, k times.
 
-        The rows are bit for bit those of one year-major (k, size) draw from
-        rng, so a block holds one row at a time, not k.  A two-point draw
-        takes one random bit and is exactly 1+j-s or 1+j+s; the bytes of all
-        k * size bits are drawn at the first row, and row t unpacks its bits
-        from bit t * size of them.
+        out is (len(rngs), size) and is overwritten each year: at year t, row
+        g is bit for bit row t of one year-major (k, size) draw from the fresh
+        generator rngs[g], so a group of blocks holds one year of its draws,
+        not k.  A two-point draw takes one random bit and is exactly 1+j-s or
+        1+j+s; row t takes its bits from bit t * size of the bytes of one
+        integers(0, 256, uint8) draw of k * size bits.  That draw takes its
+        bytes from 32-bit words, and SFC64 gives the low and then the high half
+        of each 64-bit output as words, so the bytes are those of the raw
+        64-bit outputs, little-endian.  They are drawn as a year first needs
+        them, 16 KiB or more at a time, so memory does not grow with k.
         """
         import numpy as np
         mu = 1.0 + self.j
         if self.kind == "two-point":
             s = math.sqrt(self.s2)
-            packed = rng.integers(0, 256, size=(k * size + 7) // 8, dtype=np.uint8)
-            # pick a support value by its bit pattern, low + bit * (high - low)
-            # in integers: exact, and faster than np.where on two scalars
-            low, high = np.array([mu - s, mu + s]).view(np.uint64)
+            blocks, size = out.shape
+            total = (k * size + 7) // 8  # the bytes of the one draw
+            # byte v's eight draws, most significant bit first as np.unpackbits
+            # orders them: exactly 1+j-s for a 0 bit and 1+j+s for a 1
+            bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
+            table = np.where(bits == 1, mu + s, mu - s)
+            # each generator's bytes first..drawn of its one draw
+            packed, first = np.empty((blocks, 0), np.uint8), 0
             for start in range(0, k * size, size):
-                skip = start % 8
-                row_bytes = packed[start // 8:(start + size + 7) // 8]
-                bits = np.unpackbits(row_bytes, count=skip + size)[skip:]
-                patterns = np.multiply(bits, high - low, dtype=np.uint64)
-                patterns += low
-                yield patterns.view(np.float64)
+                lo, stop, skip = start // 8, (start + size + 7) // 8, start % 8
+                drawn = first + packed.shape[1]
+                if stop > drawn:
+                    # never past the last output the one draw takes
+                    words = (min(max(stop, drawn + (1 << 14)), total) - drawn + 7) // 8
+                    fresh = np.stack([rng.bit_generator.random_raw(words) for rng in rngs])
+                    fresh = fresh.astype("<u8", copy=False).view(np.uint8)
+                    if lo < drawn:  # the row starts in bytes already drawn
+                        fresh = np.concatenate((packed[:, lo - first:], fresh), axis=1)
+                    packed, first = fresh, lo
+                row_bytes = packed[:, lo - first:stop - first]
+                if skip == 0 and size % 8 == 0:
+                    # eight draws per byte straight into out, a view of it;
+                    # mode "clip" skips take's buffering, and a byte is in range
+                    np.take(table, row_bytes, axis=0, out=out.reshape(blocks, -1, 8), mode="clip")
+                else:
+                    draws = np.take(table, row_bytes, axis=0).reshape(blocks, -1)
+                    out[...] = draws[:, skip:skip + size]
+                yield out
         elif self.kind == "uniform":
             hw = math.sqrt(3.0 * self.s2)
             for _ in range(k):
+                for rng, row in zip(rngs, out):
+                    rng.random(out=row)
                 # mu + hw * (2 r - 1), in place
-                row = rng.random(size)
-                row *= 2.0
-                row -= 1.0
-                row *= hw
-                row += mu
-                yield row
+                out *= 2.0
+                out -= 1.0
+                out *= hw
+                out += mu
+                yield out
         else:
             sigma2 = math.log1p(self.s2 / (mu * mu))
             m_ln = math.log(mu) - 0.5 * sigma2
             sigma = math.sqrt(sigma2)
             for _ in range(k):
-                yield rng.lognormal(mean=m_ln, sigma=sigma, size=size)
+                for rng, row in zip(rngs, out):
+                    row[:] = rng.lognormal(mean=m_ln, sigma=sigma, size=len(row))
+                yield out
 
 
 @dataclass(frozen=True)
@@ -318,17 +353,24 @@ def _batch_generator(seed: int, batch_index: int) -> np.random.Generator:
 
 def _central_sums(
     c: np.ndarray, d: np.ndarray, d2: np.ndarray
-) -> tuple[float, float, float, float]:
-    """Mean and central sums M2, M3, M4 of c, in two passes through scratch d and d2."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Mean and central sums M2-M4 along c's last axis, in two passes through scratch d and d2.
+
+    numpy sums a row of a (blocks, size) array pairwise along its contiguous
+    axis as it sums the row alone, so each block's sums are bit for bit those
+    of a 1-D c holding that block.
+    """
     import numpy as np
-    mean = c.mean()
+    total = np.add.reduce  # what ndarray.sum and mean call, without their wrappers
+    mean = total(c, axis=-1, keepdims=True)
+    mean /= c.shape[-1]
     np.subtract(c, mean, out=d)
     np.square(d, out=d2)  # as d * d, bit for bit, but reads one operand
-    m2 = d2.sum()
+    m2 = total(d2, axis=-1)
     d *= d2  # d2 * d, bit for bit
-    m3 = d.sum()
+    m3 = total(d, axis=-1)
     np.square(d2, out=d2)
-    return mean, m2, m3, d2.sum()
+    return mean[..., 0], m2, m3, total(d2, axis=-1)
 
 
 def _merge_central(a: np.ndarray, n_a: int, b: np.ndarray, n_b: int) -> np.ndarray:
@@ -358,31 +400,50 @@ def _merge_central(a: np.ndarray, n_a: int, b: np.ndarray, n_b: int) -> np.ndarr
     ])
 
 
-def _simulate_batch(
+def _block_groups(paths: int, workers: int) -> list[range]:
+    """The blocks of simulate in the contiguous groups a worker advances as one.
+
+    The full blocks split into groups of near-equal size, at most
+    _GROUP_BLOCKS each, as many as a multiple of workers while there are
+    blocks enough, so each worker gets the same work; a partial last block
+    is a group of its own.
+    """
+    full, tail = divmod(paths, _BATCH_PATHS)
+    count = min(full, -(-full // (_GROUP_BLOCKS * workers)) * workers)
+    groups = [range(full * g // count, full * (g + 1) // count) for g in range(count)]
+    if tail:
+        groups.append(range(full, full + 1))
+    return groups
+
+
+def _simulate_group(
     plan: PaymentPlan,
     distribution: RateDistribution,
     seed: int,
-    batch_index: int,
+    blocks: range,
     k: int,
     scratch: np.ndarray,
 ) -> np.ndarray:
-    """Per-year mean and central sums M2-M4 of the accumulated value over one block.
+    """Per-year mean and central sums M2-M4 of the accumulated value in each block of a group.
 
-    scratch holds three rows of the block's size, for the balances and the
-    two rows _central_sums writes.  Each year draws one row of the block's
-    rates, updates the balances in place and reduces them, so a block holds
-    a few rows of its paths whatever k is.
+    blocks are contiguous blocks of one size; scratch holds three
+    (len(blocks), size) arrays, for the balances, the draws and the second
+    row _central_sums writes.  Each year draws one row of each block's rates
+    into the draws' array, which is free again once the balances are
+    updated, and reduces each block's balances, so the group costs one numpy
+    call per operation and holds three rows of its paths whatever k is.
+    Returns a (4, len(blocks), k) array.
     """
     import numpy as np
-    rng = _batch_generator(seed, batch_index)
-    sums = np.empty((4, k))
+    rngs = [_batch_generator(seed, b) for b in blocks]
+    sums = np.empty((4, len(blocks), k))
     c, d, d2 = scratch
     c.fill(0.0)
     with np.errstate(over="ignore", invalid="ignore"):  # per thread; simulate checks
-        for t, gross in enumerate(distribution.gross_rows(rng, k, len(c))):
+        for t, gross in enumerate(distribution.gross_rows(rngs, k, d)):
             c += plan._payment(t + 1)
             c *= gross
-            sums[:, t] = _central_sums(c, d, d2)
+            sums[:, :, t] = _central_sums(c, d, d2)
     return sums
 
 
@@ -402,33 +463,45 @@ def simulate(
     # loaded here, before any worker thread imports it
     import numpy as np
     n = config.paths
-    n_batches = (n + _BATCH_PATHS - 1) // _BATCH_PATHS
+    groups = _block_groups(n, config.workers)
 
     def size(b: int) -> int:
         return min(_BATCH_PATHS, n - b * _BATCH_PATHS)
 
-    # each thread keeps one scratch for all its blocks: a scratch allocated
-    # per block makes malloc return and refault its pages block after block
-    local = threading.local()
+    workers = min(config.workers, len(groups))
 
-    def run(b: int) -> np.ndarray:
-        if not hasattr(local, "scratch"):
-            local.scratch = np.empty((3, min(n, _BATCH_PATHS)))
-        return _simulate_batch(plan, distribution, config.seed, b, k, local.scratch[:, :size(b)])
+    # worker w advances groups w, w + workers, ... through one scratch: a
+    # scratch allocated per group makes malloc return and refault its pages
+    # group after group
+    def share(w: int) -> list:
+        scratch = np.empty((3, max(map(len, groups)), size(0)))
+        return [
+            _simulate_group(
+                plan, distribution, config.seed, group, k,
+                scratch[:, :len(group), :size(group.start)],
+            )
+            for group in groups[w::workers]
+        ]
 
-    if config.workers > 1 and n_batches > 1:
+    if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            batch_sums = list(pool.map(run, range(n_batches)))
+        # the calling thread is worker 0, so a call starts workers - 1 threads
+        with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+            others = pool.map(share, range(1, workers))
+            shares = [share(0), *others]
     else:
-        batch_sums = [run(b) for b in range(n_batches)]
+        shares = [share(0)]
+    group_sums = [None] * len(groups)
+    for w, sums in enumerate(shares):
+        group_sums[w::workers] = sums
+    block_sums = np.concatenate(group_sums, axis=1)  # (4, blocks, k)
 
     with np.errstate(over="ignore", invalid="ignore"):
         # a fixed merge order keeps results deterministic; every block before
         # the last is full
-        totals = batch_sums[0]
-        for b in range(1, n_batches):
-            totals = _merge_central(totals, b * _BATCH_PATHS, batch_sums[b], size(b))
+        totals = block_sums[:, 0]
+        for b in range(1, block_sums.shape[1]):
+            totals = _merge_central(totals, b * _BATCH_PATHS, block_sums[:, b], size(b))
 
         mean, m2, _, m4 = totals
         var = m2 / (n - 1)

@@ -214,6 +214,9 @@ No digest moved when each Monte Carlo block began to draw and accumulate
 one year row at a time, through RateDistribution.gross_rows, instead of
 drawing its whole (k, 16,384) block of rates first, nor when
 geometric_aux began to raise NumericalFailureError where t rounds to -1.
+None moved either when each Monte Carlo worker began to advance a group of
+up to three blocks as one (blocks, 16,384) array, with two-point bits drawn
+a year at a time as raw 64-bit outputs and looked up eight per byte.
 """
 
 import hashlib

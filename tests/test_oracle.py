@@ -32,6 +32,7 @@ from annurates.oracle import (
     _BATCH_PATHS,
     ENUM_REL_TOL,
     _batch_generator,
+    _block_groups,
     _central_sums,
     _merge_central,
 )
@@ -185,8 +186,8 @@ class TestEnumerationLoop:
 
 
 def _year_major(dist, rng, k, size):
-    """The sampler's k rows of size draws, stacked year-major."""
-    return np.stack(list(dist.gross_rows(rng, k, size)))
+    """The sampler's k rows of size draws from one generator, stacked year-major."""
+    return np.stack([rows[0].copy() for rows in dist.gross_rows([rng], k, np.empty((1, size)))])
 
 
 def _sums(block):
@@ -239,27 +240,36 @@ class TestRateDistribution:
 
     @pytest.mark.parametrize("kind", ["two-point", "uniform", "lognormal"])
     @pytest.mark.parametrize("size", [3, 8, 1696, 16384])
-    @pytest.mark.parametrize("k", [1, 7, 20])
+    @pytest.mark.parametrize("k", [1, 7, 20, 100])
     def test_rows_are_one_year_major_draw(self, kind, size, k):
-        # the rows, stacked, are one (k, size) draw built here from numpy's
-        # samplers alone; a size that is not a multiple of 8 starts rows
+        # each generator's rows, stacked, are one (k, size) draw built here
+        # from numpy's samplers alone, whether it fills its rows alone or in a
+        # group of three; a size that is not a multiple of 8 starts rows
         # inside a random byte
         dist = RateDistribution(kind=kind, j=0.07, s2=0.03)
-        rng = _batch_generator(5, 2)
         mu, shape = 1.0 + 0.07, (k, size)
-        if kind == "two-point":
-            packed = rng.integers(0, 256, size=(k * size + 7) // 8, dtype=np.uint8)
-            bits = np.unpackbits(packed, count=k * size).reshape(shape)
-            s = math.sqrt(0.03)
-            want = np.where(bits == 1, mu + s, mu - s)
-        elif kind == "uniform":
-            want = mu + math.sqrt(3.0 * 0.03) * (2.0 * rng.random(size=shape) - 1.0)
-        else:
-            sigma2 = math.log1p(0.03 / (mu * mu))
-            want = rng.lognormal(mean=math.log(mu) - 0.5 * sigma2, sigma=math.sqrt(sigma2), size=shape)
-        rows = list(dist.gross_rows(_batch_generator(5, 2), k, size))
-        assert all(row.dtype == np.float64 and row.shape == (size,) for row in rows)
-        assert np.array_equal(np.stack(rows).view(np.uint64), want.view(np.uint64))
+        for blocks in (1, 3):
+            rows = [[] for _ in range(blocks)]
+            group = [_batch_generator(5, 2 + g) for g in range(blocks)]
+            for year in dist.gross_rows(group, k, np.empty((blocks, size))):
+                for g in range(blocks):
+                    rows[g].append(year[g].copy())
+            for g in range(blocks):
+                rng = _batch_generator(5, 2 + g)
+                if kind == "two-point":
+                    packed = rng.integers(0, 256, size=(k * size + 7) // 8, dtype=np.uint8)
+                    bits = np.unpackbits(packed, count=k * size).reshape(shape)
+                    s = math.sqrt(0.03)
+                    want = np.where(bits == 1, mu + s, mu - s)
+                elif kind == "uniform":
+                    want = mu + math.sqrt(3.0 * 0.03) * (2.0 * rng.random(size=shape) - 1.0)
+                else:
+                    sigma2 = math.log1p(0.03 / (mu * mu))
+                    want = rng.lognormal(
+                        mean=math.log(mu) - 0.5 * sigma2, sigma=math.sqrt(sigma2), size=shape
+                    )
+                assert all(row.dtype == np.float64 and row.shape == (size,) for row in rows[g])
+                assert np.array_equal(np.stack(rows[g]).view(np.uint64), want.view(np.uint64))
 
 
 def _finite(low, high):
@@ -278,6 +288,10 @@ class TestCentralSums:
     @example(blocks=[[0.3], [0.9], [-0.2, 0.4, 0.1, -0.7]], loc=1.05, spread=1e-7)
     # M3 is subnormal here: 1.5e-320 against the reference's 1.4995e-320
     @example(blocks=[[0.0], [0.0, 0.0, 3.420044910637537e-99]], loc=0.0, spread=1e-08)
+    # the mean is subnormal here: the merged mean and fsum(x) / len(x) sit
+    # half an ulp of 0.0 from the exact mean, on opposite sides
+    @example(blocks=[[1.8904429435108124e-302], [0.0]], loc=0.0, spread=1e-08)
+    @example(blocks=[[1.3781955298125378e-306], [0.0]], loc=0.0, spread=1e-08)
     @settings(max_examples=300, deadline=None)
     def test_merged_blocks_match_one_two_pass_sum(self, blocks, loc, spread):
         blocks = [loc + spread * np.array(block) for block in blocks]
@@ -291,18 +305,42 @@ class TestCentralSums:
         d = [v - mean for v in x.tolist()]
         # the merged mean is good to a few ulps of the data, and an error e in
         # the mean moves each deviation by e; the sums must agree to 1e-12 of
-        # sum |d|^p beyond what that alone can move.  A sum that underflows
+        # sum |d|^p beyond what that alone can move.  A result that underflows
         # to a subnormal carries an absolute rounding error of up to half of
         # math.ulp(0.0) per operation, which no relative allowance covers,
-        # so a few such ulps per path are allowed on top
+        # so a few such ulps per path are allowed on top; the mean is held to
+        # the exact mean, as fsum(x) / len(x) is itself rounded
         e = 64 * 2.0**-53 * float(np.max(np.abs(x)))
         underflow = 4 * len(x) * math.ulp(0.0)
-        assert abs(merged[0] - mean) <= e
+        exact = sum(map(Fraction, x.tolist())) / len(x)
+        assert abs(Fraction(float(merged[0])) - exact) <= Fraction(e) + Fraction(underflow)
         for p, got in zip((2, 3, 4), merged[1:]):
             want = math.fsum(v**p for v in d)
             scale = math.fsum(abs(v) ** p for v in d)
             shifted = math.fsum((abs(v) + e) ** p for v in d)
             assert abs(got - want) <= 1e-12 * scale + (shifted - scale) + underflow, p
+
+
+def _block_by_block(plan, dist, seed, paths, k):
+    """simulate's estimates from its definition: each block's year-major rows
+    and its central sums per year, merged in block order."""
+    totals = None
+    for b, start in enumerate(range(0, paths, _BATCH_PATHS)):
+        size = min(_BATCH_PATHS, paths - start)
+        gross = _year_major(dist, _batch_generator(seed, b), k, size)
+        c = np.zeros(size)
+        sums = np.empty((4, k))
+        for t in range(k):
+            c = (c + plan.payment(t + 1)) * gross[t]
+            sums[:, t] = _sums(c)
+        totals = sums if totals is None else _merge_central(totals, start, sums, size)
+    mean, m2, _, m4 = totals
+    var = m2 / (paths - 1)
+    m4 = m4 / paths
+    se_var = np.sqrt(
+        np.maximum(m4 - var * var, 0.0) / paths + 2.0 * var * var / (paths * (paths - 1.0))
+    )
+    return tuple(tuple(x.tolist()) for x in (mean, var, np.sqrt(var / paths), se_var))
 
 
 class TestSimulate:
@@ -316,6 +354,38 @@ class TestSimulate:
                 for workers in (1, 2, 5)
             ]
             assert results[1] == results[0] and results[2] == results[0], kind
+
+    @pytest.mark.parametrize("kind", ["two-point", "uniform", "lognormal"])
+    def test_stacked_groups_are_the_per_block_definition(self, kind):
+        # 6 full blocks and a tail of 1,696 paths (verify's 10^5 paths), and 7
+        # full blocks, advanced in groups of up to three blocks by 1, 2 and 3
+        # workers
+        plan = PaymentPlan.increasing(6)
+        dist = RateDistribution(kind=kind, j=0.05, s2=0.01)
+        for paths in (6 * _BATCH_PATHS + 1696, 7 * _BATCH_PATHS):
+            want = _block_by_block(plan, dist, 13, paths, 6)
+            for workers in (1, 2, 3):
+                got = simulate(plan, dist, SimConfig(paths=paths, seed=13, workers=workers), 6)
+                fields = (got.mean, got.variance, got.se_mean, got.se_variance)
+                assert fields == want, (paths, workers)
+
+    def test_block_groups(self):
+        # the full blocks in order, in near-equal groups of at most three, as
+        # many as a multiple of workers while blocks last; a partial last
+        # block is a group of its own
+        assert [len(g) for g in _block_groups(10**5, 1)] == [3, 3, 1]
+        assert [len(g) for g in _block_groups(10**5, 2)] == [3, 3, 1]
+        for full_blocks, tail in ((0, 2), (1, 0), (2, 3), (7, 0), (100, 1)):
+            paths = full_blocks * _BATCH_PATHS + tail
+            for workers in (1, 2, 3, 5):
+                groups = _block_groups(paths, workers)
+                assert [b for g in groups for b in g] == list(range(full_blocks + (tail > 0)))
+                full = [len(g) for g in groups[:len(groups) - (tail > 0)]]
+                assert max(full, default=1) <= 3
+                assert max(full, default=0) - min(full, default=0) <= 1
+                assert len(full) % workers == 0 or len(full) == full_blocks
+                if tail:
+                    assert len(groups[-1]) == 1
 
     def test_one_block_is_its_sample_statistics(self):
         # a single block draws year-major from stream (seed, 0) and reports
@@ -347,6 +417,23 @@ class TestSimulate:
         finally:
             tracemalloc.stop()
         assert peak <= 2**22
+
+    def test_two_point_memory_is_flat_in_the_horizon(self):
+        # the bits are drawn as the years reach them, 16 KiB at a time;
+        # drawing all k years' bits up front took 0.75 MiB at n = 20 and
+        # 1.56 MiB at n = 400
+        dist = RateDistribution.two_point(0.05, 0.01)
+        config = SimConfig(paths=10**5, seed=3)
+        simulate(PaymentPlan.level(2), dist, SimConfig(paths=20, seed=3), 2)  # imports numpy.random
+        peaks = []
+        for n in (20, 400):
+            tracemalloc.start()
+            try:
+                simulate(PaymentPlan.level(n), dist, config, n)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 2**18, peaks
 
     def test_seed_changes_results(self):
         dist = RateDistribution.uniform(0.1, 0.04)
