@@ -189,11 +189,11 @@ def _check_geometric(p: float, q: float) -> None:
         )
 
 
-def _sum_tables(rate, kmax: int, squares: bool = True, rows=None) -> tuple:
+def _sum_tables(rate, kmax: int, columns: int = 3, rows=None) -> tuple:
     """Sum-mode level, increasing and squared-increasing values for k = 0..kmax.
 
-    Three lists indexed by k, the first two when squares is false, or given
-    rows, dicts of those k.  The powers g^e are iterated products as in
+    The first columns (1 to 3) of those lists, indexed by k, or given rows,
+    dicts of those k.  The powers g^e are iterated products as in
     _accumulate; L_k = L_{k-1} + g^k, I_k = I_{k-1} + L_k and
     Q_k = Q_{k-1} + 2 I_k - L_k are exact integers (_scaled), each rounded
     once, correctly, so L_k is level_due(k, rate, mode="sum") bit for bit.
@@ -205,8 +205,10 @@ def _sum_tables(rate, kmax: int, squares: bool = True, rows=None) -> tuple:
         del powers[powers.index(math.inf) :]
     top, nums = _scaled(powers)
     level = list(itertools.accumulate(nums, initial=0))
-    sums = [level, list(itertools.accumulate(level))]
-    if squares:
+    sums = [level]
+    if columns > 1:
+        sums.append(list(itertools.accumulate(level)))
+    if columns > 2:
         doubled = map(operator.lshift, sums[1], itertools.repeat(1))
         sums.append(list(itertools.accumulate(map(operator.sub, doubled, level))))
     # 0 <= L_k <= I_k <= Q_k, each nondecreasing in k, so the last column

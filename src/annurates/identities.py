@@ -23,14 +23,7 @@ from .fixed import (
     increasing_squared_due,
     level_due,
 )
-from .moments import (
-    PaymentPlan,
-    moment_series,
-    decreasing_moments,
-    growth_moments,
-    increasing_moments,
-    level_moments,
-)
+from .moments import PaymentPlan, _ClosedForms, _recursive_columns, moment_series
 from .rates import fixed_rate, geometric_aux, singular, stochastic_rate
 
 FIXED_J_GRID = (-0.05, 0.0, 0.01, 0.05, 0.1, 0.25)
@@ -265,38 +258,28 @@ def stochastic_identity_suite() -> list[IdentityResult]:
 def specialization_suite() -> list[IdentityResult]:
     """Specialized family moments against the general recursion path.
 
-    Every field of a specialized result is compared with the recursive
-    MomentSeries attribute of the same name.
+    Each family's closed columns are read once per plan and rate, over
+    years 1..n, and every field is compared with the row of the same name
+    of the recursion pass those columns were settled against.
     """
     rec = _Recorder(_SPECIALIZATION_CHECKS)
     k_max = STOCHASTIC_K_MAX
     for j, s2 in itertools.product(STOCHASTIC_J_GRID, STOCHASTIC_S2_GRID):
         spec = stochastic_rate(j, s2)
-        families = [
-            ("level", PaymentPlan.level(k_max), partial(level_moments, spec)),
-            ("increasing", PaymentPlan.increasing(k_max), partial(increasing_moments, spec)),
-        ]
+        families = [("level", PaymentPlan.level(k_max)),
+                    ("increasing", PaymentPlan.increasing(k_max))]
+        families += [("decreasing", PaymentPlan.decreasing(n)) for n in (5, 10, 30)]
         families += [
-            ("decreasing", PaymentPlan.decreasing(n), partial(decreasing_moments, spec, n))
-            for n in (5, 10, 30)
-        ]
-        families += [
-            (
-                "growth",
-                PaymentPlan.growth(u, k_max),
-                partial(growth_moments, spec, geometric_aux(spec, u)),
-            )
+            ("growth", PaymentPlan.growth(u, k_max), geometric_aux(spec, u))
             for u in (-0.02, 0.05, 0.1, 0.2)
         ]
-        for family, plan, special in families:
-            ref = moment_series(plan, spec, "recursive")
-            for k in range(1, plan.n + 1):
-                result = special(k)
-                for field in result._fields:
-                    rec.record(
-                        f"{family}-special-vs-general",
-                        _dev(getattr(result, field), getattr(ref, field)[k - 1]),
-                    )
+        for family, plan, *aux in families:
+            forms = _ClosedForms(plan, spec, plan.n)
+            years = getattr(forms, family)(*aux)
+            reference = dict(zip(("mean", "second_moment", "variance", "diagonal", "cross"),
+                                 _recursive_columns(forms.ref)))
+            for field, values in zip(years[0]._fields, zip(*years)):
+                rec.record_all(f"{family}-special-vs-general", values, reference[field])
     return rec.results()
 
 

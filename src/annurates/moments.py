@@ -22,10 +22,13 @@ prefix sums rounded once; inside the singular band, and for a geometric plan
 with p = 0, every closed moment but the mean is the row of one recursion
 pass.  The closed mean is the fixed accumulator at j for every plan.  Each
 closed quantity is a kernel (_ClosedForms) that evaluates a whole column of
-years in one pass.  A moment that leaves double range raises
-NumericalFailureError: naming the largest horizon that fits, from the
-accumulators or fixed._sum_tables; the year whose payment leaves it; or,
-where a closed formula itself leaves it, the quantity and the year.
+years in one pass; the specialized families (level, increasing, decreasing
+and growth payments) are kernels of it too, with moment_series' tables,
+failing-year rule, settlement and recursion pass.  A moment that leaves
+double range raises NumericalFailureError: naming the largest horizon that
+fits, from the accumulators or fixed._sum_tables; the year whose payment
+leaves it; or, where a closed formula itself leaves it, the quantity and
+the year.
 
 The second moment splits as m_k = diagonal + 2*cross, where the diagonal
 part collects the squared-payment terms c_i^2 m^{k-i+1} and the cross part
@@ -38,7 +41,6 @@ numpy, when they are called; the CLI's tables read _series_columns.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -55,11 +57,8 @@ from .fixed import (
     _check_arithmetic,
     _check_geometric,
     _geometric,
+    _level,
     _sum_tables,
-    decreasing_due,
-    increasing_due,
-    increasing_squared_due,
-    level_due,
 )
 from .rates import (
     GeometricAux,
@@ -244,13 +243,6 @@ def _variances(ref: _Moments, ks: range) -> list:
     raise NumericalFailureError(f"second moment overflows double range at year {k}")
 
 
-def _general_reference(plan: PaymentPlan, spec: StochasticRateSpec, k: int):
-    """(mean, variance, second moment, diagonal, cross) at year k from the recursion."""
-    ref = _recursion(plan, spec, k)
-    var = _variances(ref, range(k, k + 1))[0]
-    return ref.mean[-1], var, ref.second[-1], ref.diagonal[-1], ref.cross[-1]
-
-
 def mean_series(plan: PaymentPlan, spec: StochasticRateSpec) -> np.ndarray:
     """Mean accumulated value for k = 1..n, from the recursion."""
     import numpy as np
@@ -289,9 +281,11 @@ class _ClosedForms:
     fixed._sum_tables that ks reads, or of the recursion pass every closed
     variance is settled against) settled once; mean_squared squares the mean.
     The mean is arithmetic_due or geometric_due at j, in every band too (the
-    arithmetic band route is the moment recursion's mean step).
-    moment_series takes ks = 1..n and a per-year function ks = k..k, both
-    through column: they agree bit for bit.
+    arithmetic band route is the moment recursion's mean step).  level,
+    increasing, decreasing and growth give a specialized family's moments
+    from kernels of their own.  moment_series and the specialization suite
+    take ks = 1..n and a per-year function ks = k..k, both through column:
+    they agree bit for bit.
     """
 
     def __init__(self, plan: PaymentPlan, spec: StochasticRateSpec, kmax: int, first: int = 1):
@@ -307,20 +301,25 @@ class _ClosedForms:
             self.singular = geometric_singular(spec.mu, plan.q) or not plan.p
         else:
             self.singular = singular(spec.j)
-        self.rj, self.rf, self.rr = map(fixed_rate, (spec.j, spec.f, spec.r))
+        self.rj = fixed_rate(spec.j)
+
+    # built when a kernel reads them: the growth family reads neither, and
+    # where j nears -1 or s2 is huge, f or r is not a valid rate
+    rf = cached_property(lambda self: fixed_rate(self.spec.f))
+    rr = cached_property(lambda self: fixed_rate(self.spec.r))
 
     @cached_property
     def ref(self) -> _Moments:
         return _recursion(self.plan, self.spec, self.kmax)
 
-    def _table(self, rate, rows, squares: bool = False) -> tuple:
+    def _table(self, rate, rows, columns: int = 2) -> tuple:
         """fixed._sum_tables at rate up to kmax, rounded at rows unless ks starts at year 1."""
-        return _sum_tables(rate, self.kmax, squares, None if self.ks.start == 1 else rows)
+        return _sum_tables(rate, self.kmax, columns, None if self.ks.start == 1 else rows)
 
     @cached_property
     def at_f(self) -> tuple:
         # the diagonal part reads year k-1 too
-        return self._table(self.rf, range(self.ks.start - 1, self.kmax + 1), True)
+        return self._table(self.rf, range(self.ks.start - 1, self.kmax + 1), 3)
 
     # no closed form reads a squared-increasing value at r, and those entries
     # leave double range first
@@ -440,9 +439,11 @@ class _ClosedForms:
         candidates = [m2 - x**2 for x, m2 in zip(mean, second)]
         return _settle_variance(candidates, _variances(self.ref, ks))
 
-    # what each kernel computes, for the error that names it
+    # what each kernel computes, for the error that names it, where the name
+    # does not say; the increasing cross part is guarded as the second moment
     _QUANTITY = dict(mean="mean", second="second moment", diagonal="diagonal part",
-                     cross="cross part", mean_squared="squared mean", variance="variance")
+                     cross="cross part", mean_squared="squared mean", variance="variance",
+                     increasing_cross="increasing second moment")
 
     def column(self, name: str, *rows) -> list:
         """The kernel name over ks, passed those years' entries of rows, checked once.
@@ -467,9 +468,8 @@ class _ClosedForms:
             except (OverflowError, ValueError):
                 values.append(math.nan)
             if not math.isfinite(values[-1]):
-                raise NumericalFailureError(
-                    f"closed {self._QUANTITY[name]} leaves double range at year {k}"
-                )
+                quantity = self._QUANTITY.get(name, name.replace("_", " "))
+                raise NumericalFailureError(f"closed {quantity} leaves double range at year {k}")
         return values
 
     def series(self, parts: int = 5) -> tuple:
@@ -478,6 +478,118 @@ class _ClosedForms:
         mean, second = self.column("mean"), self.column("second")
         rest = [self.column("diagonal"), self.column("cross")] if parts > 3 else []
         return (mean, second, self.column("variance", mean, second), *rest)[:parts]
+
+    # The specialized families over ks of their plans level(n), increasing(n),
+    # decreasing(n) and growth(u, n): a NamedTuple a year, the recursion's rows
+    # inside the family's band.  Each kernel reads its powers and tables in the
+    # order its terms are written, which decides the error an overflow raises.
+
+    def level(self) -> list:
+        if self.singular:
+            return self._band(LevelMoments)
+        mean = self.column("mean")
+        return list(map(LevelMoments, mean, self.column("level_variance", mean)))
+
+    def increasing(self) -> list:
+        if self.singular:
+            return self._band(IncreasingMoments)
+        mean, diagonal = self.column("mean"), [self.at_f[2][k] for k in self.ks]
+        cross, second = self.column("increasing_cross"), self.column("increasing_second_moment")
+        variance = self.column("increasing_variance", mean)
+        return list(map(IncreasingMoments, mean, diagonal, cross, second, variance))
+
+    def decreasing(self) -> list:
+        # the ell-form needs j away from 0 and a genuinely random rate
+        if self.singular or self.spec.ell <= 0.0:
+            return self._band(DecreasingMoments)
+        return list(map(DecreasingMoments, self.column("mean"), self.column("decreasing_variance")))
+
+    def growth(self, aux: GeometricAux) -> list:
+        if singular(aux.t):
+            return self._band(GrowthMoments)
+        self.aux = aux
+        self.rt, self.rh, self.rw = map(fixed_rate, (aux.t, aux.h, aux.w))
+        mean = self.column("growth_mean")
+        return list(map(GrowthMoments, mean, self.column("growth_variance", mean)))
+
+    def _band(self, moments: type) -> list:
+        """A family's moments over ks from the recursion, its second moment diagonal + 2 cross."""
+        rows, ref = slice(self.ks.start - 1, self.kmax), self.ref
+        variance = _variances(ref, self.ks)
+        if moments is not IncreasingMoments:
+            return list(map(moments, ref.mean[rows], variance))
+        diagonal, cross = ref.diagonal[rows], ref.cross[rows]
+        second = [d + 2.0 * c for d, c in zip(diagonal, cross)]
+        return list(map(IncreasingMoments, ref.mean[rows], diagonal, cross, second, variance))
+
+    def _settled(self, label: str, ks, terms: list) -> list:
+        """Each year's variance fsum(terms), audited and settled against the recursion's."""
+        values = list(map(math.fsum, terms))
+        references = _variances(self.ref, ks)
+        for value, reference, year in zip(values, references, terms):
+            _audit(label, value, reference, year)
+        return _settle_variance(values, references)
+
+    def level_variance(self, ks, mean) -> list:
+        j = self.spec.j
+        grown = [2.0 * self.spec.mu ** (k + 1) for k in ks]
+        (l_r,), (l_f,) = self._table(self.rr, ks, 1), self._table(self.rf, ks, 1)
+        terms = [[x * l_r[k] / j, -(2.0 + j) * l_f[k] / j, -m * m]
+                 for k, x, m in zip(ks, grown, mean)]
+        return self._settled("level variance", ks, terms)
+
+    def _increasing(self, ks) -> list:
+        """(cross part, second moment's terms) at each year of ks."""
+        j, g = self.spec.j, self.spec.mu
+        (_, i_f, q_f), i_r, jj = self.at_f, self.at_r[1], j * j
+        return [
+            # the exact cross part at year 1 is 0, as cross gives it
+            (0.0 if k == 1 else math.fsum([gk * i_r[k], -g * i_f[k], -j * g * q_f[k]]) / jj,
+             [2.0 * gk * i_r[k] / jj, -2.0 * g * i_f[k] / jj, -(2.0 + j) * q_f[k] / j])
+            for k, gk in zip(ks, [g ** (k + 2) for k in ks])
+        ]
+
+    def increasing_cross(self, ks) -> list:
+        return [cross for cross, _ in self._increasing(ks)]
+
+    def increasing_second_moment(self, ks) -> list:
+        values = []
+        for k, (_, terms) in zip(ks, self._increasing(ks)):
+            values.append(math.fsum(terms))
+            _audit("increasing second moment", values[-1], self.ref.second[k - 1], terms)
+        return values
+
+    def increasing_variance(self, ks, mean) -> list:
+        terms = [terms + [-x * x] for (_, terms), x in zip(self._increasing(ks), mean)]
+        return self._settled("increasing variance", ks, terms)
+
+    def decreasing_variance(self, ks) -> list:
+        g, ell, r, f = self.spec.mu, self.spec.ell, self.spec.r, self.spec.f
+        a, lead = self.plan.n - 1.0 / self.spec.j, ell / (self.rj.d * self.rj.d)
+        grown = [(g ** (2 * k), g**k) for k in ks]
+        (l_l,), (l_r, i_r), (l_f, i_f, q_f) = self._table(ell, ks, 1), self.at_r, self.at_f
+        terms = [
+            [lead * a * a * g2 * l_l[k] / (1.0 + ell),
+             -2.0 * lead * a * a * g1 * l_r[k] / (1.0 + r), lead * a * a * l_f[k] / (1.0 + f),
+             2.0 * lead * a * g1 * i_r[k] / (1.0 + r), -2.0 * lead * a * i_f[k] / (1.0 + f),
+             lead * q_f[k] / (1.0 + f)]
+            for k, (g2, g1) in zip(ks, grown)
+        ]
+        return self._settled("decreasing variance", ks, terms)
+
+    def growth_mean(self, ks) -> list:
+        grown = [self.spec.mu**k for k in ks]
+        return [x * s / (1.0 + self.aux.t) for x, s in zip(grown, _level(self.rt, "auto")(ks))]
+
+    def growth_variance(self, ks, mean) -> list:
+        aux, g = self.aux, self.spec.mu
+        grown = [(1.0 + aux.u) ** (2 * k) * (2.0 + aux.t) for k in ks]
+        (l_h,) = self._table(self.rh, ks, 1)
+        deflated = [-2.0 * g ** (2 * k) * (1.0 + aux.t) ** k for k in ks]
+        (l_w,) = self._table(self.rw, ks, 1)
+        terms = [[x * l_h[k] / aux.t, y * l_w[k] / aux.t, -m * m]
+                 for k, x, y, m in zip(ks, grown, deflated, mean)]
+        return self._settled("growth variance", ks, terms)
 
 
 def _closed_at(plan: PaymentPlan, spec: StochasticRateSpec, k, name: str) -> float:
@@ -597,51 +709,12 @@ def _settle_variance(candidates, references) -> list:
     return [c if c >= 0.0 and abs(c - r) <= rel * r else r for c, r in zip(candidates, references)]
 
 
-@contextlib.contextmanager
-def _closed_range(quantity: str, k: int):
-    """Guard a specialized family's closed terms at year k.
-
-    An OverflowError (of **) or ValueError (of an fsum over infinities)
-    raises the yielded NumericalFailureError, in _ClosedForms.column's
-    wording; the block raises it itself for a value no settlement replaces.
-    """
-    error = NumericalFailureError(f"closed {quantity} leaves double range at year {k}")
-    try:
-        yield error
-    except DomainError:
-        raise
-    except (OverflowError, ValueError):
-        raise error from None
-
-
-def _special_variance(
-    label: str, terms: list, plan: PaymentPlan, spec: StochasticRateSpec, k: int
-) -> float:
-    """A specialized family's variance fsum(terms), audited and settled against the recursion."""
-    var = math.fsum(terms)
-    _, var_r, *_ = _general_reference(plan, spec, k)
-    _audit(label, var, var_r, terms)
-    return _settle_variance([var], [var_r])[0]
-
-
 def level_moments(spec: StochasticRateSpec, k) -> LevelMoments:
     """Mean and variance of a level annuity-due of 1 per year; variance = m_k - mean^2."""
     k = check_int(k, "k", 0)
     if k == 0:
         return LevelMoments(0.0, 0.0)
-    plan = PaymentPlan.level(k)
-    if singular(spec.j):
-        mean_r, var_r, *_ = _general_reference(plan, spec, k)
-        return LevelMoments(mean_r, var_r)
-    mean = level_due(k, fixed_rate(spec.j))
-    g = spec.mu
-    with _closed_range("level variance", k):
-        terms = [
-            2.0 * g ** (k + 1) * level_due(k, fixed_rate(spec.r), mode="sum") / spec.j,
-            -(2.0 + spec.j) * level_due(k, fixed_rate(spec.f), mode="sum") / spec.j,
-            -mean * mean,
-        ]
-        return LevelMoments(mean, _special_variance("level variance", terms, plan, spec, k))
+    return _ClosedForms(PaymentPlan.level(k), spec, k, k).level()[0]
 
 
 def increasing_moments(spec: StochasticRateSpec, k) -> IncreasingMoments:
@@ -649,34 +722,7 @@ def increasing_moments(spec: StochasticRateSpec, k) -> IncreasingMoments:
     k = check_int(k, "k", 0)
     if k == 0:
         return IncreasingMoments(0.0, 0.0, 0.0, 0.0, 0.0)
-    plan = PaymentPlan.increasing(k)
-    if singular(spec.j):
-        mean, var, _, diag, cross = _general_reference(plan, spec, k)
-        return IncreasingMoments(mean, diag, cross, diag + 2.0 * cross, var)
-    j, g, rf = spec.j, spec.mu, fixed_rate(spec.f)
-    mean = increasing_due(k, fixed_rate(j))
-    diag = increasing_squared_due(k, rf, mode="sum")
-    is_r = increasing_due(k, fixed_rate(spec.r), mode="sum")
-    is_f = increasing_due(k, rf, mode="sum")
-    with _closed_range("increasing second moment", k) as error:
-        # the exact cross part at year 1 is 0, as _ClosedForms.cross gives it
-        cross = 0.0 if k == 1 else math.fsum(
-            [g ** (k + 2) * is_r, -g * is_f, -j * g * diag]) / (j * j)
-        m2_terms = [
-            2.0 * g ** (k + 2) * is_r / (j * j),
-            -2.0 * g * is_f / (j * j),
-            -(2.0 + j) * diag / j,
-        ]
-        m2 = math.fsum(m2_terms)
-        var_terms = m2_terms + [-mean * mean]
-        var = math.fsum(var_terms)
-        if not all(map(math.isfinite, (m2, cross))):
-            raise error
-    _, var_r, m2_r, *_ = _general_reference(plan, spec, k)
-    _audit("increasing second moment", m2, m2_r, m2_terms)
-    _audit("increasing variance", var, var_r, var_terms)
-    var = _settle_variance([var], [var_r])[0]
-    return IncreasingMoments(mean, diag, cross, m2, var)
+    return _ClosedForms(PaymentPlan.increasing(k), spec, k, k).increasing()[0]
 
 
 def decreasing_moments(spec: StochasticRateSpec, n, k) -> DecreasingMoments:
@@ -685,27 +731,7 @@ def decreasing_moments(spec: StochasticRateSpec, n, k) -> DecreasingMoments:
     k = check_int(k, "k", 0, n)
     if k == 0:
         return DecreasingMoments(0.0, 0.0)
-    plan = PaymentPlan.decreasing(n)
-    if singular(spec.j) or spec.ell <= 0.0:
-        # the ell-form needs j away from 0 and a genuinely random rate
-        mean_r, var_r, *_ = _general_reference(plan, spec, k)
-        return DecreasingMoments(mean_r, var_r)
-    j, g = spec.j, spec.mu
-    rj, rl, rr, rf = map(fixed_rate, (j, spec.ell, spec.r, spec.f))
-    mean = decreasing_due(n, k, rj)
-    a = n - 1.0 / j
-    lead = spec.ell / (rj.d * rj.d)
-    with _closed_range("decreasing variance", k):
-        terms = [
-            lead * a * a * g ** (2 * k) * level_due(k, rl, mode="sum") / (1.0 + spec.ell),
-            -2.0 * lead * a * a * g**k * level_due(k, rr, mode="sum") / (1.0 + spec.r),
-            lead * a * a * level_due(k, rf, mode="sum") / (1.0 + spec.f),
-            2.0 * lead * a * g**k * increasing_due(k, rr, mode="sum") / (1.0 + spec.r),
-            -2.0 * lead * a * increasing_due(k, rf, mode="sum") / (1.0 + spec.f),
-            lead * increasing_squared_due(k, rf, mode="sum") / (1.0 + spec.f),
-        ]
-        var = _special_variance("decreasing variance", terms, plan, spec, k)
-    return DecreasingMoments(mean, var)
+    return _ClosedForms(PaymentPlan.decreasing(n), spec, k, k).decreasing()[0]
 
 
 def growth_moments(spec: StochasticRateSpec, aux: GeometricAux, k) -> GrowthMoments:
@@ -721,18 +747,4 @@ def growth_moments(spec: StochasticRateSpec, aux: GeometricAux, k) -> GrowthMome
             )
     if k == 0:
         return GrowthMoments(0.0, 0.0)
-    plan = PaymentPlan.growth(aux.u, k)
-    if singular(aux.t):
-        mean_r, var_r, *_ = _general_reference(plan, spec, k)
-        return GrowthMoments(mean_r, var_r)
-    g, one_u, one_t = spec.mu, 1.0 + aux.u, 1.0 + aux.t
-    rt, rh, rw = map(fixed_rate, (aux.t, aux.h, aux.w))
-    with _closed_range("growth mean", k):
-        mean = g**k * level_due(k, rt) / one_t
-    with _closed_range("growth variance", k):
-        terms = [
-            one_u ** (2 * k) * (2.0 + aux.t) * level_due(k, rh, mode="sum") / aux.t,
-            -2.0 * g ** (2 * k) * one_t**k * level_due(k, rw, mode="sum") / aux.t,
-            -mean * mean,
-        ]
-        return GrowthMoments(mean, _special_variance("growth variance", terms, plan, spec, k))
+    return _ClosedForms(PaymentPlan.growth(aux.u, k), spec, k, k).growth(aux)[0]

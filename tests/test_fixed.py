@@ -315,7 +315,8 @@ class TestSumTables:
 
     def test_without_squares_returns_the_first_two_lists(self):
         level, inc, _ = _sum_tables(R10, 50)
-        assert _sum_tables(R10, 50, squares=False) == (level, inc)
+        assert _sum_tables(R10, 50, columns=2) == (level, inc)
+        assert _sum_tables(R10, 50, columns=1) == (level,)
 
     def test_only_the_returned_lists_limit_the_horizon(self):
         # the squared-increasing values leave double range 76 years before
@@ -323,10 +324,10 @@ class TestSumTables:
         rate = fixed_rate(0.05)
         with pytest.raises(NumericalFailureError, match="fits is 14346$"):
             _sum_tables(rate, 14400)
-        level, inc = _sum_tables(rate, 14400, squares=False)
+        level, inc = _sum_tables(rate, 14400, columns=2)
         assert math.isfinite(inc[-1])
         with pytest.raises(NumericalFailureError, match="fits is 14422$"):
-            _sum_tables(rate, 14423, squares=False)
+            _sum_tables(rate, 14423, columns=2)
 
     def test_overflow_names_the_largest_horizon_that_fits(self):
         with pytest.raises(NumericalFailureError, match="largest horizon that fits is") as err:
@@ -360,14 +361,15 @@ class TestSumTables:
         j, kmax = table
         exact = _exact_sum_tables(j, kmax)
         rate = fixed_rate(j)
-        squares = kmax <= 1500 or j != 0.5  # the squared entries at 0.5 leave double range
-        got = _sum_tables(rate, kmax, squares)
+        # the squared entries at 0.5 leave double range
+        columns = 3 if kmax <= 1500 or j != 0.5 else 2
+        got = _sum_tables(rate, kmax, columns)
         assert [list(map(float.hex, c)) for c in got] == [
             [float(x).hex() for x in c] for c in exact[: len(got)]
         ]
         # the dicts of chosen rows hold the same entries
         rows = data.draw(st.lists(st.integers(0, kmax), min_size=1, max_size=4, unique=True))
-        assert _sum_tables(rate, kmax, squares, rows) == tuple(
+        assert _sum_tables(rate, kmax, columns, rows) == tuple(
             {k: column[k] for k in rows} for column in got
         )
 

@@ -12,6 +12,7 @@ import pytest
 from annurates import (
     fixed_identity_suite,
     identities,
+    moments,
     run_identity_suites,
     specialization_suite,
     stochastic_identity_suite,
@@ -114,6 +115,22 @@ class TestStochasticSuite:
 class TestSpecializationSuite:
     def test_all_identities_hold(self):
         _assert_all_pass(specialization_suite(), SPECIAL_NAMES)
+
+    def test_reads_each_family_column_once(self, monkeypatch):
+        # 108 (plan, rate) pairs: each family's column runs one recursion
+        # pass, which its band rows, its settlement and the comparison share,
+        # where a call per year ran one to that year (2,808 passes)
+        calls = []
+        recursion = moments._recursion
+
+        def counting(*args):
+            calls.append(args)
+            return recursion(*args)
+
+        monkeypatch.setattr(moments, "_recursion", counting)
+        results = specialization_suite()
+        assert len(calls) == 108
+        assert sum(r.cases for r in results) == 6480
 
 
 class TestCombinedRunner:

@@ -7,6 +7,7 @@ test_recursions_match_rational_oracle re-derives a grid at run time.
 
 import functools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -43,6 +44,7 @@ from annurates import (
 
 SPEC = stochastic_rate(0.1, 0.04)
 SPEC_GROWTH = stochastic_rate(0.5, 0.01)
+SPEC_OVERFLOW = stochastic_rate(0.05, 0.01)
 
 
 def _assert_moments(plan, k, mean, second, var, rel=1e-12):
@@ -547,6 +549,60 @@ class TestSpecializedFamilies:
         message = f"^closed {quantity} leaves double range at year {args[-1]}$"
         with pytest.raises(NumericalFailureError, match=message):
             family(*args)
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (
+                lambda: increasing_moments(stochastic_rate(14.306583842752229, 0.0), 129),
+                "closed increasing second moment leaves double range at year 129",
+            ),
+            (
+                lambda: level_moments(stochastic_rate(14.306583842752229, 0.01), 300),
+                "annuity values at rate 14.306583842752229 overflow double range; "
+                "the largest horizon that fits is 260",
+            ),
+            (
+                lambda: decreasing_moments(stochastic_rate(5.0, 0.01), 400, 400),
+                "annuity values at rate 5.0 overflow double range; "
+                "the largest horizon that fits is 392",
+            ),
+            (
+                lambda: growth_moments(SPEC_OVERFLOW, geometric_aux(SPEC_OVERFLOW, 12.0), 400),
+                "annuity values at rate 11.38095238095238 overflow double range; "
+                "the largest horizon that fits is 282",
+            ),
+        ],
+        ids=["increasing", "level", "decreasing", "growth"],
+    )
+    def test_overflow_names_the_first_quantity_to_leave_double_range(self, call, message):
+        # the mean comes first, then each term in the order it is written
+        with pytest.raises(NumericalFailureError, match=f"^{re.escape(message)}$"):
+            call()
+
+    @pytest.mark.parametrize("j", [0.0, 1e-10, 0.05])
+    @pytest.mark.parametrize("s2", [0.0, 1e-6, 0.04])
+    def test_per_year_functions_equal_column_entries(self, j, s2):
+        # every route: the band |j| < 1e-9, decreasing's ell = 0 at s2 = 0
+        # and growth's |t| < 1e-9 at u = j
+        spec = stochastic_rate(j, s2)
+        n = 25
+        partial = functools.partial
+        cases = [
+            ("level", PaymentPlan.level(n), (), partial(level_moments, spec)),
+            ("increasing", PaymentPlan.increasing(n), (), partial(increasing_moments, spec)),
+            ("decreasing", PaymentPlan.decreasing(n), (), partial(decreasing_moments, spec, n)),
+        ]
+        for u in (0.03, j):
+            aux = geometric_aux(spec, u)
+            per_year = partial(growth_moments, spec, aux)
+            cases.append(("growth", PaymentPlan.growth(u, n), (aux,), per_year))
+        for family, plan, aux, per_year in cases:
+            column = getattr(moments._ClosedForms(plan, spec, n), family)(*aux)
+            for k in range(1, n + 1):
+                got, want = per_year(k), column[k - 1]
+                assert type(got) is type(want), family
+                assert list(map(float.hex, got)) == list(map(float.hex, want)), (family, k)
 
     @given(
         st.floats(min_value=-1.0, max_value=20.0, exclude_min=True),
