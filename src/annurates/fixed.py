@@ -373,10 +373,8 @@ def decreasing_due(n, k, rate, mode: str = "auto") -> float:
     value_k = (1+j)(value_{k-1} + n - k + 1).
     """
     rate = _as_rate(rate)
-    n = check_int(n, "n", 0)
+    n = check_int(n, "n", 1)
     k = check_int(k, "k", 0)
-    if n < 1:
-        raise DomainError(f"n must be at least 1, got {n}")
     if k > n:
         raise DomainError(f"k must not exceed n, got k={k}, n={n}")
     return _decreasing(n, rate, mode)((k,))[0]

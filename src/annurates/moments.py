@@ -63,6 +63,7 @@ from .fixed import (
 from .rates import (
     GeometricAux,
     StochasticRateSpec,
+    _derived_rate,
     _growth_ratio,
     fixed_rate,
     geometric_aux,
@@ -280,12 +281,13 @@ class _ClosedForms:
     products, so each term rounds as written) and tables (rows of
     fixed._sum_tables that ks reads, or of the recursion pass every closed
     variance is settled against) settled once; mean_squared squares the mean.
-    The mean is arithmetic_due or geometric_due at j, in every band too (the
-    arithmetic band route is the moment recursion's mean step).  level,
-    increasing, decreasing and growth give a specialized family's moments
-    from kernels of their own.  moment_series and the specialization suite
-    take ks = 1..n and a per-year function ks = k..k, both through column:
-    they agree bit for bit.
+    Off the bands, second and cross share a kernel: _five_terms for an
+    arithmetic plan, _quotient_terms for a geometric one.  The mean is
+    arithmetic_due or geometric_due at j, in every band too (the arithmetic
+    band route is the moment recursion's mean step).  level, increasing,
+    decreasing and growth give a specialized family's moments from kernels of
+    their own.  moment_series and the specialization suite take ks = 1..n and
+    a per-year function ks = k..k, both through column: they agree bit for bit.
     """
 
     def __init__(self, plan: PaymentPlan, spec: StochasticRateSpec, kmax: int, first: int = 1):
@@ -297,20 +299,16 @@ class _ClosedForms:
         # d, or 1+j-q for geometric plans, and read the recursion's rows; a
         # geometric plan that pays nothing reads them too: its moments are
         # zero, while q^k or (1+j)^k alone may leave double range
-        if plan.family == "geometric":
-            self.singular = geometric_singular(spec.mu, plan.q) or not plan.p
-        else:
-            self.singular = singular(spec.j)
+        self.singular = (geometric_singular(spec.mu, plan.q) or not plan.p
+                         if plan.family == "geometric" else singular(spec.j))
         self.rj = fixed_rate(spec.j)
 
-    # built when a kernel reads them: the growth family reads neither, and
-    # where j nears -1 or s2 is huge, f or r is not a valid rate
-    rf = cached_property(lambda self: fixed_rate(self.spec.f))
-    rr = cached_property(lambda self: fixed_rate(self.spec.r))
+    # built when a kernel reads them: the growth family reads none, and where
+    # j nears -1 or s2 is huge, f, r or ell rounds out of the rate domain
+    rf, rr, rl = (cached_property(lambda self, name=name: _derived_rate(self.spec, name))
+                  for name in ("f", "r", "ell"))
 
-    @cached_property
-    def ref(self) -> _Moments:
-        return _recursion(self.plan, self.spec, self.kmax)
+    ref = cached_property(lambda self: _recursion(self.plan, self.spec, self.kmax))
 
     def _table(self, rate, rows, columns: int = 2) -> tuple:
         """fixed._sum_tables at rate up to kmax, rounded at rows unless ks starts at year 1."""
@@ -321,20 +319,18 @@ class _ClosedForms:
         # the diagonal part reads year k-1 too
         return self._table(self.rf, range(self.ks.start - 1, self.kmax + 1), 3)
 
-    # no closed form reads a squared-increasing value at r, and those entries
-    # leave double range first
-
     @cached_property
     def at_r(self) -> tuple:
+        # no closed form reads a squared-increasing value at r, and those
+        # entries leave double range first
         return self._table(self.rr, self.ks)
-
-    # the geometric sums with parameters (p, q) at r and (p^2, q^2) at f;
-    # strict=False because plan construction already enforced positivity.
-    # second, diagonal and cross read them at the same years, so each
-    # column is cached; a call that raises is not, and raises again
 
     @cached_property
     def geometric_r(self):
+        # the geometric sums with parameters (p, q) at r and (p^2, q^2) at f;
+        # strict=False because plan construction already enforced positivity.
+        # second, diagonal and cross read them at the same years, so each
+        # column is cached; a call that raises is not, and raises again
         return cache(_geometric(self.plan.p, self.plan.q, self.rr, "auto", False))
 
     @cached_property
@@ -352,29 +348,12 @@ class _ClosedForms:
         if self.singular:
             return _rows(self.ref.second)
         p, q = self.plan.p, self.plan.q
-        g = self.spec.mu
         if self.plan.family == "geometric":
-            at_r, at_f = self.geometric_r, self.geometric_f
-            two_p, q_g, g_q = 2.0 * p, q + g, g - q
-            return lambda ks: [
-                (two_p * g ** (k + 1) * sg_r - q_g * sg_f) / g_q
-                for k, sg_r, sg_f in zip(ks, at_r(ks), at_f(ks))
-            ]
-        d, v = self.rj.d, self.rj.v
-        pq = p - q
-        c_s_f = (q - p) * (d * pq * (1.0 + v) + 2.0 * q * v)
-        c_is_f = -2.0 * q * (d * pq * (1.0 + v) + q * v)
-        c_i2_f = -d * q * q * (1.0 + v)
-        c_s_r = 2.0 * pq * (d * pq + q)
-        c_is_r = 2.0 * q * (d * pq + q)
-        dd = d * d
-        s_f, is_f, i2_f = self.at_f
-        s_r, is_r = self.at_r
-        return lambda ks: [
-            math.fsum([c_s_f * s_f[k], c_is_f * is_f[k], c_i2_f * i2_f[k],
-                       c_s_r * gk * s_r[k], c_is_r * gk * is_r[k]]) / dd
-            for k, gk in zip(ks, [g**k for k in ks])
-        ]
+            return self._quotient_terms(2.0 * p, q + self.spec.mu)
+        d, v, pq = self.rj.d, self.rj.v, p - q
+        return self._five_terms(
+            (q - p) * (d * pq * (1.0 + v) + 2.0 * q * v), -2.0 * q * (d * pq * (1.0 + v) + q * v),
+            -d * q * q * (1.0 + v), 2.0 * pq * (d * pq + q), 2.0 * q * (d * pq + q))
 
     @cached_property
     def diagonal(self):
@@ -403,30 +382,38 @@ class _ClosedForms:
         if self.singular:
             return _rows(self.ref.cross)
         p, q = self.plan.p, self.plan.q
-        g = self.spec.mu
         if self.plan.family == "geometric":
-            at_r, at_f = self.geometric_r, self.geometric_f
-            g_q = g - q
+            return self._quotient_terms(p, self.spec.mu, 0.0)
+        d, v, pq = self.rj.d, self.rj.v, p - q
+        return self._five_terms(-pq * (d * pq + q * v), -q * (2.0 * d * pq + q * v), -q * q * d,
+                                pq * (d * pq + q), q * (d * pq + q), 0.0)
 
-            # year 1 alone reads no accumulator
-            return lambda ks: [0.0] if ks == range(1, 2) else [
-                0.0 if k == 1 else (p * g ** (k + 1) * r - g * f) / g_q
-                for k, r, f in zip(ks, at_r(ks), at_f(ks))
-            ]
-        d, v = self.rj.d, self.rj.v
-        pq = p - q
-        c_s_r = pq * (d * pq + q)
-        c_is_r = q * (d * pq + q)
-        c_s_f = -pq * (d * pq + q * v)
-        c_is_f = -q * (2.0 * d * pq + q * v)
-        c_i2_f = -q * q * d
-        dd = d * d
-        s_f, is_f, i2_f = self.at_f
-        s_r, is_r = self.at_r
+    def _five_terms(self, c_s_f, c_is_f, c_i2_f, c_s_r, c_is_r, year_one=None):
+        """The arithmetic kernel: each year's fsum of five terms, over d^2.
+
+        The terms are c_s_f L_f, c_is_f I_f, c_i2_f Q_f, c_s_r g^k L_r and c_is_r g^k I_r, where
+        L, I, Q are at_f's or at_r's values and g = 1+j; year_one, if given, is year 1's value.
+        """
+        g, dd = self.spec.mu, self.rj.d * self.rj.d
+        (s_f, is_f, i2_f), (s_r, is_r) = self.at_f, self.at_r
         return lambda ks: [
-            0.0 if k == 1 else math.fsum([c_s_r * gk * s_r[k], c_is_r * gk * is_r[k],
-                                          c_s_f * s_f[k], c_is_f * is_f[k], c_i2_f * i2_f[k]]) / dd
+            math.fsum([c_s_f * s_f[k], c_is_f * is_f[k], c_i2_f * i2_f[k],
+                       c_s_r * gk * s_r[k], c_is_r * gk * is_r[k]]) / dd
+            if k > 1 or year_one is None else year_one
             for k, gk in zip(ks, [g**k for k in ks])
+        ]
+
+    def _quotient_terms(self, a, b, year_one=None):
+        """The geometric kernel: (a g^(k+1) S_r - b S_f) / (g - q) at each year k, g = 1+j.
+
+        S_r and S_f are the sums geometric_r and geometric_f.  year_one, if
+        given, is year 1's value, and then year 1 alone reads no accumulator.
+        """
+        at_r, at_f, g = self.geometric_r, self.geometric_f, self.spec.mu
+        g_q = g - self.plan.q
+        return lambda ks: [year_one] if year_one is not None and ks == range(1, 2) else [
+            (a * g ** (k + 1) * s_r - b * s_f) / g_q if k > 1 or year_one is None else year_one
+            for k, s_r, s_f in zip(ks, at_r(ks), at_f(ks))
         ]
 
     def mean_squared(self, ks) -> list:
@@ -508,7 +495,7 @@ class _ClosedForms:
         if singular(aux.t):
             return self._band(GrowthMoments)
         self.aux = aux
-        self.rt, self.rh, self.rw = map(fixed_rate, (aux.t, aux.h, aux.w))
+        self.rt, self.rh, self.rw = (_derived_rate(self.spec, x, aux) for x in ("t", "h", "w"))
         mean = self.column("growth_mean")
         return list(map(GrowthMoments, mean, self.column("growth_variance", mean)))
 
@@ -567,7 +554,7 @@ class _ClosedForms:
         g, ell, r, f = self.spec.mu, self.spec.ell, self.spec.r, self.spec.f
         a, lead = self.plan.n - 1.0 / self.spec.j, ell / (self.rj.d * self.rj.d)
         grown = [(g ** (2 * k), g**k) for k in ks]
-        (l_l,), (l_r, i_r), (l_f, i_f, q_f) = self._table(ell, ks, 1), self.at_r, self.at_f
+        (l_l,), (l_r, i_r), (l_f, i_f, q_f) = self._table(self.rl, ks, 1), self.at_r, self.at_f
         terms = [
             [lead * a * a * g2 * l_l[k] / (1.0 + ell),
              -2.0 * lead * a * a * g1 * l_r[k] / (1.0 + r), lead * a * a * l_f[k] / (1.0 + f),

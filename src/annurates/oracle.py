@@ -609,22 +609,22 @@ def compare(analytic: MomentSeries, oracle) -> OracleReport:
 
     Enumeration results must match to relative 1e-9; Monte Carlo means must
     sit within |z| <= 4 and variances within 1 +/- 6 relative standard
-    errors.  The oracle horizon must equal the analytic horizon.
+    errors.  The oracle horizon must equal the analytic horizon, and each
+    oracle must be an EnumerationResult or a SimulationResult.
     """
     results = oracle if isinstance(oracle, (list, tuple)) else [oracle]
     comparisons: list[MomentComparison] = []
     for result in results:
+        if not isinstance(result, (EnumerationResult, SimulationResult)):
+            raise DomainError(f"unsupported oracle result type {type(result)!r}")
         if result.horizon != analytic.horizon:
             raise ShapeMismatchError(
                 f"oracle horizon {result.horizon} does not match analytic "
                 f"horizon {analytic.horizon}"
             )
-        if isinstance(result, EnumerationResult):
-            comparisons.extend(_compare_enumeration(analytic, result))
-        elif isinstance(result, SimulationResult):
-            comparisons.extend(_compare_simulation(analytic, result))
-        else:
-            raise DomainError(f"unsupported oracle result type {type(result)!r}")
+        enumerated = isinstance(result, EnumerationResult)
+        judge = _compare_enumeration if enumerated else _compare_simulation
+        comparisons.extend(judge(analytic, result))
     return OracleReport(
         comparisons=tuple(comparisons),
         passed=all(c.passed for c in comparisons),

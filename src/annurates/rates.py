@@ -82,6 +82,20 @@ def fixed_rate(j: float) -> FixedRate:
     return FixedRate(j=j, d=j / (1.0 + j), v=1.0 / (1.0 + j))
 
 
+def _derived_rate(spec: StochasticRateSpec, name: str, aux=None) -> FixedRate:
+    """spec's derived rate name (f, r or ell), or a GeometricAux aux's (t, h or w), as a FixedRate.
+
+    Valid j, s2 and u can round it out of (-1, inf); that raises
+    NumericalFailureError naming the rate, j, s2 and u, not a DomainError.
+    """
+    value = getattr(spec if aux is None else aux, name)
+    if not (math.isfinite(value) and value > -1.0):
+        u = "" if aux is None else f", u = {aux.u!r}"
+        raise NumericalFailureError(f"derived rate {name} = {value!r} is outside (-1, inf) "
+                                    f"at j = {spec.j!r}, s2 = {spec.s2!r}{u}")
+    return fixed_rate(value)
+
+
 def stochastic_rate(j: float, s2: float) -> StochasticRateSpec:
     """Build a StochasticRateSpec from mean rate j > -1 and variance s2 >= 0."""
     j = float(j)

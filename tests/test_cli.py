@@ -401,6 +401,18 @@ class TestErrorHandling:
         assert cause in proc.stderr
         assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
 
+    def test_derived_rate_out_of_domain_is_numerical_failure(self, capsys):
+        # f = (1+j)^2 - 1 rounds to -1: this exited 2, as invalid input
+        args = "moments --family arithmetic --p 2 --q 0.5 --n 5 --j -0.9999999999999999 --s2 0"
+        assert cli.main(args.split()) == cli.EXIT_NUMERICAL
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "numerical failure: derived rate f = -1.0 is outside (-1, inf) "
+            "at j = -0.9999999999999999, s2 = 0.0\n"
+        )
+        assert cli.main([*args.split(), "--method", "recursive"]) == cli.EXIT_OK
+
 
 class TestConfigFile:
     def test_config_supplies_values(self, tmp_path):

@@ -526,6 +526,10 @@ class TestValidation:
         with pytest.raises(DomainError):
             decreasing_due(3, 4, R10)
 
+    def test_decreasing_needs_a_positive_n(self):
+        with pytest.raises(DomainError, match="^n must be at least 1, got 0$"):
+            decreasing_due(0, 0, 0.05)
+
     def test_strict_positivity(self):
         with pytest.raises(PaymentPositivityError):
             arithmetic_due(1.0, -1.0, 5, R10)

@@ -19,6 +19,7 @@ import oracles
 from annurates import fixed, moments
 from annurates import (
     DomainError,
+    FormulaAuditError,
     NumericalFailureError,
     PaymentPlan,
     PaymentPositivityError,
@@ -633,6 +634,88 @@ class TestSpecializedFamilies:
             assert all(map(math.isfinite, fields)), fields
 
 
+def _perturb_last_square(monkeypatch):
+    """Scale the squared-increasing value at kmax of every table _ClosedForms reads by 1+1e-6."""
+    sum_tables = moments._sum_tables
+
+    def perturbed(rate, kmax, columns=3, rows=None):
+        tables = sum_tables(rate, kmax, columns, rows)
+        if columns == 3:
+            tables[2][kmax] *= 1.0 + 1e-6
+        return tables
+
+    monkeypatch.setattr(moments, "_sum_tables", perturbed)
+
+
+class TestFormulaAudit:
+    """A closed form that drifts from its reference path raises FormulaAuditError."""
+
+    @pytest.mark.parametrize(
+        "call, label",
+        [
+            (lambda: second_moment_diagonal(PaymentPlan.increasing(10), SPEC, 10), "diagonal part"),
+            (lambda: increasing_moments(SPEC, 10), "increasing second moment"),
+        ],
+        ids=["diagonal", "increasing"],
+    )
+    def test_a_perturbed_table_entry_fails_the_audit(self, monkeypatch, call, label):
+        # the diagonal part's offset form reads Q at year k-1 only, and the
+        # increasing second moment is checked against the recursion's
+        call()  # unperturbed, it passes the audit
+        _perturb_last_square(monkeypatch)
+        with pytest.raises(FormulaAuditError, match=f"^{label} disagrees with the reference path: "):
+            call()
+
+
+# j = -1 + 2^-53 and j = -1 + 1e-10 round m = (1+j)^2 + s2 to within 2^-53 of 0,
+# so f = m - 1 rounds to -1; s2 = 1e300 overflows s2/(1+j) to inf, while the
+# tables at f still fit at year 1
+_TINY_MU = stochastic_rate(-1.0 + 2.0**-53, 0.0)
+_NEAR_POLE = stochastic_rate(-1.0 + 1e-10, 0.0)
+_HUGE_S2 = stochastic_rate(-1.0 + 1e-10, 1e300)
+
+
+class TestDerivedRates:
+    """A derived rate that rounds out of (-1, inf) at a valid j and s2 is a numerical failure."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (
+                lambda: second_moment_closed(PaymentPlan.arithmetic(2.0, 0.5, 30), _TINY_MU, 5),
+                "derived rate f = -1.0 is outside (-1, inf) at j = -0.9999999999999999, s2 = 0.0",
+            ),
+            (
+                lambda: level_moments(_NEAR_POLE, 3),
+                "derived rate f = -1.0 is outside (-1, inf) at j = -0.9999999999, s2 = 0.0",
+            ),
+            (
+                # h = m/(1+u)^2 - 1 rounds to -1
+                lambda: growth_moments(_NEAR_POLE, geometric_aux(_NEAR_POLE, 1.0), 3),
+                "derived rate h = -1.0 is outside (-1, inf) at j = -0.9999999999, s2 = 0.0, u = 1.0",
+            ),
+            (
+                lambda: second_moment_closed(PaymentPlan.increasing(3), _HUGE_S2, 1),
+                "derived rate r = inf is outside (-1, inf) at j = -0.9999999999, s2 = 1e+300",
+            ),
+            (
+                lambda: decreasing_moments(_HUGE_S2, 3, 3),
+                "derived rate ell = inf is outside (-1, inf) at j = -0.9999999999, s2 = 1e+300",
+            ),
+        ],
+        ids=["second-moment-f", "level-f", "growth-h", "second-moment-r", "decreasing-ell"],
+    )
+    def test_names_the_rate_and_the_inputs(self, call, message):
+        # each raised fixed_rate's DomainError, which names no input
+        with pytest.raises(NumericalFailureError, match=f"^{re.escape(message)}$"):
+            call()
+
+    def test_quantities_that_read_no_derived_rate_keep_their_values(self):
+        plan = PaymentPlan.arithmetic(2.0, 0.5, 30)
+        assert mean_closed(plan, _TINY_MU, 5) == 4.440892098500627e-16
+        assert moment_series(plan, _TINY_MU, "recursive").second_moment_at(5) == 1.97215226305253e-31
+
+
 class TestPaymentPlan:
     def test_payment_schedules(self):
         arith = PaymentPlan.arithmetic(2.0, 3.0, 4)
@@ -658,6 +741,15 @@ class TestPaymentPlan:
     def test_rejects_unknown_family(self):
         with pytest.raises(DomainError):
             PaymentPlan(family="fibonacci", p=1.0, q=1.0, n=3)
+
+    @pytest.mark.parametrize("family", ["arithmetic", "geometric"])
+    @pytest.mark.parametrize("strict", [True, False])
+    @pytest.mark.parametrize(
+        "p, q", [(math.inf, 1.0), (-math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (1.0, math.nan)]
+    )
+    def test_rejects_non_finite_payment_parameters(self, family, strict, p, q):
+        with pytest.raises(DomainError, match="^payment parameters must be finite$"):
+            PaymentPlan(family=family, p=p, q=q, n=3, strict=strict)
 
     def test_growth_plan_is_geometric(self):
         plan = PaymentPlan.growth(0.07, 6)

@@ -204,6 +204,11 @@ class TestRateDistribution:
         # lognormal support is all of 1+i > 0 regardless of s2
         RateDistribution.lognormal(0.1, 1.44)
 
+    def test_lognormal_lowest_rate(self):
+        # 1 + i is positive with support down to 0, unless it is degenerate at 1+j
+        assert RateDistribution.lognormal(0.05, 0.01).lowest_rate() == -1.0
+        assert RateDistribution.lognormal(0.05, 0.0).lowest_rate() == 0.05
+
     def test_rejects_unknown_kind(self):
         with pytest.raises(DomainError):
             RateDistribution(kind="triangular", j=0.1, s2=0.01)
@@ -515,6 +520,43 @@ class TestCompare:
         )
         report = compare(corrupted, enumerate_series(PLAN, SPEC, 10))
         assert not report.passed
+
+    def test_zero_rate_variance_judges_the_mean_by_the_enumeration_tolerance(self):
+        # every path is the same, so the standard error is at most roundoff
+        # and no z-score is formed
+        analytic = moment_series(PLAN, stochastic_rate(0.05, 0.0), "closed")
+        sim = simulate(PLAN, RateDistribution.two_point(0.05, 0.0), SimConfig(paths=1000, seed=1), 10)
+        report = compare(analytic, sim)
+        assert report.passed
+        for c in report.comparisons:
+            assert c.mean_se <= 1e-15
+            assert (c.mean_z, c.var_ratio, c.var_se_rel) == (0.0, 1.0, 0.0)
+        shifted = MomentSeries(
+            plan=analytic.plan,
+            spec=analytic.spec,
+            method=analytic.method,
+            mean=analytic.mean * (1.0 + 2.0 * ENUM_REL_TOL),
+            second_moment=analytic.second_moment,
+            variance=analytic.variance,
+            diagonal=analytic.diagonal,
+            cross=analytic.cross,
+        )
+        assert not any(c.passed for c in compare(shifted, sim).comparisons)
+
+    def test_positive_simulated_variance_against_a_zero_analytic_variance_fails(self):
+        analytic = moment_series(PLAN, stochastic_rate(0.1, 0.0), "closed")
+        sim = simulate(PLAN, RateDistribution.uniform(0.1, 0.04), SimConfig(paths=2000, seed=5), 10)
+        report = compare(analytic, sim)
+        assert not report.passed
+        for c in report.comparisons:
+            assert (c.var_ratio, c.var_se_rel, c.passed) == (inf, inf, False)
+
+    @pytest.mark.parametrize("oracle_result", [object(), [object()]], ids=["alone", "in-a-list"])
+    def test_rejects_an_unsupported_oracle(self, oracle_result):
+        # an object without a horizon raised AttributeError
+        analytic = moment_series(PLAN, SPEC, "recursive")
+        with pytest.raises(DomainError, match="^unsupported oracle result type <class 'object'>$"):
+            compare(analytic, oracle_result)
 
     def test_horizon_mismatch(self):
         analytic = moment_series(PaymentPlan.increasing(8), SPEC, "recursive")

@@ -1,6 +1,7 @@
 """Rate containers: derived quantities and input validation."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,7 @@ from annurates import (
 )
 from annurates.identities import _fixed_tables
 from annurates.moments import _ClosedForms
-from annurates.rates import geometric_singular, singular
+from annurates.rates import _derived_rate, geometric_singular, singular
 
 # j at the center and on both sides of both edges of the band |j| < 1e-9
 BAND_J = (0.0, 0.999e-9, -0.999e-9, 1.001e-9, -1.001e-9)
@@ -172,6 +173,36 @@ class TestGeometricAux:
         assert 1.0 + aux.w == pytest.approx(
             (1.0 + spec.f) / (gj * gj * (1.0 + aux.t)), rel=1e-12
         )
+
+
+class TestDerivedRate:
+    def test_valid_rates_are_their_fixed_rates(self):
+        spec = stochastic_rate(0.05, 0.01)
+        aux = geometric_aux(spec, 0.03)
+        for name in ("f", "r", "ell"):
+            assert _derived_rate(spec, name) == fixed_rate(getattr(spec, name))
+        for name in ("t", "h", "w"):
+            assert _derived_rate(spec, name, aux) == fixed_rate(getattr(aux, name))
+
+    @pytest.mark.parametrize(
+        "j, u, name, value",
+        [
+            # (1+u)/(1+j) overflows t to inf; h and w divide m by inf
+            (-1.0 + 1e-10, 1e300, "t", "inf"),
+            (-1.0 + 1e-10, 1e300, "h", "-1.0"),
+            (-1.0 + 1e-10, 1e300, "w", "-1.0"),
+            # m and (1+u)^2 both overflow, and h = inf/inf - 1
+            (1e200, 1e200, "h", "nan"),
+        ],
+    )
+    def test_out_of_domain_is_a_numerical_failure(self, j, u, name, value):
+        spec = stochastic_rate(j, 0.0)
+        message = (
+            f"derived rate {name} = {value} is outside (-1, inf) "
+            f"at j = {spec.j!r}, s2 = 0.0, u = {float(u)!r}"
+        )
+        with pytest.raises(NumericalFailureError, match=f"^{re.escape(message)}$"):
+            _derived_rate(spec, name, geometric_aux(spec, u))
 
 
 class TestSingularBands:
