@@ -22,9 +22,10 @@ prefix sums rounded once; inside the singular band, and for a geometric plan
 with p = 0, every closed moment but the mean is the row of one recursion
 pass.  The closed mean is the fixed accumulator at j for every plan.  Each
 closed quantity is a kernel (_ClosedForms) that evaluates a whole column of
-years in one pass; the specialized families (level, increasing, decreasing
-and growth payments) are kernels of it too, with moment_series' tables,
-failing-year rule, settlement and recursion pass.  A moment that leaves
+years in one pass.  The increasing family, as in the paper, is the closed
+series of the arithmetic plan at p = q = 1; level, decreasing and growth
+payments are kernels of their own, with moment_series' tables, failing-year
+rule, settlement and recursion pass.  A moment that leaves
 double range raises NumericalFailureError: naming the largest horizon that
 fits, from the accumulators or fixed._sum_tables; the year whose payment
 leaves it; or, where a closed formula itself leaves it, the quantity and
@@ -284,10 +285,11 @@ class _ClosedForms:
     Off the bands, second and cross share a kernel: _five_terms for an
     arithmetic plan, _quotient_terms for a geometric one.  The mean is
     arithmetic_due or geometric_due at j, in every band too (the arithmetic
-    band route is the moment recursion's mean step).  level, increasing,
-    decreasing and growth give a specialized family's moments from kernels of
-    their own.  moment_series and the specialization suite take ks = 1..n and
-    a per-year function ks = k..k, both through column: they agree bit for bit.
+    band route is the moment recursion's mean step).  level, decreasing and
+    growth give a specialized family's moments from kernels of their own;
+    increasing gives the series of its plan, PaymentPlan.increasing.
+    moment_series and the specialization suite take ks = 1..n and a per-year
+    function ks = k..k, both through column: they agree bit for bit.
     """
 
     def __init__(self, plan: PaymentPlan, spec: StochasticRateSpec, kmax: int, first: int = 1):
@@ -427,10 +429,9 @@ class _ClosedForms:
         return _settle_variance(candidates, _variances(self.ref, ks))
 
     # what each kernel computes, for the error that names it, where the name
-    # does not say; the increasing cross part is guarded as the second moment
+    # does not say
     _QUANTITY = dict(mean="mean", second="second moment", diagonal="diagonal part",
-                     cross="cross part", mean_squared="squared mean", variance="variance",
-                     increasing_cross="increasing second moment")
+                     cross="cross part", mean_squared="squared mean", variance="variance")
 
     def column(self, name: str, *rows) -> list:
         """The kernel name over ks, passed those years' entries of rows, checked once.
@@ -467,9 +468,11 @@ class _ClosedForms:
         return (mean, second, self.column("variance", mean, second), *rest)[:parts]
 
     # The specialized families over ks of their plans level(n), increasing(n),
-    # decreasing(n) and growth(u, n): a NamedTuple a year, the recursion's rows
-    # inside the family's band.  Each kernel reads its powers and tables in the
-    # order its terms are written, which decides the error an overflow raises.
+    # decreasing(n) and growth(u, n): a NamedTuple a year.  The increasing
+    # family is series' five columns; the others are the recursion's rows
+    # inside the family's band, and elsewhere each kernel reads its powers and
+    # tables in the order its terms are written, which decides the error an
+    # overflow raises.
 
     def level(self) -> list:
         if self.singular:
@@ -478,11 +481,7 @@ class _ClosedForms:
         return list(map(LevelMoments, mean, self.column("level_variance", mean)))
 
     def increasing(self) -> list:
-        if self.singular:
-            return self._band(IncreasingMoments)
-        mean, diagonal = self.column("mean"), [self.at_f[2][k] for k in self.ks]
-        cross, second = self.column("increasing_cross"), self.column("increasing_second_moment")
-        variance = self.column("increasing_variance", mean)
+        mean, second, variance, diagonal, cross = self.series()
         return list(map(IncreasingMoments, mean, diagonal, cross, second, variance))
 
     def decreasing(self) -> list:
@@ -500,17 +499,14 @@ class _ClosedForms:
         return list(map(GrowthMoments, mean, self.column("growth_variance", mean)))
 
     def _band(self, moments: type) -> list:
-        """A family's moments over ks from the recursion, its second moment diagonal + 2 cross."""
-        rows, ref = slice(self.ks.start - 1, self.kmax), self.ref
-        variance = _variances(ref, self.ks)
-        if moments is not IncreasingMoments:
-            return list(map(moments, ref.mean[rows], variance))
-        diagonal, cross = ref.diagonal[rows], ref.cross[rows]
-        second = [d + 2.0 * c for d, c in zip(diagonal, cross)]
-        return list(map(IncreasingMoments, ref.mean[rows], diagonal, cross, second, variance))
+        """A family's mean and variance over ks from the recursion."""
+        rows = slice(self.ks.start - 1, self.kmax)
+        return list(map(moments, self.ref.mean[rows], _variances(self.ref, self.ks)))
 
     def _settled(self, label: str, ks, terms: list) -> list:
-        """Each year's variance fsum(terms), audited and settled against the recursion's."""
+        """Each year's variance: 0.0 at s2 = 0, else fsum(terms) audited and settled."""
+        if self.spec.s2 == 0.0:
+            return [0.0] * len(ks)
         values = list(map(math.fsum, terms))
         references = _variances(self.ref, ks)
         for value, reference, year in zip(values, references, terms):
@@ -524,31 +520,6 @@ class _ClosedForms:
         terms = [[x * l_r[k] / j, -(2.0 + j) * l_f[k] / j, -m * m]
                  for k, x, m in zip(ks, grown, mean)]
         return self._settled("level variance", ks, terms)
-
-    def _increasing(self, ks) -> list:
-        """(cross part, second moment's terms) at each year of ks."""
-        j, g = self.spec.j, self.spec.mu
-        (_, i_f, q_f), i_r, jj = self.at_f, self.at_r[1], j * j
-        return [
-            # the exact cross part at year 1 is 0, as cross gives it
-            (0.0 if k == 1 else math.fsum([gk * i_r[k], -g * i_f[k], -j * g * q_f[k]]) / jj,
-             [2.0 * gk * i_r[k] / jj, -2.0 * g * i_f[k] / jj, -(2.0 + j) * q_f[k] / j])
-            for k, gk in zip(ks, [g ** (k + 2) for k in ks])
-        ]
-
-    def increasing_cross(self, ks) -> list:
-        return [cross for cross, _ in self._increasing(ks)]
-
-    def increasing_second_moment(self, ks) -> list:
-        values = []
-        for k, (_, terms) in zip(ks, self._increasing(ks)):
-            values.append(math.fsum(terms))
-            _audit("increasing second moment", values[-1], self.ref.second[k - 1], terms)
-        return values
-
-    def increasing_variance(self, ks, mean) -> list:
-        terms = [terms + [-x * x] for (_, terms), x in zip(self._increasing(ks), mean)]
-        return self._settled("increasing variance", ks, terms)
 
     def decreasing_variance(self, ks) -> list:
         g, ell, r, f = self.spec.mu, self.spec.ell, self.spec.r, self.spec.f
@@ -705,7 +676,7 @@ def level_moments(spec: StochasticRateSpec, k) -> LevelMoments:
 
 
 def increasing_moments(spec: StochasticRateSpec, k) -> IncreasingMoments:
-    """Moments of the increasing annuity-due paying 1, 2, ..., k; variance = m_k - mean^2."""
+    """Year k of moment_series(PaymentPlan.increasing(k), spec, "closed"): payments 1, ..., k."""
     k = check_int(k, "k", 0)
     if k == 0:
         return IncreasingMoments(0.0, 0.0, 0.0, 0.0, 0.0)

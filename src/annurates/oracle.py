@@ -160,10 +160,10 @@ class RateDistribution:
             for _ in range(k):
                 for rng, row in zip(rngs, out):
                     rng.random(out=row)
-                # mu + hw * (2 r - 1), in place
-                out *= 2.0
-                out -= 1.0
-                out *= hw
+                # mu + hw * (2 r - 1), in place: r - 0.5 and 2 hw are exact, so
+                # their product rounds the same real as hw * (2 r - 1)
+                out -= 0.5
+                out *= 2.0 * hw
                 out += mu
                 yield out
         else:
@@ -580,14 +580,17 @@ def _compare_simulation(
     out = []
     for k, a_mean, o_mean, a_var, o_var in _years(analytic, oracle):
         se = oracle.se_mean[k - 1]
-        if se > 1e-15:
-            z = (o_mean - a_mean) / se
-            mean_ok = abs(z) <= MEAN_Z_LIMIT
-        else:
+        # a spread this small is the roundoff of the central sums, which grows
+        # with the mean, not a sampled one
+        zero_spread = se <= 1e-15 * max(1.0, abs(a_mean))
+        if zero_spread:
             # degenerate spread: demand near-exact agreement
             z = 0.0
             mean_ok = _rel_dev(a_mean, o_mean) <= ENUM_REL_TOL
-        if a_var <= 1e-12 and o_var <= 1e-12:
+        else:
+            z = (o_mean - a_mean) / se
+            mean_ok = abs(z) <= MEAN_Z_LIMIT
+        if a_var <= 1e-12 and o_var <= 1e-12 or a_var == 0.0 and zero_spread:
             ratio, se_rel, var_ok = 1.0, 0.0, True
         elif a_var > 0.0:
             ratio = o_var / a_var

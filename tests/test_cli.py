@@ -207,6 +207,18 @@ class TestVerifyCommand:
         assert proc.returncode == 0, proc.stderr
         assert "80 comparisons, 0 failed" in proc.stderr
 
+    @pytest.mark.parametrize("payment", ["1000000", "1000000000"])
+    def test_large_payments_at_zero_rate_variance_pass(self, payment):
+        # every path is the same, but the merged central sums keep roundoff
+        # that grows with the payments: judged against an absolute 1e-15,
+        # 9 of the 40 comparisons at 1e6 failed
+        proc = run_cli(
+            "verify", "--family", "arithmetic", "--p", payment, "--q", payment, "--n", "10",
+            "--j", "0.05", "--s2", "0", "--paths", "20000", "--seed", "1",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "40 comparisons, 0 failed" in proc.stderr
+
     @pytest.mark.parametrize(
         "args, cause",
         [

@@ -555,8 +555,10 @@ class TestSpecializedFamilies:
         "call, message",
         [
             (
+                # every field fits: the second moment, 6.5e305, sums its terms
+                # before one division by d^2; here, its exact value
                 lambda: increasing_moments(stochastic_rate(14.306583842752229, 0.0), 129),
-                "closed increasing second moment leaves double range at year 129",
+                oracles.moment_recursion(range(1, 130), 14.306583842752229, 0.0)[1][-1],
             ),
             (
                 lambda: level_moments(stochastic_rate(14.306583842752229, 0.01), 300),
@@ -578,8 +580,33 @@ class TestSpecializedFamilies:
     )
     def test_overflow_names_the_first_quantity_to_leave_double_range(self, call, message):
         # the mean comes first, then each term in the order it is written
+        if isinstance(message, Fraction):
+            # no quantity leaves double range
+            second = Fraction(call().second_moment)
+            assert abs(second - message) <= Fraction(1e-14) * message
+            return
         with pytest.raises(NumericalFailureError, match=f"^{re.escape(message)}$"):
             call()
+
+    @pytest.mark.parametrize("j", [0.0, 1e-10, 1e-3, 0.05, -0.3])
+    @pytest.mark.parametrize("s2", [0.0, 0.0025, 0.04])
+    def test_increasing_is_the_closed_series_of_its_plan(self, j, s2):
+        # the moments command prints that series for --family increasing
+        spec, n = stochastic_rate(j, s2), 30
+        series = moment_series(PaymentPlan.increasing(n), spec, "closed")
+        for k in (1, 2, 7, n):
+            got = increasing_moments(spec, k)
+            columns = (series.mean, series.diagonal, series.cross, series.second_moment,
+                       series.variance)
+            want = [float(column[k - 1]) for column in columns]
+            assert list(map(float.hex, got)) == list(map(float.hex, want)), k
+
+    def test_a_variance_that_cancels_at_zero_rate_variance_is_zero(self):
+        # the closed growth variance cancelled to -8.9e24 where the recursion's
+        # is exactly 0, and its audit raised FormulaAuditError
+        spec = stochastic_rate(-0.9955542931099941, 0.0)
+        got = growth_moments(spec, geometric_aux(spec, 1.0099323678873517), 68)
+        assert got == moments.GrowthMoments(mean=9.163454923042747e+17, variance=0.0)
 
     @pytest.mark.parametrize("j", [0.0, 1e-10, 0.05])
     @pytest.mark.parametrize("s2", [0.0, 1e-6, 0.04])
@@ -654,13 +681,13 @@ class TestFormulaAudit:
         "call, label",
         [
             (lambda: second_moment_diagonal(PaymentPlan.increasing(10), SPEC, 10), "diagonal part"),
-            (lambda: increasing_moments(SPEC, 10), "increasing second moment"),
+            (lambda: increasing_moments(SPEC, 10), "diagonal part"),
         ],
         ids=["diagonal", "increasing"],
     )
     def test_a_perturbed_table_entry_fails_the_audit(self, monkeypatch, call, label):
         # the diagonal part's offset form reads Q at year k-1 only, and the
-        # increasing second moment is checked against the recursion's
+        # increasing family reads the same diagonal part
         call()  # unperturbed, it passes the audit
         _perturb_last_square(monkeypatch)
         with pytest.raises(FormulaAuditError, match=f"^{label} disagrees with the reference path: "):

@@ -543,6 +543,29 @@ class TestCompare:
         )
         assert not any(c.passed for c in compare(shifted, sim).comparisons)
 
+    @pytest.mark.parametrize("payment", [1e6, 1e9])
+    def test_zero_rate_variance_judges_roundoff_relative_to_the_mean(self, payment):
+        # the merged central sums keep roundoff that grows with the payments,
+        # so the standard error and the simulated variance are not 0
+        plan = PaymentPlan.arithmetic(payment, payment, 10)
+        analytic = moment_series(plan, stochastic_rate(0.05, 0.0), "closed")
+        config = SimConfig(paths=20_000, seed=1)
+        sims = [simulate(plan, RateDistribution(kind, 0.05, 0.0), config, 10) for kind in oracle._KINDS]
+        report = compare(analytic, sims)
+        assert report.passed
+        assert max(c.mean_se for c in report.comparisons) > 1e-15
+        shifted = MomentSeries(
+            plan=analytic.plan,
+            spec=analytic.spec,
+            method=analytic.method,
+            mean=analytic.mean * (1.0 + 1e-6),
+            second_moment=analytic.second_moment,
+            variance=analytic.variance,
+            diagonal=analytic.diagonal,
+            cross=analytic.cross,
+        )
+        assert not any(c.passed for c in compare(shifted, sims).comparisons)
+
     def test_positive_simulated_variance_against_a_zero_analytic_variance_fails(self):
         analytic = moment_series(PLAN, stochastic_rate(0.1, 0.0), "closed")
         sim = simulate(PLAN, RateDistribution.uniform(0.1, 0.04), SimConfig(paths=2000, seed=5), 10)
