@@ -2,9 +2,11 @@
 
 Four subcommands share one configuration pipeline: built-in defaults are
 overridden by a key=value --config file, which is overridden by explicit
-flags.  Tables and reports go to stdout (or --out FILE); diagnostics go to
-stderr.  Exit codes: 0 success, 1 verification or identity failure,
-2 invalid input, 3 numerical failure.
+flags.  Flags spelled `--name value` are read through the option schema;
+argparse builds the help and the usage errors (which raise SystemExit) and
+parses every other spelling.  Tables and reports go to stdout (or --out
+FILE); diagnostics go to stderr.  Exit codes: 0 success, 1 verification or
+identity failure, 2 invalid input, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -265,13 +267,13 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
-def _merge_config(command: str, ns: argparse.Namespace) -> dict:
-    """defaults <- config file <- explicit flags, then check requiredness."""
+def _merge_config(command: str, flags: dict) -> dict:
+    """defaults <- config file <- flags (None where unset), then check requiredness."""
     schema = {opt.name: opt for opt in _SCHEMAS[command]}
     merged = {name: opt.default for name, opt in schema.items()}
     provided = set()
-    if ns.config is not None:
-        for key, text in _read_config_file(ns.config).items():
+    if flags["config"] is not None:
+        for key, text in _read_config_file(flags["config"]).items():
             if key not in schema:
                 raise _ConfigError(f"unknown config key {key!r} for {command!r}")
             try:
@@ -280,7 +282,7 @@ def _merge_config(command: str, ns: argparse.Namespace) -> dict:
                 raise _ConfigError(f"config key {key!r}: {exc}") from exc
             provided.add(key)
     for name in schema:
-        value = getattr(ns, name)
+        value = flags[name]
         if value is not None:
             merged[name] = value
             provided.add(name)
@@ -332,6 +334,48 @@ def _build_parser() -> argparse.ArgumentParser:
                 kwargs["metavar"] = opt.metavar
             cmd_parser.add_argument(f"--{opt.name}", type=opt.convert, **kwargs)
     return parser
+
+
+@functools.cache
+def _flag_spellings(command: str) -> tuple:
+    """For _reader: command's flags unset, its valued spellings and its bare ones."""
+    valued = {"--config": ("config", str)}
+    bare = {}
+    for opt in _SCHEMAS[command]:
+        if opt.convert is _parse_bool:
+            bare.update({f"--{opt.name}": {opt.name: True}, f"--no-{opt.name}": {opt.name: False}})
+        else:
+            valued[f"--{opt.name}"] = (opt.name, opt.convert)
+    return dict.fromkeys(["config", *(opt.name for opt in _SCHEMAS[command])]), valued, bare
+
+
+def _reader(command, tokens) -> dict | None:
+    """argv [command, *tokens] as flags read through the option schema, or None.
+
+    Reads exact `--name value` pairs and bare `--strict` / `--no-strict`, the
+    last occurrence winning.  Any other spelling, a value beginning with '-'
+    (so every negative number) or one that fails to convert returns None,
+    and argparse parses that argv: help, abbreviations, `--name=value`, `--`.
+    """
+    if type(command) is not str or command not in _SCHEMAS:
+        return None
+    unset, valued, bare = _flag_spellings(command)
+    flags, tokens = dict(unset), iter(tokens)
+    for token in tokens:
+        if type(token) is not str:
+            return None
+        if token in bare:
+            flags.update(bare[token])
+            continue
+        name, convert = valued.get(token, (None, None))
+        text = next(tokens, None)
+        if name is None or type(text) is not str or text.startswith("-"):
+            return None
+        try:
+            flags[name] = convert(text)
+        except (TypeError, ValueError):
+            return None
+    return flags
 
 
 # ---------------------------------------------------------------------------
@@ -642,9 +686,13 @@ _COMMANDS = {
 
 
 def _run(argv) -> int:
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
-    return _COMMANDS[ns.command](_merge_config(ns.command, ns))
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv else None
+    flags = _reader(command, argv[1:])
+    if flags is None:
+        ns = _build_parser().parse_args(argv)
+        command, flags = ns.command, vars(ns)
+    return _COMMANDS[command](_merge_config(command, flags))
 
 
 def main(argv=None) -> int:

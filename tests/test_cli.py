@@ -1,5 +1,6 @@
 """Command-line checks, most run through real subprocesses, and the table renderer."""
 
+import contextlib
 import csv
 import io
 import json
@@ -486,6 +487,14 @@ class TestRepeatedCallsInProcess:
             ["moments", "--config", str(config), "--s2", "0.01", "--output", "csv"],
             ["verify", "--family", "level", "--n", "4", "--j", "0.05", "--s2", "0.01",
              "--paths", "2000", "--seed", "3", "--output", "csv"],
+            # spellings the schema reader leaves to argparse, next to ones it reads
+            ["moments", "--fam", "level", "--n", "5", "--j", "0.05", "--s2", "0.01"],
+            ["fixed", "--j", "0.05", "--n=5"],
+            ["moments", "--family", "arithmetic", "--p", "1", "--q", "-0.1", "--n", "5",
+             "--j", "0.05", "--s2", "0.01", "--no-strict"],
+            ["fixed", "--j", "0.05", "--n", "6", "--family", "arithmetic", "--q", "0.5",
+             "--no-strict", "--strict", "--no-strict"],
+            ["fixed", "--j", "0.05", "--n", "x"],
             table,
         ]
         for argv in calls:
@@ -497,6 +506,58 @@ class TestRepeatedCallsInProcess:
             fresh = run_cli(*argv, env={**os.environ, "COLUMNS": "80"})
             assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
         assert code == 0 and out.startswith("k,level,")
+
+
+_FLAG_VALUES = st.one_of(
+    st.sampled_from([
+        "1", "0.05", "5", "2e4", "-0.5", "-1e-3", "-.5", "-", "", "1e400", "nan", "level",
+        "arithmetic", "closed", "both", "json", "two-point", "x", "level,increasing",
+        "all decreasing",
+    ]),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(min_value=-5, max_value=500).map(str),
+)
+
+
+@st.composite
+def command_lines(draw):
+    """argv over one command's flags, in the spellings the reader takes and those it defers."""
+    command = draw(st.sampled_from(sorted(cli._SCHEMAS)))
+    names = [opt.name for opt in cli._SCHEMAS[command]] + ["config"]
+    argv = [command]
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        name, value = draw(st.sampled_from(names)), draw(_FLAG_VALUES)
+        spelling = draw(st.sampled_from(
+            ["pair", "pair", "pair", "equals", "abbreviated", "help", "separator", "bare"]
+        ))
+        argv += {
+            "pair": [f"--{name}", value],
+            "equals": [f"--{name}={value}"],
+            "abbreviated": [f"--{name[:max(1, len(name) - 2)]}", value],
+            "help": [draw(st.sampled_from(["-h", "--help"]))],
+            "separator": ["--", value],
+            "bare": [draw(st.sampled_from(["--strict", "--no-strict"]))],
+        }[spelling]
+    if draw(st.integers(min_value=0, max_value=4)) == 0:
+        argv.append(f"--{draw(st.sampled_from(names))}")  # a missing trailing value
+    return argv
+
+
+class TestFlagReader:
+    """The option-schema flag reader against argparse, which parses whatever it defers."""
+
+    @given(command_lines())
+    @settings(max_examples=1000, deadline=None)
+    def test_reader_agrees_with_argparse(self, argv):
+        flags = cli._reader(argv[0], argv[1:])
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                parsed = vars(cli._build_parser().parse_args(argv))
+        except SystemExit:
+            assert flags is None, argv
+            return
+        del parsed["command"]
+        assert flags is None or flags == parsed, argv
 
 
 class TestNumpyFreePath:

@@ -260,6 +260,7 @@ fewer, nor when a zero Monte Carlo spread began to be judged relative to
 the analytic mean.
 """
 
+import argparse
 import hashlib
 import math
 import random
@@ -349,6 +350,19 @@ def test_golden_output(command, digest, code, capsys):
     assert main(command.split()) == code
     stdout = capsys.readouterr().out
     assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == digest
+
+
+def test_golden_commands_are_read_without_argparse(capsys, monkeypatch):
+    """Each golden command's flags go through the option schema alone."""
+
+    def refuse(self, args=None, namespace=None):
+        raise AssertionError(f"argparse parsed {args!r}")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", refuse)
+    for command, digest, code in GOLDEN:
+        assert main(command.split()) == code, command
+        stdout = capsys.readouterr().out
+        assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == digest, command
 
 
 def _line(name, fn, *args):
