@@ -21,11 +21,11 @@ forms read their annuity values at f and r from fixed._sum_tables, exact
 prefix sums rounded once; inside the singular band, and for a geometric plan
 with p = 0, every closed moment but the mean is the row of one recursion
 pass.  The closed mean is the fixed accumulator at j for every plan.  Each
-closed quantity is a kernel (_ClosedForms) that evaluates a whole column of
-years in one pass.  The increasing family, as in the paper, is the closed
-series of the arithmetic plan at p = q = 1; level, decreasing and growth
-payments are kernels of their own, with moment_series' tables, failing-year
-rule, settlement and recursion pass.  A moment that leaves
+closed quantity is a kernel, a method of _ClosedForms that maps a range of
+years to their values in one pass.  The increasing family, as in the paper,
+is the closed series of the arithmetic plan at p = q = 1; level, decreasing
+and growth payments are kernels of their own, with moment_series' tables,
+failing-year rule, settlement and recursion pass.  A moment that leaves
 double range raises NumericalFailureError: naming the largest horizon that
 fits, from the accumulators or fixed._sum_tables; the year whose payment
 leaves it; or, where a closed formula itself leaves it, the quantity and
@@ -268,20 +268,17 @@ def variance_series(plan: PaymentPlan, spec: StochasticRateSpec) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _rows(column: tuple):
-    """ks -> column[k-1] for each k of ks, a kernel that reads a table indexed by year - 1."""
-    return lambda ks: [column[k - 1] for k in ks]
-
-
 class _ClosedForms:
     """The closed forms of one plan and rate at the years ks = first..kmax.
 
-    Each of mean, second, diagonal and cross is a kernel, built on first use,
-    that maps a range of years to its values in one pass, with the route,
-    accumulators, coefficients (left-associated prefixes of the written
-    products, so each term rounds as written) and tables (rows of
-    fixed._sum_tables that ks reads, or of the recursion pass every closed
-    variance is settled against) settled once; mean_squared squares the mean.
+    Every kernel is a method name(ks, *rows) that maps a range of years ks to
+    their values in one pass.  Before any year's value it reads what it needs
+    of the accumulators and tables, each built on first read: due_at_j, at_f
+    and at_r (fixed._sum_tables rows), geometric_r and geometric_f, and ref
+    (the recursion pass every closed variance is settled against), in that
+    order, which decides the error a call raises.  Its coefficients
+    (left-associated prefixes of the written products, so each term rounds
+    as written) are computed once per call.
     Off the bands, second and cross share a kernel: _five_terms for an
     arithmetic plan, _quotient_terms for a geometric one.  The mean is
     arithmetic_due or geometric_due at j, in every band too (the arithmetic
@@ -341,56 +338,53 @@ class _ClosedForms:
         return cache(_geometric(p * p, q * q, self.rf, "auto", False))
 
     @cached_property
-    def mean(self):
+    def due_at_j(self):
+        # kept, so column's years alone extend one band recursion pass, not rerun it
         build = _geometric if self.plan.family == "geometric" else _arithmetic
         return build(self.plan.p, self.plan.q, self.rj, "auto", False)
 
-    @cached_property
-    def second(self):
+    def mean(self, ks) -> list:
+        return self.due_at_j(ks)
+
+    def second(self, ks) -> list:
         if self.singular:
-            return _rows(self.ref.second)
+            return list(self.ref.second[ks.start - 1 : ks.stop - 1])
         p, q = self.plan.p, self.plan.q
         if self.plan.family == "geometric":
-            return self._quotient_terms(2.0 * p, q + self.spec.mu)
+            return self._quotient_terms(ks, 2.0 * p, q + self.spec.mu)
         d, v, pq = self.rj.d, self.rj.v, p - q
-        return self._five_terms(
-            (q - p) * (d * pq * (1.0 + v) + 2.0 * q * v), -2.0 * q * (d * pq * (1.0 + v) + q * v),
-            -d * q * q * (1.0 + v), 2.0 * pq * (d * pq + q), 2.0 * q * (d * pq + q))
+        return self._five_terms(ks, (q - p) * (d * pq * (1.0 + v) + 2.0 * q * v),
+                                -2.0 * q * (d * pq * (1.0 + v) + q * v), -d * q * q * (1.0 + v),
+                                2.0 * pq * (d * pq + q), 2.0 * q * (d * pq + q))
 
-    @cached_property
-    def diagonal(self):
+    def diagonal(self, ks) -> list:
         if self.plan.family == "geometric":
-            return self.geometric_f
+            return self.geometric_f(ks)
         p, q = self.plan.p, self.plan.q
         # sum-mode annuity values are accurate to an ulp at any rate, which
         # the cancellation-prone brackets below need
         s_f, is_f, i2_f = self.at_f
         c_s, c_is, c_i2 = (p - q) ** 2, 2.0 * q * (p - q), q * q
         o_s, o_is = p * p, 2.0 * p * q
+        values = []
+        for k in ks:
+            terms = [c_s * s_f[k], c_is * is_f[k], c_i2 * i2_f[k]]
+            offset = [o_s * s_f[k], o_is * is_f[k - 1], c_i2 * i2_f[k - 1]]
+            values.append(math.fsum(terms))
+            _audit("diagonal part", values[-1], math.fsum(offset), terms + offset)
+        return values
 
-        def diagonal(ks):
-            values = []
-            for k in ks:
-                terms = [c_s * s_f[k], c_is * is_f[k], c_i2 * i2_f[k]]
-                offset = [o_s * s_f[k], o_is * is_f[k - 1], c_i2 * i2_f[k - 1]]
-                values.append(math.fsum(terms))
-                _audit("diagonal part", values[-1], math.fsum(offset), terms + offset)
-            return values
-
-        return diagonal
-
-    @cached_property
-    def cross(self):
+    def cross(self, ks) -> list:
         if self.singular:
-            return _rows(self.ref.cross)
+            return list(self.ref.cross[ks.start - 1 : ks.stop - 1])
         p, q = self.plan.p, self.plan.q
         if self.plan.family == "geometric":
-            return self._quotient_terms(p, self.spec.mu, 0.0)
+            return self._quotient_terms(ks, p, self.spec.mu, 0.0)
         d, v, pq = self.rj.d, self.rj.v, p - q
-        return self._five_terms(-pq * (d * pq + q * v), -q * (2.0 * d * pq + q * v), -q * q * d,
-                                pq * (d * pq + q), q * (d * pq + q), 0.0)
+        return self._five_terms(ks, -pq * (d * pq + q * v), -q * (2.0 * d * pq + q * v),
+                                -q * q * d, pq * (d * pq + q), q * (d * pq + q), 0.0)
 
-    def _five_terms(self, c_s_f, c_is_f, c_i2_f, c_s_r, c_is_r, year_one=None):
+    def _five_terms(self, ks, c_s_f, c_is_f, c_i2_f, c_s_r, c_is_r, year_one=None) -> list:
         """The arithmetic kernel: each year's fsum of five terms, over d^2.
 
         The terms are c_s_f L_f, c_is_f I_f, c_i2_f Q_f, c_s_r g^k L_r and c_is_r g^k I_r, where
@@ -398,22 +392,25 @@ class _ClosedForms:
         """
         g, dd = self.spec.mu, self.rj.d * self.rj.d
         (s_f, is_f, i2_f), (s_r, is_r) = self.at_f, self.at_r
-        return lambda ks: [
+        return [
             math.fsum([c_s_f * s_f[k], c_is_f * is_f[k], c_i2_f * i2_f[k],
                        c_s_r * gk * s_r[k], c_is_r * gk * is_r[k]]) / dd
             if k > 1 or year_one is None else year_one
             for k, gk in zip(ks, [g**k for k in ks])
         ]
 
-    def _quotient_terms(self, a, b, year_one=None):
+    def _quotient_terms(self, ks, a, b, year_one=None) -> list:
         """The geometric kernel: (a g^(k+1) S_r - b S_f) / (g - q) at each year k, g = 1+j.
 
-        S_r and S_f are the sums geometric_r and geometric_f.  year_one, if
-        given, is year 1's value, and then year 1 alone reads no accumulator.
+        S_r and S_f are the sums geometric_r and geometric_f, read first, so
+        a derived rate out of range raises at year 1 too.  year_one, if given,
+        is year 1's value, and then year 1 alone reads no accumulator.
         """
         at_r, at_f, g = self.geometric_r, self.geometric_f, self.spec.mu
+        if year_one is not None and ks == range(1, 2):
+            return [year_one]
         g_q = g - self.plan.q
-        return lambda ks: [year_one] if year_one is not None and ks == range(1, 2) else [
+        return [
             (a * g ** (k + 1) * s_r - b * s_f) / g_q if k > 1 or year_one is None else year_one
             for k, s_r, s_f in zip(ks, at_r(ks), at_f(ks))
         ]
@@ -434,14 +431,15 @@ class _ClosedForms:
                      cross="cross part", mean_squared="squared mean", variance="variance")
 
     def column(self, name: str, *rows) -> list:
-        """The kernel name over ks, passed those years' entries of rows, checked once.
+        """The kernel method name over ks, passed those years' entries of rows, checked once.
 
         Else the years run alone, in order, until one raises or is not finite:
         its error passes through, but an OverflowError or ValueError, like an
         inf or NaN value, raises NumericalFailureError naming that year.
         """
+        kernel = getattr(self, name)
         try:
-            values = getattr(self, name)(self.ks, *rows)
+            values = kernel(self.ks, *rows)
             if all(map(math.isfinite, values)):
                 return values
         except (ArithmeticError, ValueError):  # the years alone decide which error
@@ -449,8 +447,7 @@ class _ClosedForms:
         values = []
         for i, k in enumerate(self.ks):
             try:
-                # looked up here, since building a kernel may leave double range
-                values += getattr(self, name)(range(k, k + 1), *(row[i : i + 1] for row in rows))
+                values += kernel(range(k, k + 1), *(row[i : i + 1] for row in rows))
             except DomainError:
                 raise
             except (OverflowError, ValueError):

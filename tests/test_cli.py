@@ -346,6 +346,22 @@ class TestErrorHandling:
         assert proc.returncode == 2
 
     @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("--family", "level", "--n", "3"), "missing required value --j"),
+            (("--family", "level", "--p", "1", "--n", "3", "--j", "0.1"),
+             "--p does not apply to family 'level'"),
+            (("--family", "growth", "--n", "3", "--j", "0.1"), "family 'growth' requires --u"),
+        ],
+        ids=["missing-j", "p-for-level", "growth-without-u"],
+    )
+    def test_plan_options_are_checked(self, args, message):
+        proc = run_cli("moments", *args)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
         "args, cause",
         [
             (
@@ -446,6 +462,40 @@ class TestConfigFile:
     def test_missing_config_file(self, tmp_path):
         proc = run_cli("fixed", "--config", str(tmp_path / "absent.cfg"))
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("family = level\nn 3\n", "{cfg}:2: expected key=value, got 'n 3'"),
+            ("family = level\nn = 3\nj = 0.1\ncolour = red\n",
+             "unknown config key 'colour' for 'moments'"),
+            ("family = level\nn = 3\nj = 0.1\nstrict = maybe\n",
+             "config key 'strict': expected true/false, got 'maybe'"),
+        ],
+        ids=["no-equals", "unknown-key", "not-a-bool"],
+    )
+    def test_invalid_config_line(self, tmp_path, text, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        proc = run_cli("moments", "--config", str(cfg))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: {message.format(cfg=cfg)}\n"
+
+    def test_config_turns_strict_mode_off(self, tmp_path):
+        args = ("moments", "--family", "arithmetic", "--p", "1", "--q", "-0.5", "--n", "5",
+                "--j", "0.05")
+        proc = run_cli(*args)
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            "error: arithmetic payments must stay positive in strict mode "
+            "(p=1.0, q=-0.5, n=5); pass strict=False to override\n"
+        )
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("strict = no\n")
+        proc = run_cli(*args, "--config", str(cfg))
+        assert proc.returncode == 0
+        assert len(csv_rows(proc.stdout)[1]) == 5
 
 
 class TestOutputFile:

@@ -157,15 +157,21 @@ class TestFixedKernels:
         assert decreasing_due(n, k, j, "recursive") == mean
 
     @given(
+        st.data(),
         st.sampled_from(["arithmetic", "geometric"]),
-        st.floats(min_value=-0.5, max_value=1.0),
+        st.one_of(st.floats(min_value=-0.5, max_value=1.0), rates),
         st.sampled_from([0.0, 1e-12, 1e-6, 0.04, 0.5]),
-        st.floats(min_value=0.1, max_value=5.0),
-        st.floats(min_value=-0.5, max_value=2.0),
+        st.one_of(st.floats(min_value=0.1, max_value=5.0), st.just(0.0)),
         st.integers(min_value=1, max_value=40),
     )
-    @settings(max_examples=150, deadline=None)
-    def test_series_entries_are_the_per_year_values(self, family, j, s2, p, q, n):
+    @settings(max_examples=300, deadline=None)
+    def test_series_entries_are_the_per_year_values(self, data, family, j, s2, p, n):
+        # the band edges of j, and ratios in and around the geometric band
+        # at 1+j, reach the recursion rows as well as the closed terms
+        if data.draw(st.booleans()):
+            q = ratio(data, 1.0 + j)
+        else:
+            q = data.draw(st.floats(min_value=-0.5, max_value=2.0))
         plan = PaymentPlan(family=family, p=p, q=q, n=n, strict=False)
         spec = stochastic_rate(j, s2)
         try:

@@ -729,8 +729,15 @@ class TestDerivedRates:
                 lambda: decreasing_moments(_HUGE_S2, 3, 3),
                 "derived rate ell = inf is outside (-1, inf) at j = -0.9999999999, s2 = 1e+300",
             ),
+            (
+                # year 1's cross part is 0.0 without a table, but its
+                # accumulators at r and f are built first
+                lambda: second_moment_cross(PaymentPlan.geometric(1.0, 1.5, 3), _TINY_MU, 1),
+                "derived rate f = -1.0 is outside (-1, inf) at j = -0.9999999999999999, s2 = 0.0",
+            ),
         ],
-        ids=["second-moment-f", "level-f", "growth-h", "second-moment-r", "decreasing-ell"],
+        ids=["second-moment-f", "level-f", "growth-h", "second-moment-r", "decreasing-ell",
+             "cross-year-one-f"],
     )
     def test_names_the_rate_and_the_inputs(self, call, message):
         # each raised fixed_rate's DomainError, which names no input
