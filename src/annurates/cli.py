@@ -23,14 +23,7 @@ from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
 from .errors import DomainError, NumericalFailureError
-from .fixed import (
-    _arithmetic,
-    _decreasing,
-    _geometric,
-    _increasing,
-    _increasing_squared,
-    _level,
-)
+from .fixed import _arithmetic, _geometric, _increasing_squared
 from .identities import _dev, run_identity_suites
 from .moments import (
     PaymentPlan,
@@ -546,10 +539,10 @@ def _build_plan(cfg: dict) -> PaymentPlan:
 def _fixed_kernels(rate, n: int, p: float, q_arith: float, q_geom: float, strict: bool) -> dict:
     """Each column's accumulator in mode "auto", built once per table, as a function of years."""
     return {
-        "level": _level(rate, "auto"),
-        "increasing": _increasing(rate, "auto"),
+        "level": _arithmetic(1.0, 0.0, rate, "auto", False),
+        "increasing": _arithmetic(1.0, 1.0, rate, "auto", False),
         "increasing_sq": _increasing_squared(rate, "auto"),
-        "decreasing": _decreasing(n, rate, "auto"),
+        "decreasing": _arithmetic(n, -1.0, rate, "auto", False),
         "arithmetic": _arithmetic(p, q_arith, rate, "auto", strict),
         "geometric": _geometric(p, q_geom, rate, "auto", strict),
     }

@@ -12,14 +12,14 @@ raises NumericalFailureError naming the largest horizon that fits.
 _sum_tables gives the summation values of the level, increasing and
 squared-increasing annuities for every k up to a horizon in one pass.
 
-Each accumulator is written once, as a builder (_level, _increasing,
-_increasing_squared, _decreasing, _arithmetic, _geometric): it states its
-closed form, its payments and its strict-payment rule, with the k-free
-factors hoisted, and hands them to _annuity, the one place a mode is routed.
-_geometric passes band=False, the only way it differs from the other five.
-The result is the accumulator over the years ks as one column, checked once;
-the public function calls it at (k,), a table or moment series over all its
-years.
+Each accumulator is written once, as a builder (_arithmetic,
+_increasing_squared, _geometric) that states its closed form, its payments and
+its strict-payment rule, k-free factors hoisted, for _annuity, the one place a
+mode is routed.  The level, increasing and decreasing annuities are
+_arithmetic at (p, q) = (1, 0), (1, 1) and (n, -1).  _geometric passes
+band=False, the only way it differs from the other two.  The result is the
+accumulator over the years ks as one column, checked once, which the public
+function calls at (k,) and a table or moment series over all its years.
 """
 
 from __future__ import annotations
@@ -43,6 +43,14 @@ def _as_rate(rate) -> FixedRate:
     if isinstance(rate, FixedRate):
         return rate
     return fixed_rate(rate)
+
+
+def _real(x) -> float:
+    """float(x), or the infinity of x's sign for an int beyond double range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
 
 
 def _route(mode: str, singular: bool, allowed=_MODES):
@@ -302,35 +310,20 @@ def _annuity(rate, mode: str, closed, payments, allowed=_MODES, check=None, band
     return _guarded(path, values, rate, mode, check)
 
 
-def _level(rate: FixedRate, mode: str):
-    """level_due at rate in mode, as a function of the years ks."""
-    return _annuity(rate, mode, lambda ks: _level_closed(ks, rate), lambda h: [1.0] * h)
-
-
 def level_due(k, rate, mode: str = "auto") -> float:
-    """Accumulated value of k unit payments.
+    """Accumulated value of k unit payments: arithmetic_due at (p, q) = (1, 0).
 
-    Closed form ((1+j)^k - 1)/d with d = j/(1+j); recursion
-    value_k = (1+j)(1 + value_{k-1}).
+    Closed form ((1+j)^k - 1)/d, d = j/(1+j); recursion value_k = (1+j)(1 + value_{k-1}).
     """
-    rate = _as_rate(rate)
-    return _level(rate, mode)((check_int(k, "k", 0),))[0]
-
-
-def _increasing(rate: FixedRate, mode: str):
-    """increasing_due at rate in mode, as a function of the years ks."""
-    d = rate.d
-    closed = lambda ks: [(s - h) / d for h, s in zip(ks, _level_closed(ks, rate))]
-    return _annuity(rate, mode, closed, lambda h: range(1, h + 1))
+    return _arithmetic(1.0, 0.0, _as_rate(rate), mode, False)((check_int(k, "k", 0),))[0]
 
 
 def increasing_due(k, rate, mode: str = "auto") -> float:
-    """Accumulated value of payments 1, 2, ..., k.
+    """Accumulated value of payments 1, 2, ..., k: arithmetic_due at (p, q) = (1, 1).
 
     Closed form (level - k)/d; recursion value_k = (1+j)(k + value_{k-1}).
     """
-    rate = _as_rate(rate)
-    return _increasing(rate, mode)((check_int(k, "k", 0),))[0]
+    return _arithmetic(1.0, 1.0, _as_rate(rate), mode, False)((check_int(k, "k", 0),))[0]
 
 
 def _increasing_squared(rate: FixedRate, mode: str):
@@ -359,43 +352,35 @@ def increasing_squared_due(k, rate, mode: str = "auto") -> float:
     return _increasing_squared(rate, mode)((check_int(k, "k", 0),))[0]
 
 
-def _decreasing(n: int, rate: FixedRate, mode: str):
-    """decreasing_due with n payments at rate in mode, as a function of the years ks <= n."""
-    d = rate.d
-    closed = lambda ks: [(n + 1) * s - (s - h) / d for h, s in zip(ks, _level_closed(ks, rate))]
-    return _annuity(rate, mode, closed, lambda h: [n - i for i in range(h)])
-
-
 def decreasing_due(n, k, rate, mode: str = "auto") -> float:
-    """Accumulated value after k years of payments n, n-1, ..., n-k+1.
+    """Accumulated value after k years of payments n, n-1, ..., n-k+1, for 0 <= k <= n.
 
-    Requires 0 <= k <= n.  Closed form (n+1)*level - increasing; recursion
-    value_k = (1+j)(value_{k-1} + n - k + 1).
+    arithmetic_due at (p, q) = (n, -1), paying float(n) - i as PaymentPlan.decreasing(n)
+    does, so an n past 2^53 that is not a double pays as its nearest double.  Closed
+    form (n+1)*level - increasing; recursion value_k = (1+j)(value_{k-1} + n - k + 1).
     """
     rate = _as_rate(rate)
-    n = check_int(n, "n", 1)
-    k = check_int(k, "k", 0)
+    n, k = check_int(n, "n", 1), check_int(k, "k", 0)
     if k > n:
         raise DomainError(f"k must not exceed n, got k={k}, n={n}")
-    return _decreasing(n, rate, mode)((k,))[0]
+    return _arithmetic(n, -1.0, rate, mode, False)((k,))[0]
 
 
 def _arithmetic(p, q, rate: FixedRate, mode: str, strict: bool):
     """arithmetic_due at rate in mode, as a function of the years ks."""
-    p = float(p)
-    q = float(q)
+    p, q = _real(p), _real(q)
 
     def closed(ks):
-        # (p-q)*level + q*increasing, increasing = (level - h)/d.  c*x is a zero
-        # with c's sign for any finite x > 0, so a term whose coefficient c is
-        # zero is c itself, not 0*inf = NaN once its annuity value leaves double
-        # range; where both are zero no annuity value is read at all
-        d = rate.d
-        levels = _level_closed(ks, rate) if p != q or q else itertools.repeat(0.0)
-        return [
-            ((p - q) * s if p != q else p - q) + (q * ((s - h) / d) if q else q)
-            for h, s in zip(ks, levels)
-        ]
+        # (p-q)*level + q*increasing, increasing = (level - h)/d.  A term whose
+        # coefficient c is zero is c itself, which c*x also is at any finite x >= 0,
+        # not 0*inf = NaN past double range; where both are zero no level is read
+        a, d = p - q, rate.d
+        rows = zip(ks, _level_closed(ks, rate) if p != q or q else itertools.repeat(0.0))
+        if p == q and q:
+            return [a + q * ((s - h) / d) for h, s in rows]
+        if not q:
+            return [a * s + q for _, s in rows]
+        return [a * s + q * ((s - h) / d) for h, s in rows]
 
     check = functools.partial(_check_arithmetic, p, q) if strict else None
     return _annuity(rate, mode, closed, lambda h: [p + i * q for i in range(h)], check=check)
@@ -414,8 +399,7 @@ def arithmetic_due(p, q, k, rate, mode: str = "auto", strict: bool = True) -> fl
 
 def _geometric(p, q, rate: FixedRate, mode: str, strict: bool):
     """geometric_due at rate in mode, as a function of the years ks."""
-    p = float(p)
-    q = float(q)
+    p, q = _real(p), _real(q)
     g = 1.0 + rate.j
     pg = p * g
 

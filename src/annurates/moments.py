@@ -58,7 +58,7 @@ from .fixed import (
     _check_arithmetic,
     _check_geometric,
     _geometric,
-    _level,
+    _real,
     _sum_tables,
 )
 from .rates import (
@@ -102,8 +102,8 @@ class PaymentPlan:
         if self.family not in _FAMILIES:
             raise DomainError(f"family must be one of {_FAMILIES}, got {self.family!r}")
         object.__setattr__(self, "n", check_int(self.n, "horizon n", 1))
-        object.__setattr__(self, "p", float(self.p))
-        object.__setattr__(self, "q", float(self.q))
+        object.__setattr__(self, "p", _real(self.p))
+        object.__setattr__(self, "q", _real(self.q))
         if not (math.isfinite(self.p) and math.isfinite(self.q)):
             raise DomainError("payment parameters must be finite")
         if self.strict:
@@ -153,7 +153,7 @@ class PaymentPlan:
     @classmethod
     def decreasing(cls, n) -> "PaymentPlan":
         """Payments n, n-1, ..., 1."""
-        return cls(family="arithmetic", p=float(n), q=-1.0, n=n)
+        return cls(family="arithmetic", p=n, q=-1.0, n=n)
 
     @classmethod
     def growth(cls, u, n) -> "PaymentPlan":
@@ -534,7 +534,8 @@ class _ClosedForms:
 
     def growth_mean(self, ks) -> list:
         grown = [self.spec.mu**k for k in ks]
-        return [x * s / (1.0 + self.aux.t) for x, s in zip(grown, _level(self.rt, "auto")(ks))]
+        level = _arithmetic(1.0, 0.0, self.rt, "auto", False)(ks)
+        return [x * s / (1.0 + self.aux.t) for x, s in zip(grown, level)]
 
     def growth_variance(self, ks, mean) -> list:
         aux, g = self.aux, self.spec.mu

@@ -504,6 +504,29 @@ class TestDoubleRange:
             value = fn(*args, mode, strict=False)
             assert value == 0.0 and math.copysign(1.0, value) == 1.0, mode
 
+    @pytest.mark.parametrize(
+        "fn, args, expected",
+        [
+            (arithmetic_due, (10**400, 0, 1, 0.05), (NumericalFailureError, "fits is 0$")),
+            # as for q = inf, whose last payment p + (k-1)q = 1 + 0*inf is NaN
+            (arithmetic_due, (1, 10**400, 1, 0.05), (PaymentPositivityError, r"q=inf, k=1\)")),
+            (arithmetic_due, (-(10**400), 0, 2, 0.05, "sum", False), (NumericalFailureError, "0$")),
+            (arithmetic_due, (-(10**400), 0, 2, 0.05, "recursive", False), -math.inf),
+            (geometric_due, (10**400, 1, 1, 0.05), (NumericalFailureError, "fits is 0$")),
+            (geometric_due, (1, 10**400, 2, 0.05, "recursive"), math.inf),
+            (decreasing_due, (10**400, 1, 0.05, "recursive"), math.inf),
+        ],
+        ids=["p", "q-strict", "p-sum", "p-recursive", "geometric-p", "geometric-q", "decreasing"],
+    )
+    def test_integer_payment_past_double_range_is_its_infinity(self, fn, args, expected):
+        # float() of such an int raised a raw OverflowError here; it now
+        # gives what a payment parameter of the same signed infinity gives
+        if isinstance(expected, tuple):
+            with pytest.raises(expected[0], match=expected[1]):
+                fn(*args)
+        else:
+            assert fn(*args) == expected
+
     def test_explicit_modes_are_unchecked(self):
         rate = fixed_rate(0.5)
         assert increasing_due(1800, rate, mode="recursive") == math.inf

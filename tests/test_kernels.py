@@ -1,14 +1,15 @@
 """Accumulators built once and called at many k, against the public functions.
 
-A builder in fixed (_level, ..., _arithmetic, _geometric) settles the mode,
-the route, the strict rule and every k-free factor once and returns the
+A builder in fixed (_arithmetic, _increasing_squared, _geometric) settles the
+mode, the route, the strict rule and every k-free factor once and returns the
 accumulator as a function of the years ks, evaluated as one column; the
-CLI's tables and the closed moment series call one such function over all
-their years, where a public function builds its own at one k.  These
-properties draw parameters over the whole domain, the edges of the singular
-bands and horizons past double range, and require each value to carry the
-public function's bits, or the call to raise exactly what the public
-function raises at the first year that fails.
+level, increasing and decreasing annuities are _arithmetic at (p, q) =
+(1, 0), (1, 1) and (n, -1).  The CLI's tables and the closed moment series
+call one such function over all their years, where a public function builds
+its own at one k.  These properties draw parameters over the whole domain,
+the edges of the singular bands and horizons past double range, and require
+each value to carry the public function's bits, or the call to raise exactly
+what the public function raises at the first year that fails.
 """
 
 import numpy as np
@@ -112,6 +113,28 @@ class TestFixedKernels:
             ks = range(max(1, k - 3), k + 1)
             expected = first_failure([outcome(public[name], h) for h in ks])
             assert column_outcome(kernel, ks) == expected, name
+
+    @given(
+        st.data(),
+        rates,
+        horizons,
+        st.sampled_from(["auto", "closed", "recursive", "sum", "relation", "invalid"]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_level_increasing_and_decreasing_are_arithmetic(self, data, j, k, mode):
+        # (p, q) = (1, 0), (1, 1) and (n, -1), in every mode and past double
+        # range; an n beyond 2^53 that is not a double pays as float(n)
+        rate = fixed_rate(j)
+        n = data.draw(
+            st.one_of(
+                st.integers(min_value=k, max_value=k + 3),
+                st.sampled_from([2**53 + 1, 2**53 + 3, 2**60 + 3]),
+            )
+        )
+        arithmetic = lambda p, q: outcome(arithmetic_due, p, q, k, rate, mode, False)
+        assert outcome(level_due, k, rate, mode) == arithmetic(1.0, 0.0)
+        assert outcome(increasing_due, k, rate, mode) == arithmetic(1.0, 1.0)
+        assert outcome(decreasing_due, n, k, rate, mode) == arithmetic(n, -1.0)
 
     @given(st.data(), rates, st.floats(min_value=0.0, max_value=1.0), payments, horizons)
     @settings(max_examples=300, deadline=None)

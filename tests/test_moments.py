@@ -785,6 +785,22 @@ class TestPaymentPlan:
         with pytest.raises(DomainError, match="^payment parameters must be finite$"):
             PaymentPlan(family=family, p=p, q=q, n=3, strict=strict)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: PaymentPlan.arithmetic(10**400, 0, 3),
+            lambda: PaymentPlan.arithmetic(1, -(10**400), 3, strict=False),
+            lambda: PaymentPlan.geometric(1, 10**400, 3),
+            lambda: PaymentPlan.decreasing(10**400),
+            lambda: decreasing_moments(SPEC, 10**400, 1),
+        ],
+        ids=["arithmetic-p", "arithmetic-q", "geometric-q", "decreasing", "decreasing-moments"],
+    )
+    def test_integer_payment_parameters_past_double_range_are_not_finite(self, make):
+        # float() of such an int raised a raw OverflowError here
+        with pytest.raises(DomainError, match="^payment parameters must be finite$"):
+            make()
+
     def test_growth_plan_is_geometric(self):
         plan = PaymentPlan.growth(0.07, 6)
         assert plan.family == "geometric"
