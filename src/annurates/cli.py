@@ -583,7 +583,7 @@ def cmd_moments(cfg: dict) -> int:
         closed = _ClosedForms(plan, spec, plan.n)
         columns = [range(1, plan.n + 1), *closed.series(parts=3)]
         # the recursion the closed variances are settled against, run once
-        other = _recursive_columns(closed.ref)[:3]
+        other = _recursive_columns(closed.ref, 3)
         header.append("max_discrepancy")
         rows = zip(zip(*columns[1:]), zip(*other))
         columns.append([max(map(_dev, row, ref)) for row, ref in rows])

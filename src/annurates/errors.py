@@ -24,7 +24,7 @@ class NumericalFailureError(ArithmeticError):
 
 
 class FormulaAuditError(NumericalFailureError):
-    """A specialized closed form disagrees with the general path beyond tolerance."""
+    """A closed form disagrees with another form of the same value beyond tolerance."""
 
 
 def check_int(value, name: str, low: int | None = None, high: int | None = None) -> int:

@@ -180,8 +180,11 @@ def _year(k: int, path, values, rate: FixedRate, explicit: bool, check) -> float
 
 
 def _check_arithmetic(p: float, q: float, n: int, name: str = "k") -> None:
-    """Strict mode's rule for the payments p, p+q, ..., p+(n-1)q, called name=n."""
-    if not p > 0.0 or not p + (n - 1) * q > 0.0:
+    """Strict mode's rule for the payments p, p+q, ..., p+(n-1)q, called name=n.
+
+    At n = 1 it reads p alone, which 0*q would turn into NaN at an infinite q.
+    """
+    if not p > 0.0 or (n > 1 and not p + (n - 1) * q > 0.0):
         raise PaymentPositivityError(
             f"arithmetic payments must stay positive in strict mode "
             f"(p={p}, q={q}, {name}={n}); pass strict=False to override"
@@ -383,7 +386,9 @@ def _arithmetic(p, q, rate: FixedRate, mode: str, strict: bool):
         return [a * s + q * ((s - h) / d) for h, s in rows]
 
     check = functools.partial(_check_arithmetic, p, q) if strict else None
-    return _annuity(rate, mode, closed, lambda h: [p + i * q for i in range(h)], check=check)
+    # p itself first: p + 0*q is NaN at an infinite q
+    return _annuity(rate, mode, closed, lambda h: [p] + [p + i * q for i in range(1, h)],
+                    check=check)
 
 
 def arithmetic_due(p, q, k, rate, mode: str = "auto", strict: bool = True) -> float:

@@ -24,7 +24,7 @@ from .fixed import (
     level_due,
 )
 from .moments import PaymentPlan, _ClosedForms, _recursive_columns, moment_series
-from .rates import fixed_rate, geometric_aux, singular, stochastic_rate
+from .rates import fixed_rate, singular, stochastic_rate
 
 FIXED_J_GRID = (-0.05, 0.0, 0.01, 0.05, 0.1, 0.25)
 FIXED_K_MAX = 40
@@ -269,13 +269,10 @@ def specialization_suite() -> list[IdentityResult]:
         families = [("level", PaymentPlan.level(k_max)),
                     ("increasing", PaymentPlan.increasing(k_max))]
         families += [("decreasing", PaymentPlan.decreasing(n)) for n in (5, 10, 30)]
-        families += [
-            ("growth", PaymentPlan.growth(u, k_max), geometric_aux(spec, u))
-            for u in (-0.02, 0.05, 0.1, 0.2)
-        ]
-        for family, plan, *aux in families:
+        families += [("growth", PaymentPlan.growth(u, k_max)) for u in (-0.02, 0.05, 0.1, 0.2)]
+        for family, plan in families:
             forms = _ClosedForms(plan, spec, plan.n)
-            years = getattr(forms, family)(*aux)
+            years = getattr(forms, family)()
             reference = dict(zip(("mean", "second_moment", "variance", "diagonal", "cross"),
                                  _recursive_columns(forms.ref)))
             for field, values in zip(years[0]._fields, zip(*years)):

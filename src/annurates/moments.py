@@ -10,11 +10,11 @@ driven by mu = 1+j and m = (1+j)^2 + s2.  The variance's own,
 var_k = m var_{k-1} + s2 (mu_{k-1} + c_k)^2, holds because i_k is
 independent of C_{k-1}, and adds only non-negative terms.  Those recursions
 are the reference path.  The closed forms evaluate the same quantities
-through deterministic annuity values at the derived rates f, r, ell and are
+through deterministic annuity values at the derived rates f and r and are
 cross-checked against the recursions.  A closed variance that drifts from
 the recursion's (the subtraction m_k - mu_k^2 can cancel) is silently
-replaced by it; _audit raises FormulaAuditError where a specialized family
-or the arithmetic diagonal part drifts from its reference.
+replaced by it; _audit raises FormulaAuditError where the arithmetic
+diagonal part's two forms drift apart.
 
 Both paths of moment_series run in time linear in n.  The arithmetic closed
 forms read their annuity values at f and r from fixed._sum_tables, exact
@@ -22,14 +22,15 @@ prefix sums rounded once; inside the singular band, and for a geometric plan
 with p = 0, every closed moment but the mean is the row of one recursion
 pass.  The closed mean is the fixed accumulator at j for every plan.  Each
 closed quantity is a kernel, a method of _ClosedForms that maps a range of
-years to their values in one pass.  The increasing family, as in the paper,
-is the closed series of the arithmetic plan at p = q = 1; level, decreasing
-and growth payments are kernels of their own, with moment_series' tables,
-failing-year rule, settlement and recursion pass.  A moment that leaves
-double range raises NumericalFailureError: naming the largest horizon that
-fits, from the accumulators or fixed._sum_tables; the year whose payment
-leaves it; or, where a closed formula itself leaves it, the quantity and
-the year.
+years to their values in one pass.  There is one closed path for every
+plan: as in the paper, the level, increasing and decreasing families are
+the closed series of the arithmetic plan at (p, q) = (1, 0), (1, 1) and
+(n, -1), and growth payments that of the geometric plan at (1, 1+u).  A
+moment that leaves double range raises NumericalFailureError: naming the
+largest horizon that fits, from the accumulators or fixed._sum_tables; the
+year whose payment leaves it; where a closed formula itself leaves it, the
+quantity and the year; or, for the recursion, the first column to leave it
+and the year.
 
 The second moment splits as m_k = diagonal + 2*cross, where the diagonal
 part collects the squared-payment terms c_i^2 m^{k-i+1} and the cross part
@@ -47,12 +48,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import (
-    DomainError,
-    FormulaAuditError,
-    NumericalFailureError,
-    check_int,
-)
+from .errors import DomainError, FormulaAuditError, NumericalFailureError, check_int
 from .fixed import (
     _arithmetic,
     _check_arithmetic,
@@ -212,6 +208,11 @@ class _Moments(NamedTuple):
     cross: tuple
 
 
+# what each column or kernel computes, for the error that names it
+_QUANTITY = dict(mean="mean", second="second moment", diagonal="diagonal part",
+                 cross="cross part", mean_squared="squared mean", variance="variance")
+
+
 def _recursion(plan: PaymentPlan, spec: StochasticRateSpec, k: int | None = None) -> _Moments:
     """One pass of the moment recursions over years 1..k (default n), k >= 1.
 
@@ -258,9 +259,9 @@ def second_moment_series(plan: PaymentPlan, spec: StochasticRateSpec) -> np.ndar
 
 
 def variance_series(plan: PaymentPlan, spec: StochasticRateSpec) -> np.ndarray:
-    """Variance for k = 1..n from its own recursion."""
+    """Variance for k = 1..n from its own recursion, once the mean and second moment are finite."""
     import numpy as np
-    return np.array(_variances(_recursion(plan, spec), range(1, plan.n + 1)))
+    return np.array(_recursive_columns(_recursion(plan, spec), 3)[2])
 
 
 # ---------------------------------------------------------------------------
@@ -282,11 +283,11 @@ class _ClosedForms:
     Off the bands, second and cross share a kernel: _five_terms for an
     arithmetic plan, _quotient_terms for a geometric one.  The mean is
     arithmetic_due or geometric_due at j, in every band too (the arithmetic
-    band route is the moment recursion's mean step).  level, decreasing and
-    growth give a specialized family's moments from kernels of their own;
-    increasing gives the series of its plan, PaymentPlan.increasing.
-    moment_series and the specialization suite take ks = 1..n and a per-year
-    function ks = k..k, both through column: they agree bit for bit.
+    band route is the moment recursion's mean step).  level, increasing,
+    decreasing and growth give a specialized family's moments from series,
+    the one closed path of every plan.  moment_series and the
+    specialization suite take ks = 1..n and a per-year function ks = k..k,
+    both through column: they agree bit for bit.
     """
 
     def __init__(self, plan: PaymentPlan, spec: StochasticRateSpec, kmax: int, first: int = 1):
@@ -302,10 +303,10 @@ class _ClosedForms:
                          if plan.family == "geometric" else singular(spec.j))
         self.rj = fixed_rate(spec.j)
 
-    # built when a kernel reads them: the growth family reads none, and where
-    # j nears -1 or s2 is huge, f, r or ell rounds out of the rate domain
-    rf, rr, rl = (cached_property(lambda self, name=name: _derived_rate(self.spec, name))
-                  for name in ("f", "r", "ell"))
+    # built when a kernel reads them: where j nears -1 or s2 is huge, f or r
+    # rounds out of the rate domain
+    rf, rr = (cached_property(lambda self, name=name: _derived_rate(self.spec, name))
+              for name in ("f", "r"))
 
     ref = cached_property(lambda self: _recursion(self.plan, self.spec, self.kmax))
 
@@ -425,11 +426,6 @@ class _ClosedForms:
         candidates = [m2 - x**2 for x, m2 in zip(mean, second)]
         return _settle_variance(candidates, _variances(self.ref, ks))
 
-    # what each kernel computes, for the error that names it, where the name
-    # does not say
-    _QUANTITY = dict(mean="mean", second="second moment", diagonal="diagonal part",
-                     cross="cross part", mean_squared="squared mean", variance="variance")
-
     def column(self, name: str, *rows) -> list:
         """The kernel method name over ks, passed those years' entries of rows, checked once.
 
@@ -453,8 +449,8 @@ class _ClosedForms:
             except (OverflowError, ValueError):
                 values.append(math.nan)
             if not math.isfinite(values[-1]):
-                quantity = self._QUANTITY.get(name, name.replace("_", " "))
-                raise NumericalFailureError(f"closed {quantity} leaves double range at year {k}")
+                raise NumericalFailureError(
+                    f"closed {_QUANTITY[name]} leaves double range at year {k}")
         return values
 
     def series(self, parts: int = 5) -> tuple:
@@ -465,87 +461,25 @@ class _ClosedForms:
         return (mean, second, self.column("variance", mean, second), *rest)[:parts]
 
     # The specialized families over ks of their plans level(n), increasing(n),
-    # decreasing(n) and growth(u, n): a NamedTuple a year.  The increasing
-    # family is series' five columns; the others are the recursion's rows
-    # inside the family's band, and elsewhere each kernel reads its powers and
-    # tables in the order its terms are written, which decides the error an
-    # overflow raises.
+    # decreasing(n) and growth(u, n), as in the paper: a NamedTuple a year,
+    # built from series' columns.
 
     def level(self) -> list:
-        if self.singular:
-            return self._band(LevelMoments)
-        mean = self.column("mean")
-        return list(map(LevelMoments, mean, self.column("level_variance", mean)))
+        return self._mean_variance(LevelMoments)
 
     def increasing(self) -> list:
         mean, second, variance, diagonal, cross = self.series()
         return list(map(IncreasingMoments, mean, diagonal, cross, second, variance))
 
     def decreasing(self) -> list:
-        # the ell-form needs j away from 0 and a genuinely random rate
-        if self.singular or self.spec.ell <= 0.0:
-            return self._band(DecreasingMoments)
-        return list(map(DecreasingMoments, self.column("mean"), self.column("decreasing_variance")))
+        return self._mean_variance(DecreasingMoments)
 
-    def growth(self, aux: GeometricAux) -> list:
-        if singular(aux.t):
-            return self._band(GrowthMoments)
-        self.aux = aux
-        self.rt, self.rh, self.rw = (_derived_rate(self.spec, x, aux) for x in ("t", "h", "w"))
-        mean = self.column("growth_mean")
-        return list(map(GrowthMoments, mean, self.column("growth_variance", mean)))
+    def growth(self) -> list:
+        return self._mean_variance(GrowthMoments)
 
-    def _band(self, moments: type) -> list:
-        """A family's mean and variance over ks from the recursion."""
-        rows = slice(self.ks.start - 1, self.kmax)
-        return list(map(moments, self.ref.mean[rows], _variances(self.ref, self.ks)))
-
-    def _settled(self, label: str, ks, terms: list) -> list:
-        """Each year's variance: 0.0 at s2 = 0, else fsum(terms) audited and settled."""
-        if self.spec.s2 == 0.0:
-            return [0.0] * len(ks)
-        values = list(map(math.fsum, terms))
-        references = _variances(self.ref, ks)
-        for value, reference, year in zip(values, references, terms):
-            _audit(label, value, reference, year)
-        return _settle_variance(values, references)
-
-    def level_variance(self, ks, mean) -> list:
-        j = self.spec.j
-        grown = [2.0 * self.spec.mu ** (k + 1) for k in ks]
-        (l_r,), (l_f,) = self._table(self.rr, ks, 1), self._table(self.rf, ks, 1)
-        terms = [[x * l_r[k] / j, -(2.0 + j) * l_f[k] / j, -m * m]
-                 for k, x, m in zip(ks, grown, mean)]
-        return self._settled("level variance", ks, terms)
-
-    def decreasing_variance(self, ks) -> list:
-        g, ell, r, f = self.spec.mu, self.spec.ell, self.spec.r, self.spec.f
-        a, lead = self.plan.n - 1.0 / self.spec.j, ell / (self.rj.d * self.rj.d)
-        grown = [(g ** (2 * k), g**k) for k in ks]
-        (l_l,), (l_r, i_r), (l_f, i_f, q_f) = self._table(self.rl, ks, 1), self.at_r, self.at_f
-        terms = [
-            [lead * a * a * g2 * l_l[k] / (1.0 + ell),
-             -2.0 * lead * a * a * g1 * l_r[k] / (1.0 + r), lead * a * a * l_f[k] / (1.0 + f),
-             2.0 * lead * a * g1 * i_r[k] / (1.0 + r), -2.0 * lead * a * i_f[k] / (1.0 + f),
-             lead * q_f[k] / (1.0 + f)]
-            for k, (g2, g1) in zip(ks, grown)
-        ]
-        return self._settled("decreasing variance", ks, terms)
-
-    def growth_mean(self, ks) -> list:
-        grown = [self.spec.mu**k for k in ks]
-        level = _arithmetic(1.0, 0.0, self.rt, "auto", False)(ks)
-        return [x * s / (1.0 + self.aux.t) for x, s in zip(grown, level)]
-
-    def growth_variance(self, ks, mean) -> list:
-        aux, g = self.aux, self.spec.mu
-        grown = [(1.0 + aux.u) ** (2 * k) * (2.0 + aux.t) for k in ks]
-        (l_h,) = self._table(self.rh, ks, 1)
-        deflated = [-2.0 * g ** (2 * k) * (1.0 + aux.t) ** k for k in ks]
-        (l_w,) = self._table(self.rw, ks, 1)
-        terms = [[x * l_h[k] / aux.t, y * l_w[k] / aux.t, -m * m]
-                 for k, x, y, m in zip(ks, grown, deflated, mean)]
-        return self._settled("growth variance", ks, terms)
+    def _mean_variance(self, moments: type) -> list:
+        mean, _, variance = self.series(3)
+        return list(map(moments, mean, variance))
 
 
 def _closed_at(plan: PaymentPlan, spec: StochasticRateSpec, k, name: str) -> float:
@@ -598,13 +532,21 @@ def _series_columns(plan: PaymentPlan, spec: StochasticRateSpec, method: str, pa
         raise DomainError(f"method must be 'recursive' or 'closed', got {method!r}")
     if method == "closed":
         return _ClosedForms(plan, spec, plan.n).series(parts)
-    return _recursive_columns(_recursion(plan, spec))[:parts]
+    return _recursive_columns(_recursion(plan, spec), parts)
 
 
-def _recursive_columns(ref: _Moments) -> tuple:
-    """_series_columns(..., "recursive") from one pass of the recursion."""
-    variance = _variances(ref, range(1, len(ref.mean) + 1))
-    return ref.mean, ref.second, variance, ref.diagonal, ref.cross
+def _recursive_columns(ref: _Moments, parts: int = 5) -> tuple:
+    """_series_columns(..., "recursive", parts) from one pass of the recursion.
+
+    Raises NumericalFailureError at the first year where a column it returns
+    is not finite, naming the first such column.
+    """
+    columns = ref[:parts]
+    if all(all(map(math.isfinite, column)) for column in columns):
+        return columns
+    k, name = next((k, name) for k, row in enumerate(zip(*columns), 1)
+                   for name, x in zip(ref._fields, row) if not math.isfinite(x))
+    raise NumericalFailureError(f"{_QUANTITY[name]} overflows double range at year {k}")
 
 
 def moment_series(
@@ -644,18 +586,18 @@ class GrowthMoments(NamedTuple):
     variance: float
 
 
-def _audit(label: str, specialized: float, reference: float, terms) -> None:
-    """Raise if a specialized closed form drifts from its reference path.
+def _audit(label: str, value: float, reference: float, terms) -> None:
+    """Raise if a closed form drifts from its reference, another form of the same value.
 
-    The allowance that the largest of terms, the specialized expression's
+    The allowance that the largest of terms, the two expressions'
     intermediate terms, buys covers cancellation roundoff with orders of
     magnitude to spare while staying far below any formula-level error.
     """
     tol = 1e-8 * max(1.0, abs(reference)) + 1e-11 * max(map(abs, terms))
-    if abs(specialized - reference) > tol:
+    if abs(value - reference) > tol:
         raise FormulaAuditError(
             f"{label} disagrees with the reference path: "
-            f"{specialized!r} vs {reference!r}"
+            f"{value!r} vs {reference!r}"
         )
 
 
@@ -666,7 +608,7 @@ def _settle_variance(candidates, references) -> list:
 
 
 def level_moments(spec: StochasticRateSpec, k) -> LevelMoments:
-    """Mean and variance of a level annuity-due of 1 per year; variance = m_k - mean^2."""
+    """Year k of moment_series(PaymentPlan.level(k), spec, "closed"): k payments of 1."""
     k = check_int(k, "k", 0)
     if k == 0:
         return LevelMoments(0.0, 0.0)
@@ -682,7 +624,7 @@ def increasing_moments(spec: StochasticRateSpec, k) -> IncreasingMoments:
 
 
 def decreasing_moments(spec: StochasticRateSpec, n, k) -> DecreasingMoments:
-    """Moments of the decreasing annuity-due paying n, n-1, ..., n-k+1."""
+    """Year k of moment_series(PaymentPlan.decreasing(n), spec, "closed"): n, ..., n-k+1."""
     n = check_int(n, "n", 1)
     k = check_int(k, "k", 0, n)
     if k == 0:
@@ -691,7 +633,10 @@ def decreasing_moments(spec: StochasticRateSpec, n, k) -> DecreasingMoments:
 
 
 def growth_moments(spec: StochasticRateSpec, aux: GeometricAux, k) -> GrowthMoments:
-    """Moments of the annuity-due with payments growing at rate u; variance = m_k - mean^2."""
+    """Year k of moment_series(PaymentPlan.growth(aux.u, k), spec, "closed"): payments (1+u)^i.
+
+    aux must be geometric_aux(spec, aux.u), else DomainError.
+    """
     k = check_int(k, "k", 0)
     expected = geometric_aux(spec, aux.u)
     for name in ("t", "h", "w"):
@@ -703,4 +648,4 @@ def growth_moments(spec: StochasticRateSpec, aux: GeometricAux, k) -> GrowthMome
             )
     if k == 0:
         return GrowthMoments(0.0, 0.0)
-    return _ClosedForms(PaymentPlan.growth(aux.u, k), spec, k, k).growth(aux)[0]
+    return _ClosedForms(PaymentPlan.growth(aux.u, k), spec, k, k).growth()[0]

@@ -10,6 +10,10 @@ closed-form accumulated-value formulas are evaluated at:
     r  = j + s2/(1+j)          cross rate, (1+j)(1+r) = 1+f
     ell = s2/(1+j)^2           relative variance, (1+j)^2(1+ell) = 1+f
 
+The closed forms read f and r alone.  ell, and GeometricAux's t, h and w
+for growth payments, stay public, and growth_moments checks its aux
+against geometric_aux, but no closed form reads them.
+
 The closed forms divide by d or j, or by 1+j-q for geometric payments, and
 give way to a recursion in a band around each pole: singular draws the band
 of d, geometric_singular that of the closed geometric moments, whose second
@@ -82,17 +86,16 @@ def fixed_rate(j: float) -> FixedRate:
     return FixedRate(j=j, d=j / (1.0 + j), v=1.0 / (1.0 + j))
 
 
-def _derived_rate(spec: StochasticRateSpec, name: str, aux=None) -> FixedRate:
-    """spec's derived rate name (f, r or ell), or a GeometricAux aux's (t, h or w), as a FixedRate.
+def _derived_rate(spec: StochasticRateSpec, name: str) -> FixedRate:
+    """spec's derived rate name (f or r) as a FixedRate.
 
-    Valid j, s2 and u can round it out of (-1, inf); that raises
-    NumericalFailureError naming the rate, j, s2 and u, not a DomainError.
+    Valid j and s2 can round it out of (-1, inf); that raises
+    NumericalFailureError naming the rate, j and s2, not a DomainError.
     """
-    value = getattr(spec if aux is None else aux, name)
+    value = getattr(spec, name)
     if not (math.isfinite(value) and value > -1.0):
-        u = "" if aux is None else f", u = {aux.u!r}"
         raise NumericalFailureError(f"derived rate {name} = {value!r} is outside (-1, inf) "
-                                    f"at j = {spec.j!r}, s2 = {spec.s2!r}{u}")
+                                    f"at j = {spec.j!r}, s2 = {spec.s2!r}")
     return fixed_rate(value)
 
 

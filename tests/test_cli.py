@@ -442,6 +442,18 @@ class TestErrorHandling:
         )
         assert cli.main([*args.split(), "--method", "recursive"]) == cli.EXIT_OK
 
+    def test_recursive_variance_past_double_range_is_numerical_failure(self):
+        # p^2 underflows, so the second moment reads 0.0 while the variance
+        # leaves double range at year 272: this printed inf rows and exited 0
+        proc = run_cli(
+            "moments", "--family", "geometric", "--p", "3.978717242863592e-288", "--q", "0",
+            "--n", "300", "--j", "42.82917668779616", "--s2", "3.9018401193598134e-09",
+            "--method", "recursive", "--no-strict",
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == "numerical failure: variance overflows double range at year 272\n"
+
 
 class TestConfigFile:
     def test_config_supplies_values(self, tmp_path):

@@ -508,8 +508,8 @@ class TestDoubleRange:
         "fn, args, expected",
         [
             (arithmetic_due, (10**400, 0, 1, 0.05), (NumericalFailureError, "fits is 0$")),
-            # as for q = inf, whose last payment p + (k-1)q = 1 + 0*inf is NaN
-            (arithmetic_due, (1, 10**400, 1, 0.05), (PaymentPositivityError, r"q=inf, k=1\)")),
+            # as for q = inf: the strict rule at k = 1 reads p alone
+            (arithmetic_due, (1, 10**400, 1, 0.05, "recursive"), 1.05),
             (arithmetic_due, (-(10**400), 0, 2, 0.05, "sum", False), (NumericalFailureError, "0$")),
             (arithmetic_due, (-(10**400), 0, 2, 0.05, "recursive", False), -math.inf),
             (geometric_due, (10**400, 1, 1, 0.05), (NumericalFailureError, "fits is 0$")),
@@ -526,6 +526,24 @@ class TestDoubleRange:
                 fn(*args)
         else:
             assert fn(*args) == expected
+
+    @pytest.mark.parametrize("q", [math.inf, -math.inf])
+    def test_infinite_q_pays_p_first(self, q):
+        # the first payment p + 0*q was NaN, and so was every value after it
+        due = functools.partial(arithmetic_due, 1, q, rate=0.05, strict=False)
+        assert due(1, mode="recursive") == 1.05
+        assert due(2, mode="recursive") == 1.05 * q
+        assert due(1, mode="sum") == 1.05
+        with pytest.raises(NumericalFailureError, match="the largest horizon that fits is 1$"):
+            due(2, mode="sum")
+
+    def test_strict_rule_at_one_year_reads_p_alone(self):
+        # p + 0*inf is NaN, which raised a false PaymentPositivityError
+        assert arithmetic_due(1, math.inf, 1, 0.05, "recursive") == 1.05
+        with pytest.raises(PaymentPositivityError, match=r"q=inf, k=1\)"):
+            arithmetic_due(-1, math.inf, 1, 0.05, "recursive")
+        with pytest.raises(PaymentPositivityError, match=r"q=-inf, k=2\)"):
+            arithmetic_due(1, -math.inf, 2, 0.05, "recursive")
 
     def test_explicit_modes_are_unchecked(self):
         rate = fixed_rate(0.5)

@@ -449,6 +449,45 @@ def variance_cases(draw):
     return PaymentPlan(family=family, p=p, q=q, n=n, strict=False), spec
 
 
+@st.composite
+def domain_cases(draw):
+    """(family, p, q, n, j, s2) over the documented domain, strict mode off.
+
+    p and q are 0, +-m 10^e for e in [-300, 300], or within 1e-6 of 1+j.
+    """
+    j = draw(st.floats(min_value=-1.0, max_value=50.0, exclude_min=True))
+    s2 = draw(st.floats(min_value=0.0, max_value=1.0))
+    parameter = st.one_of(
+        st.just(0.0),
+        st.builds(lambda sign, m, e: sign * m * 10.0**e, st.sampled_from([1.0, -1.0]),
+                  st.floats(min_value=1.0, max_value=9.99), st.integers(-300, 300)),
+        st.floats(min_value=-1e-6, max_value=1e-6).map(lambda x: (1.0 + j) * (1.0 + x)),
+    )
+    family = draw(st.sampled_from(["arithmetic", "geometric"]))
+    p, q = draw(parameter), draw(parameter)
+    return family, p, q, draw(st.integers(min_value=1, max_value=400)), j, s2
+
+
+class TestRecursiveDomain:
+    """The recursive method returns finite columns or raises a documented error."""
+
+    @given(domain_cases())
+    # p^2 underflows, so the second moment reads 0.0 while the variance
+    # leaves double range at year 272
+    @example(("geometric", 3.978717242863592e-288, 0.0, 300, 42.82917668779616,
+              3.9018401193598134e-09))
+    @settings(max_examples=300, deadline=None)
+    def test_columns_are_finite_or_a_documented_error(self, case):
+        family, p, q, n, j, s2 = case
+        try:
+            plan = PaymentPlan(family=family, p=p, q=q, n=n, strict=False)
+            series = moment_series(plan, stochastic_rate(j, s2), "recursive")
+        except (DomainError, NumericalFailureError):
+            return
+        for name in ("mean", "second_moment", "variance", "diagonal", "cross"):
+            assert np.isfinite(getattr(series, name)).all(), name
+
+
 class TestVarianceRecursion:
     """The variance carried by its own recursion, against the exact rational one."""
 
@@ -536,19 +575,24 @@ class TestSpecializedFamilies:
         assert second_moment_cross(PaymentPlan.increasing(1), spec, 1) == 0.0
 
     @pytest.mark.parametrize(
-        "family, args",
+        "family, args, message",
         [
-            (level_moments, (stochastic_rate(9.0, 0.0), 308)),
-            (decreasing_moments, (stochastic_rate(1.0, 1e-4), 520, 520)),
-            (growth_moments, (SPEC_GROWTH, geometric_aux(SPEC_GROWTH, 0.3), 900)),
+            (level_moments, (stochastic_rate(9.0, 0.0), 308),
+             "annuity values at rate 99.0 overflow double range; "
+             "the largest horizon that fits is 154"),
+            (decreasing_moments, (stochastic_rate(1.0, 1e-4), 520, 520),
+             "annuity values at rate 3.0000999999999998 overflow double range; "
+             "the largest horizon that fits is 511"),
+            (growth_moments, (SPEC_GROWTH, geometric_aux(SPEC_GROWTH, 0.3), 900),
+             "annuity values at rate 1.2599999999999998 overflow double range; "
+             "the largest horizon that fits is 868"),
         ],
         ids=["level", "decreasing", "growth"],
     )
-    def test_power_overflow_is_numerical_failure(self, family, args):
-        # each raised a raw OverflowError from g ** (...)
-        quantity = family.__name__.replace("_moments", " variance")
-        message = f"^closed {quantity} leaves double range at year {args[-1]}$"
-        with pytest.raises(NumericalFailureError, match=message):
+    def test_power_overflow_is_numerical_failure(self, family, args, message):
+        # each raised a raw OverflowError from g ** (...); the second moment's
+        # annuity values at f now leave double range first
+        with pytest.raises(NumericalFailureError, match=f"^{re.escape(message)}$"):
             family(*args)
 
     @pytest.mark.parametrize(
@@ -571,9 +615,10 @@ class TestSpecializedFamilies:
                 "the largest horizon that fits is 392",
             ),
             (
+                # the mean's quotient reads q^k = 13^k
                 lambda: growth_moments(SPEC_OVERFLOW, geometric_aux(SPEC_OVERFLOW, 12.0), 400),
-                "annuity values at rate 11.38095238095238 overflow double range; "
-                "the largest horizon that fits is 282",
+                "annuity values at rate 0.05 overflow double range; "
+                "the largest horizon that fits is 276",
             ),
         ],
         ids=["increasing", "level", "decreasing", "growth"],
@@ -603,34 +648,64 @@ class TestSpecializedFamilies:
 
     def test_a_variance_that_cancels_at_zero_rate_variance_is_zero(self):
         # the closed growth variance cancelled to -8.9e24 where the recursion's
-        # is exactly 0, and its audit raised FormulaAuditError
+        # is exactly 0, and its audit raised FormulaAuditError; the mean is the
+        # geometric quotient, 8.0e-17 from exact
         spec = stochastic_rate(-0.9955542931099941, 0.0)
         got = growth_moments(spec, geometric_aux(spec, 1.0099323678873517), 68)
-        assert got == moments.GrowthMoments(mean=9.163454923042747e+17, variance=0.0)
+        assert got == moments.GrowthMoments(mean=9.163454923042491e+17, variance=0.0)
 
     @pytest.mark.parametrize("j", [0.0, 1e-10, 0.05])
     @pytest.mark.parametrize("s2", [0.0, 1e-6, 0.04])
     def test_per_year_functions_equal_column_entries(self, j, s2):
-        # every route: the band |j| < 1e-9, decreasing's ell = 0 at s2 = 0
-        # and growth's |t| < 1e-9 at u = j
+        # every route: the band |j| < 1e-9, s2 = 0 and the band q = 1+j at u = j
         spec = stochastic_rate(j, s2)
         n = 25
         partial = functools.partial
         cases = [
-            ("level", PaymentPlan.level(n), (), partial(level_moments, spec)),
-            ("increasing", PaymentPlan.increasing(n), (), partial(increasing_moments, spec)),
-            ("decreasing", PaymentPlan.decreasing(n), (), partial(decreasing_moments, spec, n)),
+            ("level", PaymentPlan.level(n), partial(level_moments, spec)),
+            ("increasing", PaymentPlan.increasing(n), partial(increasing_moments, spec)),
+            ("decreasing", PaymentPlan.decreasing(n), partial(decreasing_moments, spec, n)),
         ]
         for u in (0.03, j):
-            aux = geometric_aux(spec, u)
-            per_year = partial(growth_moments, spec, aux)
-            cases.append(("growth", PaymentPlan.growth(u, n), (aux,), per_year))
-        for family, plan, aux, per_year in cases:
-            column = getattr(moments._ClosedForms(plan, spec, n), family)(*aux)
+            per_year = partial(growth_moments, spec, geometric_aux(spec, u))
+            cases.append(("growth", PaymentPlan.growth(u, n), per_year))
+        for family, plan, per_year in cases:
+            column = getattr(moments._ClosedForms(plan, spec, n), family)()
             for k in range(1, n + 1):
                 got, want = per_year(k), column[k - 1]
                 assert type(got) is type(want), family
                 assert list(map(float.hex, got)) == list(map(float.hex, want)), (family, k)
+
+    @given(
+        st.one_of(st.just(0.0), st.floats(min_value=-0.9, max_value=2.0)),
+        st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0)),
+        st.integers(min_value=1, max_value=60),
+        st.integers(min_value=0, max_value=20),
+        # None is u = j, the band q = 1+j
+        st.one_of(st.none(), st.floats(min_value=-0.9, max_value=2.0)),
+    )
+    @example(j=0.0, s2=0.0, k=5, extra=3, u=None)
+    @example(j=0.05, s2=0.0, k=5, extra=3, u=None)
+    @example(j=0.05, s2=0.01, k=30, extra=0, u=0.1)
+    @settings(max_examples=200, deadline=None)
+    def test_families_are_year_k_of_their_plans_closed_series(self, j, s2, k, extra, u):
+        # the moments command prints those series for --family level,
+        # decreasing and growth
+        spec = stochastic_rate(j, s2)
+        u = j if u is None else u
+        n = k + extra
+        cases = [
+            (lambda: level_moments(spec, k), PaymentPlan.level(k)),
+            (lambda: decreasing_moments(spec, n, k), PaymentPlan.decreasing(n)),
+            (lambda: growth_moments(spec, geometric_aux(spec, u), k), PaymentPlan.growth(u, k)),
+        ]
+        for call, plan in cases:
+            try:
+                series = moment_series(plan, spec, "closed")
+            except (DomainError, NumericalFailureError):
+                continue
+            want = [float(series.mean[k - 1]), float(series.variance[k - 1])]
+            assert list(map(float.hex, call())) == list(map(float.hex, want)), plan
 
     @given(
         st.floats(min_value=-1.0, max_value=20.0, exclude_min=True),
@@ -717,17 +792,17 @@ class TestDerivedRates:
                 "derived rate f = -1.0 is outside (-1, inf) at j = -0.9999999999, s2 = 0.0",
             ),
             (
-                # h = m/(1+u)^2 - 1 rounds to -1
                 lambda: growth_moments(_NEAR_POLE, geometric_aux(_NEAR_POLE, 1.0), 3),
-                "derived rate h = -1.0 is outside (-1, inf) at j = -0.9999999999, s2 = 0.0, u = 1.0",
+                "derived rate f = -1.0 is outside (-1, inf) at j = -0.9999999999, s2 = 0.0",
             ),
             (
                 lambda: second_moment_closed(PaymentPlan.increasing(3), _HUGE_S2, 1),
                 "derived rate r = inf is outside (-1, inf) at j = -0.9999999999, s2 = 1e+300",
             ),
             (
-                lambda: decreasing_moments(_HUGE_S2, 3, 3),
-                "derived rate ell = inf is outside (-1, inf) at j = -0.9999999999, s2 = 1e+300",
+                # at year 1 the annuity values at f still fit
+                lambda: decreasing_moments(_HUGE_S2, 3, 1),
+                "derived rate r = inf is outside (-1, inf) at j = -0.9999999999, s2 = 1e+300",
             ),
             (
                 # year 1's cross part is 0.0 without a table, but its
@@ -736,7 +811,7 @@ class TestDerivedRates:
                 "derived rate f = -1.0 is outside (-1, inf) at j = -0.9999999999999999, s2 = 0.0",
             ),
         ],
-        ids=["second-moment-f", "level-f", "growth-h", "second-moment-r", "decreasing-ell",
+        ids=["second-moment-f", "level-f", "growth-f", "second-moment-r", "decreasing-r",
              "cross-year-one-f"],
     )
     def test_names_the_rate_and_the_inputs(self, call, message):

@@ -178,31 +178,25 @@ class TestGeometricAux:
 class TestDerivedRate:
     def test_valid_rates_are_their_fixed_rates(self):
         spec = stochastic_rate(0.05, 0.01)
-        aux = geometric_aux(spec, 0.03)
-        for name in ("f", "r", "ell"):
+        for name in ("f", "r"):
             assert _derived_rate(spec, name) == fixed_rate(getattr(spec, name))
-        for name in ("t", "h", "w"):
-            assert _derived_rate(spec, name, aux) == fixed_rate(getattr(aux, name))
 
     @pytest.mark.parametrize(
-        "j, u, name, value",
+        "j, s2, name, value",
         [
-            # (1+u)/(1+j) overflows t to inf; h and w divide m by inf
-            (-1.0 + 1e-10, 1e300, "t", "inf"),
-            (-1.0 + 1e-10, 1e300, "h", "-1.0"),
-            (-1.0 + 1e-10, 1e300, "w", "-1.0"),
-            # m and (1+u)^2 both overflow, and h = inf/inf - 1
-            (1e200, 1e200, "h", "nan"),
+            # m = (1+j)^2 rounds to within 2^-53 of 0, so f = m - 1 to -1
+            (-1.0 + 2.0**-53, 0.0, "f", "-1.0"),
+            # (1+j)^2 overflows m, and so f, to inf
+            (1e200, 0.0, "f", "inf"),
+            # s2/(1+j) overflows r to inf
+            (-1.0 + 1e-10, 1e300, "r", "inf"),
         ],
     )
-    def test_out_of_domain_is_a_numerical_failure(self, j, u, name, value):
-        spec = stochastic_rate(j, 0.0)
-        message = (
-            f"derived rate {name} = {value} is outside (-1, inf) "
-            f"at j = {spec.j!r}, s2 = 0.0, u = {float(u)!r}"
-        )
+    def test_out_of_domain_is_a_numerical_failure(self, j, s2, name, value):
+        spec = stochastic_rate(j, s2)
+        message = f"derived rate {name} = {value} is outside (-1, inf) at j = {j!r}, s2 = {s2!r}"
         with pytest.raises(NumericalFailureError, match=f"^{re.escape(message)}$"):
-            _derived_rate(spec, name, geometric_aux(spec, u))
+            _derived_rate(spec, name)
 
 
 class TestSingularBands:
