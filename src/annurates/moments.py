@@ -247,15 +247,15 @@ def _variances(ref: _Moments, ks: range) -> list:
 
 
 def mean_series(plan: PaymentPlan, spec: StochasticRateSpec) -> np.ndarray:
-    """Mean accumulated value for k = 1..n, from the recursion."""
+    """Mean accumulated value for k = 1..n, from the recursion, once it is finite."""
     import numpy as np
-    return np.array(_recursion(plan, spec).mean)
+    return np.array(_recursive_columns(_recursion(plan, spec), 1)[0])
 
 
 def second_moment_series(plan: PaymentPlan, spec: StochasticRateSpec) -> np.ndarray:
-    """Second moment for k = 1..n, from the recursion."""
+    """Second moment for k = 1..n, from the recursion, once it and the mean are finite."""
     import numpy as np
-    return np.array(_recursion(plan, spec).second)
+    return np.array(_recursive_columns(_recursion(plan, spec), 2)[1])
 
 
 def variance_series(plan: PaymentPlan, spec: StochasticRateSpec) -> np.ndarray:

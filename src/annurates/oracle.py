@@ -11,7 +11,10 @@ spawn_key=(b,)), and the blocks' means and central sums are merged in block
 order, so estimates are bit-identical for any worker count.  A worker
 advances a contiguous group of up to three blocks as one array, drawing and
 accumulating one year at a time, so it holds a few arrays of its paths
-whatever the horizon.
+whatever the horizon.  A lognormal rate is exp(m + sigma z) of a standard
+normal z, formed in place in the year's array with numpy's exp: it is
+numpy's lognormal sampler bit for bit where numpy's float64 exp is the C
+library's, and within 1 ulp of it where numpy has a SIMD exp (AVX512F).
 
 Both oracles import numpy when they are called, and simulate imports its
 thread pool only for more than one worker, so importing the package loads
@@ -121,7 +124,14 @@ class RateDistribution:
         bytes from 32-bit words, and SFC64 gives the low and then the high half
         of each 64-bit output as words, so the bytes are those of the raw
         64-bit outputs, little-endian.  They are drawn as a year first needs
-        them, 16 KiB or more at a time, so memory does not grow with k.
+        them, 16 KiB or more at a time, so memory does not grow with k.  A
+        lognormal row is exp(m_ln + sigma z), z the row of a standard_normal
+        draw, with sigma^2 = log1p(s2 / (1+j)^2) and m_ln = log(1+j) -
+        sigma^2 / 2.  z * sigma + m_ln rounds as numpy's lognormal sampler
+        forms loc + scale * z, so the row is Generator.lognormal(m_ln, sigma)
+        on the same stream bit for bit where numpy's float64 exp is the C
+        library's exp; where numpy uses its own SIMD exp (AVX512F hosts), a
+        draw may differ from it by 1 ulp.
         """
         import numpy as np
         mu = 1.0 + self.j
@@ -172,7 +182,13 @@ class RateDistribution:
             sigma = math.sqrt(sigma2)
             for _ in range(k):
                 for rng, row in zip(rngs, out):
-                    row[:] = rng.lognormal(mean=m_ln, sigma=sigma, size=len(row))
+                    rng.standard_normal(out=row)
+                # exp(m_ln + sigma z) in place; an overflow is inf, which
+                # simulate reports
+                out *= sigma
+                out += m_ln
+                with np.errstate(over="ignore"):
+                    np.exp(out, out=out)
                 yield out
 
 

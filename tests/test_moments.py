@@ -410,6 +410,19 @@ class TestMomentSeries:
         with pytest.raises(NumericalFailureError, match=message):
             second_moment_closed(plan, spec, 874)
 
+    def test_recursive_series_raise_where_their_column_leaves_double_range(self):
+        # each series checks the columns it reads, as variance_series does:
+        # the second moment is inf from year 1290 and the mean from year 2700
+        spec = stochastic_rate(0.3, 0.04)
+        second = "^second moment overflows double range at year 1290$"
+        for series in (second_moment_series, variance_series):
+            with pytest.raises(NumericalFailureError, match=second):
+                series(PaymentPlan.level(2000), spec)
+        assert np.isfinite(mean_series(PaymentPlan.level(2000), spec)).all()
+        mean = "^mean overflows double range at year 2700$"
+        with pytest.raises(NumericalFailureError, match=mean):
+            mean_series(PaymentPlan.level(3000), spec)
+
 
 def _counted(calls, name, original, *args):
     """original(*args), counted in calls[name]."""

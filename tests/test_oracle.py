@@ -270,11 +270,33 @@ class TestRateDistribution:
                     want = mu + math.sqrt(3.0 * 0.03) * (2.0 * rng.random(size=shape) - 1.0)
                 else:
                     sigma2 = math.log1p(0.03 / (mu * mu))
-                    want = rng.lognormal(
-                        mean=math.log(mu) - 0.5 * sigma2, sigma=math.sqrt(sigma2), size=shape
-                    )
+                    m_ln, sigma = math.log(mu) - 0.5 * sigma2, math.sqrt(sigma2)
+                    want = np.exp(m_ln + sigma * rng.standard_normal(size=shape))
                 assert all(row.dtype == np.float64 and row.shape == (size,) for row in rows[g])
                 assert np.array_equal(np.stack(rows[g]).view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("s2", [0.03, 1.0])
+    @pytest.mark.parametrize("size", [3, 1696, 16384])
+    def test_lognormal_rows_are_within_2_ulp_of_numpy_lognormal(self, s2, size):
+        # numpy's lognormal is exp(loc + scale * z) on the same normals; the
+        # rows differ from it only where numpy's exp is not the C library's,
+        # by at most 1 ulp
+        dist, k = RateDistribution.lognormal(0.07, s2), 7
+        mu = 1.0 + 0.07
+        sigma2 = math.log1p(s2 / (mu * mu))
+        for blocks in (1, 3):
+            group = [_batch_generator(5, 2 + g) for g in range(blocks)]
+            years = dist.gross_rows(group, k, np.empty((blocks, size)))
+            rows = np.stack([year.copy() for year in years])
+            for g in range(blocks):
+                want = _batch_generator(5, 2 + g).lognormal(
+                    mean=math.log(mu) - 0.5 * sigma2, sigma=math.sqrt(sigma2), size=(k, size)
+                )
+                got = rows[:, g]
+                assert np.all(got > 0.0) and np.all(np.isfinite(got))
+                # positive finite doubles are ordered as their bit patterns
+                ulps = np.abs(got.view(np.int64) - want.view(np.int64))
+                assert ulps.max() <= 2
 
 
 def _finite(low, high):
